@@ -28,8 +28,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"pario/internal/core"
-
 	"pario/internal/exp"
 )
 
@@ -50,12 +48,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metJSON = fs.Bool("metrics-json", false, "print each artifact's metrics snapshot as JSON")
 		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to `file`")
 		memProf = fs.String("memprofile", "", "write a heap profile to `file` on exit")
-		simPar  = fs.Int("sim-parallel", 1, "intra-run event-execution lanes to request (1 = sequential)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	core.SetDefaultParallel(*simPar)
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

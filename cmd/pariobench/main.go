@@ -23,7 +23,6 @@
 //	pariobench -n 200 -c 16 -hot 0.9
 //	pariobench -sweep 'app=fft&procs=1,2,4&opt=both'
 //	pariobench -estimate -n 500
-//	pariobench -parallel 8 -n 20        # intra-run parallelism contract drive
 //	pariobench -cluster 127.0.0.1:7471,127.0.0.1:7472,127.0.0.1:7473 -n 24
 //
 // With -cluster it drives a running sharded cluster (every listed node) and
@@ -31,13 +30,6 @@
 // from every node, the cluster-wide runs_total moves by exactly the number
 // of unique cold keys — one simulation per key no matter which node is
 // asked — and a repeat pass is all cache with zero new simulations anywhere.
-//
-// With -parallel N it spawns a sequential server and a -max-parallel N
-// server, drives both over the same cold request set, and verifies the
-// parallelism contract: byte-identical bodies and cache keys across the
-// pair, sim_parallel_* lane counters present in /metrics, every wide grant
-// explained by a recorded fallback or a genuinely parallel window, and
-// client-observed p99 reported for both.
 package main
 
 import (
@@ -73,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sweep     = fs.String("sweep", "", "sweep spec as /sweep query parameters; runs the sweep drive instead of the mixed stream")
 		estimate  = fs.Bool("estimate", false, "drive /run?mode=estimate and verify the estimate contract")
 		p99Bound  = fs.Duration("p99", time.Millisecond, "estimate drive: maximum acceptable p99 latency")
-		parallel  = fs.Int("parallel", 0, "drive the intra-run parallelism contract: spawn a -max-parallel N server and verify bodies match a sequential one")
 		clusterAt = fs.String("cluster", "", "comma-separated node addresses of a running sharded cluster; runs the cluster contract drive")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -82,13 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *n < 1 || *c < 1 || *hot < 0 || *hot > 1 {
 		fmt.Fprintln(stderr, "pariobench: need -n >= 1, -c >= 1, 0 <= -hot <= 1")
 		return 2
-	}
-	if *parallel > 0 {
-		if *addr != "" {
-			fmt.Fprintln(stderr, "pariobench: -parallel spawns its own paired servers; drop -addr")
-			return 2
-		}
-		return parallelDrive(*parallel, *n, stdout, stderr)
 	}
 	if *clusterAt != "" {
 		return clusterDrive(*clusterAt, *n, stdout, stderr)
@@ -202,165 +186,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "pariobench: OK: every simulation is accounted for by a cache miss; cached path never re-simulates")
 	return 0
-}
-
-// parallelDrive verifies the intra-run parallelism contract: two paired
-// in-process servers — one sequential, one with -max-parallel par — are
-// driven over the same deterministic request set, and
-//
-//  1. every response body is byte-identical across the pair (parallelism
-//     is execution policy, never result identity)
-//  2. cache keys agree, so the parallel grant is no part of the key
-//  3. the parallel server's /metrics carries the sim_parallel_* lane
-//     counters: the width cap, the wide-run grants, and per-reason
-//     fallbacks summing to the wide grants (no run silently parallelizes)
-//  4. the parallel server's client-observed p99 is reported beside the
-//     sequential one's for the latency comparison
-func parallelDrive(par, n int, stdout, stderr io.Writer) int {
-	type inst struct {
-		base string
-		shut func()
-	}
-	spawn := func(maxPar int) (inst, error) {
-		srv := serve.New(serve.Options{MaxParallel: maxPar})
-		bound, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			return inst{}, err
-		}
-		return inst{base: "http://" + bound.String(), shut: func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-		}}, nil
-	}
-	seq, err := spawn(1)
-	if err != nil {
-		fmt.Fprintf(stderr, "pariobench: %v\n", err)
-		return 1
-	}
-	defer seq.shut()
-	wide, err := spawn(par)
-	if err != nil {
-		fmt.Fprintf(stderr, "pariobench: %v\n", err)
-		return 1
-	}
-	defer wide.shut()
-	fmt.Fprintf(stdout, "pariobench: paired servers: sequential %s, max-parallel %d %s\n", seq.base, par, wide.base)
-
-	// Distinct cold points: every request simulates on both servers, so the
-	// latency comparison is simulation against simulation, not cache echo.
-	reqFor := func(i int) serve.Request {
-		if i%2 == 0 {
-			return serve.Request{App: "scf30", Input: "SMALL", CachedPct: 1 + i%89}
-		}
-		return serve.Request{App: "scf11", Input: "SMALL", Procs: 1 + i%4}
-	}
-
-	drive := func(base string) ([]time.Duration, [][]byte, []string, error) {
-		lats := make([]time.Duration, 0, n)
-		bodies := make([][]byte, 0, n)
-		keys := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			body, err := json.Marshal(reqFor(i))
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			t0 := time.Now()
-			resp, err := http.Post(base+"/run", "application/json", bytes.NewReader(body))
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			b, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				return nil, nil, nil, fmt.Errorf("request %d: status %d (%v)", i, resp.StatusCode, err)
-			}
-			lats = append(lats, time.Since(t0))
-			bodies = append(bodies, b)
-			keys = append(keys, resp.Header.Get("X-Pario-Key"))
-		}
-		return lats, bodies, keys, nil
-	}
-	seqLats, seqBodies, seqKeys, err := drive(seq.base)
-	if err != nil {
-		fmt.Fprintf(stderr, "pariobench: sequential drive: %v\n", err)
-		return 1
-	}
-	wideLats, wideBodies, wideKeys, err := drive(wide.base)
-	if err != nil {
-		fmt.Fprintf(stderr, "pariobench: parallel drive: %v\n", err)
-		return 1
-	}
-
-	for i := range seqBodies {
-		if seqKeys[i] != wideKeys[i] {
-			fmt.Fprintf(stderr, "pariobench: FAIL: request %d cache key differs under -max-parallel — parallelism leaked into request identity\n", i)
-			return 1
-		}
-		if !bytes.Equal(seqBodies[i], wideBodies[i]) {
-			fmt.Fprintf(stderr, "pariobench: FAIL: request %d body differs between sequential and parallel servers\n", i)
-			return 1
-		}
-	}
-	fmt.Fprintf(stdout, "pariobench: all %d bodies byte-identical across the pair\n", n)
-
-	p99 := func(lats []time.Duration) time.Duration {
-		s := append([]time.Duration(nil), lats...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		idx := (len(s) * 99) / 100
-		if idx >= len(s) {
-			idx = len(s) - 1
-		}
-		return s[idx]
-	}
-	fmt.Fprintf(stdout, "pariobench: run latency p99: sequential %s, max-parallel %d %s\n",
-		p99(seqLats), par, p99(wideLats))
-
-	pm, err := fetchParallelMetrics(wide.base)
-	if err != nil {
-		fmt.Fprintf(stderr, "pariobench: %v\n", err)
-		return 1
-	}
-	if pm.SimParallelMax != par {
-		fmt.Fprintf(stderr, "pariobench: FAIL: sim_parallel_max = %d, want %d\n", pm.SimParallelMax, par)
-		return 1
-	}
-	if pm.SimParallelWideRunsTotal < 1 {
-		fmt.Fprintln(stderr, "pariobench: FAIL: no run was granted a wide lane width")
-		return 1
-	}
-	var fallbacks int64
-	for _, v := range pm.SimParallelFallbacks {
-		fallbacks += v
-	}
-	if fallbacks != pm.SimParallelWideRunsTotal {
-		fmt.Fprintf(stderr, "pariobench: FAIL: %d wide grants but %d recorded fallbacks — a run's parallelism decision went unexplained\n",
-			pm.SimParallelWideRunsTotal, fallbacks)
-		return 1
-	}
-	fmt.Fprintf(stdout, "pariobench: OK: bodies and keys parallelism-invariant; %d wide grants, every one accounted for (%v)\n",
-		pm.SimParallelWideRunsTotal, pm.SimParallelFallbacks)
-	return 0
-}
-
-type parallelMetrics struct {
-	SimParallelMax           int              `json:"sim_parallel_max"`
-	SimParallelWideRunsTotal int64            `json:"sim_parallel_wide_runs_total"`
-	SimParallelFallbacks     map[string]int64 `json:"sim_parallel_fallbacks"`
-}
-
-func fetchParallelMetrics(base string) (parallelMetrics, error) {
-	var m parallelMetrics
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return m, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return m, fmt.Errorf("/metrics: status %d", resp.StatusCode)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&m)
-	return m, err
 }
 
 // clusterDrive verifies the sharded-cluster contract against a running
@@ -715,12 +540,7 @@ func estimateDrive(base string, n int, bound time.Duration, stdout, stderr io.Wr
 	}
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	p50 := lats[len(lats)/2]
-	idx := (len(lats) * 99) / 100
-	if idx >= len(lats) {
-		idx = len(lats) - 1
-	}
-	p99 := lats[idx]
+	p50, p99 := nearestRank(lats, 50), nearestRank(lats, 99)
 	fmt.Fprintf(stdout, "pariobench: %d estimates in %.3fs (%.0f est/s), %d cold, %d hits\n",
 		n, elapsed.Seconds(), float64(n)/elapsed.Seconds(), misses, hits)
 	fmt.Fprintf(stdout, "pariobench: estimate latency p50 %s, p99 %s\n", p50, p99)
@@ -739,6 +559,14 @@ func estimateDrive(base string, n int, bound time.Duration, stdout, stderr io.Wr
 	}
 	fmt.Fprintln(stdout, "pariobench: OK: estimates never simulate, runs_total unmoved, p99 under bound")
 	return 0
+}
+
+// nearestRank returns the pct-th percentile (1 <= pct <= 100) of the
+// ascending, non-empty sorted sample by the nearest-rank method: the
+// element at index ceil(pct/100·n)−1, computed in integers so no float
+// rounding moves it.
+func nearestRank(sorted []time.Duration, pct int) time.Duration {
+	return sorted[(pct*len(sorted)+99)/100-1]
 }
 
 // fireMode posts one run request with a ?mode= selector and returns its

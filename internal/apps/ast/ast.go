@@ -63,9 +63,6 @@ type Config struct {
 	// application becomes read-intensive when restarting from
 	// check-pointed data).
 	Restart bool
-	// Parallel, when non-zero, requests intra-run event parallelism
-	// (see core.System.SetParallel); zero keeps the process default.
-	Parallel int
 }
 
 func (c *Config) defaults() error {
@@ -105,9 +102,6 @@ func Run(cfg Config) (core.Report, error) {
 	}
 	if err := sys.InstallFaults(cfg.Faults); err != nil {
 		return core.Report{}, err
-	}
-	if cfg.Parallel != 0 {
-		sys.SetParallel(cfg.Parallel)
 	}
 	layout := pfs.Layout{StripeUnit: cfg.Machine.DefaultStripeUnit, StripeFactor: sys.FS.NumIONodes()}
 	snapBytes := int64(cfg.Arrays) * cfg.N * cfg.N * elemBytes

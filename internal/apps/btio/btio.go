@@ -82,9 +82,6 @@ type Config struct {
 	// Verify appends a read-back of the final solution dump (the full
 	// benchmark's verification stage).
 	Verify bool
-	// Parallel, when non-zero, requests intra-run event parallelism
-	// (see core.System.SetParallel); zero keeps the process default.
-	Parallel int
 }
 
 // TotalIOBytes returns the volume the configured run writes.
@@ -135,9 +132,6 @@ func Run(cfg Config) (core.Report, error) {
 	}
 	if err := sys.InstallFaults(cfg.Faults); err != nil {
 		return core.Report{}, err
-	}
-	if cfg.Parallel != 0 {
-		sys.SetParallel(cfg.Parallel)
 	}
 	n := cfg.Class.N
 	arr, err := ooc.NewArray3D(n, n, n, comp, elemBytes, 0)

@@ -54,9 +54,6 @@ type Config struct {
 	// BufferBytes is the per-process staging memory; default 8 MB of the
 	// Paragon node's 32 MB.
 	BufferBytes int64
-	// Parallel, when non-zero, requests intra-run event parallelism
-	// (see core.System.SetParallel); zero keeps the process default.
-	Parallel int
 }
 
 func (c *Config) defaults() error {
@@ -93,9 +90,6 @@ func Run(cfg Config) (core.Report, error) {
 	}
 	if err := sys.InstallFaults(cfg.Faults); err != nil {
 		return core.Report{}, err
-	}
-	if cfg.Parallel != 0 {
-		sys.SetParallel(cfg.Parallel)
 	}
 	nio := sys.FS.NumIONodes()
 	layout := pfs.Layout{StripeUnit: cfg.Machine.DefaultStripeUnit, StripeFactor: nio}

@@ -149,9 +149,6 @@ type Config11 struct {
 	// PrefetchDepth is the number of chunks kept in flight by the
 	// prefetching version; the PASSION default is 1 (double buffering).
 	PrefetchDepth int
-	// Parallel, when non-zero, requests intra-run event parallelism
-	// (see core.System.SetParallel); zero keeps the process default.
-	Parallel int
 }
 
 func (c *Config11) defaults() error {
@@ -181,9 +178,6 @@ func Run11(cfg Config11) (core.Report, error) {
 	}
 	if err := sys.InstallFaults(cfg.Faults); err != nil {
 		return core.Report{}, err
-	}
-	if cfg.Parallel != 0 {
-		sys.SetParallel(cfg.Parallel)
 	}
 
 	total := StoredBytes(cfg.Input)
@@ -334,9 +328,6 @@ type Config30 struct {
 	// ImbalancePct is the worst-case per-file size skew when Balance is
 	// off; default 30.
 	ImbalancePct int
-	// Parallel, when non-zero, requests intra-run event parallelism
-	// (see core.System.SetParallel); zero keeps the process default.
-	Parallel int
 }
 
 // Run30 simulates the SCF 3.0 run.
@@ -359,9 +350,6 @@ func Run30(cfg Config30) (core.Report, error) {
 	}
 	if err := sys.InstallFaults(cfg.Faults); err != nil {
 		return core.Report{}, err
-	}
-	if cfg.Parallel != 0 {
-		sys.SetParallel(cfg.Parallel)
 	}
 
 	nio := sys.FS.NumIONodes()

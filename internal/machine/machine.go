@@ -56,20 +56,6 @@ func (c *Config) Topology() (*topology.Topology, error) {
 	return topology.NewMesh2D(c.Rows, c.Cols, c.NumCompute, c.NumIO, c.NumService)
 }
 
-// LookaheadSec returns the minimum latency of any cross-node interaction on
-// this machine: the fixed message latency plus the cheapest possible routing
-// path. This is the conservative coupling horizon for intra-run parallel
-// event execution — no node can affect another sooner than this, so lanes
-// may safely run that far ahead of each other. Zero (a degenerate horizon)
-// means the machine cannot support lane parallelism at all.
-func (c *Config) LookaheadSec() float64 {
-	hops := 1
-	if c.Kind == topology.Switched {
-		hops = c.SwitchHops
-	}
-	return c.Net.Latency + float64(hops)*c.Net.HopTime
-}
-
 // Validate performs a coarse sanity check.
 func (c *Config) Validate() error {
 	if c.NumCompute < 1 || c.NumIO < 1 {

@@ -61,14 +61,6 @@ type Options struct {
 	// MaxSweeps bounds concurrently streaming sweeps; excess sweeps are
 	// shed with 429 (default 4).
 	MaxSweeps int
-	// MaxParallel is the widest intra-run event parallelism (lanes) one
-	// run may request (default 1 = sequential). It is execution policy,
-	// never request identity: the kernel's determinism contract keeps
-	// bodies byte-identical at any width, so it is deliberately excluded
-	// from the cache key. Interactive runs get the full width only while
-	// the service is lightly loaded; batch (sweep) points always run
-	// sequentially — their throughput comes from cross-point workers.
-	MaxParallel int
 	// TraceStoreBytes bounds the uploaded-trace registry by total
 	// canonical-encoding bytes, LRU-evicted (default 256 MB).
 	TraceStoreBytes int64
@@ -99,9 +91,6 @@ func (o *Options) defaults() {
 	if o.MaxSweeps <= 0 {
 		o.MaxSweeps = 4
 	}
-	if o.MaxParallel <= 0 {
-		o.MaxParallel = 1
-	}
 	if o.TraceStoreBytes <= 0 {
 		o.TraceStoreBytes = 256 << 20
 	}
@@ -128,9 +117,9 @@ type Server struct {
 	ring          atomic.Pointer[clusterRing]
 	peerTransport *http.Transport
 
-	// run is the execution seam: ExecuteParallel in production,
-	// replaceable in tests that need slow or failing runs.
-	run func(ctx context.Context, req Request, parallel int) (core.Report, error)
+	// run is the execution seam: Execute in production, replaceable in
+	// tests that need slow or failing runs.
+	run func(ctx context.Context, req Request) (core.Report, error)
 
 	httpSrv  *http.Server
 	started  time.Time
@@ -188,18 +177,6 @@ type Server struct {
 	runEvents atomic.Uint64
 	runWallNs atomic.Int64
 
-	// Intra-run parallelism counters: runs granted more than one lane,
-	// runs the load policy narrowed back to sequential (only counted
-	// while MaxParallel > 1), the summed effective lane width, and
-	// fallback reasons reported by the runs themselves.
-	parWideRuns     atomic.Int64
-	parNarrowedRuns atomic.Int64
-	parEffLanes     atomic.Int64
-	parFallbacks    struct {
-		mu sync.Mutex
-		m  map[string]int64
-	}
-
 	// Estimate-mode counters. Estimates never move the run counters —
 	// the analytic path consumes no scheduler slot by construction, and
 	// the estimate smoke asserts runs_total stays flat under -estimate.
@@ -250,7 +227,7 @@ func New(opts Options) *Server {
 		started:       time.Now(),
 	}
 	// The production seam resolves app-"trace" requests against the upload
-	// store; everything else goes straight to ExecuteParallel. Tests still
+	// store; everything else goes straight to Execute. Tests still
 	// replace s.run wholesale.
 	s.run = s.executeRun
 	s.SetCluster(opts.Cluster)
@@ -325,41 +302,14 @@ func (s *Server) cachePut(key string, body []byte) {
 	}
 }
 
-// parallelFor decides how many event-execution lanes a run admitted on
-// lane ln may use right now: the configured width for an interactive run
-// on a lightly loaded service, sequential otherwise. Narrow under load —
-// when the committed backlog exceeds the worker pool — because cross-run
-// workers already saturate the machine and wide runs would only add
-// coordination overhead; batch points are always narrow for the same
-// reason.
-func (s *Server) parallelFor(ln Lane) int {
-	if s.opts.MaxParallel <= 1 || ln == LaneBatch {
-		return 1
-	}
-	backlog := int64(s.sched.QueueDepth(LaneInteractive)) + s.sched.InFlight(LaneInteractive) +
-		int64(s.sched.QueueDepth(LaneBatch)) + s.sched.InFlight(LaneBatch)
-	if backlog > int64(s.opts.Workers) {
-		return 1
-	}
-	return s.opts.MaxParallel
-}
-
 // runJob is the expensive path: simulate, encode, fill the cache. It runs
 // on a scheduler worker, as a one-point sweep through the experiment
 // runner, so run accounting (points, kernel events, wall time) follows the
-// same contract as the sweep harness. ln names the admission lane, which
-// sets the run's parallelism grant.
-func (s *Server) runJob(ctx context.Context, req Request, key string, ln Lane) ([]byte, error) {
-	par := s.parallelFor(ln)
-	switch {
-	case par > 1:
-		s.parWideRuns.Add(1)
-	case s.opts.MaxParallel > 1 && ln == LaneInteractive:
-		s.parNarrowedRuns.Add(1)
-	}
+// same contract as the sweep harness.
+func (s *Server) runJob(ctx context.Context, req Request, key string) ([]byte, error) {
 	start := time.Now()
 	reps, st, err := exp.Map([]Request{req}, 1, func(r Request) (core.Report, error) {
-		return s.run(ctx, r, par)
+		return s.run(ctx, r)
 	})
 	s.recordRunDur(time.Since(start))
 	s.runs.Add(int64(st.Points))
@@ -367,15 +317,6 @@ func (s *Server) runJob(ctx context.Context, req Request, key string, ln Lane) (
 	s.runWallNs.Add(int64(st.WallSum))
 	if err != nil {
 		return nil, err
-	}
-	s.parEffLanes.Add(int64(reps[0].EffectiveParallel))
-	if par > 1 && reps[0].ParallelFallback != "" {
-		s.parFallbacks.mu.Lock()
-		if s.parFallbacks.m == nil {
-			s.parFallbacks.m = make(map[string]int64)
-		}
-		s.parFallbacks.m[reps[0].ParallelFallback]++
-		s.parFallbacks.mu.Unlock()
 	}
 	body, err := Encode(req, reps[0])
 	if err != nil {
@@ -567,7 +508,7 @@ func (s *Server) localRun(w http.ResponseWriter, r *http.Request, canon Request,
 			return s.sched.SubmitWait(ctx, LaneBatch, func(jctx context.Context) ([]byte, error) {
 				pctx, cancel := context.WithTimeout(jctx, timeout)
 				defer cancel()
-				return s.runJob(pctx, canon, key, LaneBatch)
+				return s.runJob(pctx, canon, key)
 			})
 		})
 	} else {
@@ -575,7 +516,7 @@ func (s *Server) localRun(w http.ResponseWriter, r *http.Request, canon Request,
 		defer cancel()
 		body, err, leader = s.flight.Do(rctx, key, func() ([]byte, error) {
 			return s.sched.Submit(rctx, LaneInteractive, func(jctx context.Context) ([]byte, error) {
-				return s.runJob(jctx, canon, key, LaneInteractive)
+				return s.runJob(jctx, canon, key)
 			})
 		})
 	}
@@ -828,17 +769,6 @@ type Metrics struct {
 	RunEventsTotal  uint64  `json:"run_events_total"`
 	RunWallSecTotal float64 `json:"run_wall_sec_total"`
 
-	// Intra-run parallelism: the configured width cap, runs granted more
-	// than one lane, runs the load policy narrowed back to sequential,
-	// the summed effective width over finished runs (divide by RunsTotal
-	// for mean lane utilization), and per-reason fallback counts reported
-	// by the runs themselves.
-	SimParallelMax           int              `json:"sim_parallel_max"`
-	SimParallelWideRunsTotal int64            `json:"sim_parallel_wide_runs_total"`
-	SimParallelNarrowedTotal int64            `json:"sim_parallel_narrowed_total"`
-	SimParallelEffLanesTotal int64            `json:"sim_parallel_effective_lanes_total"`
-	SimParallelFallbacks     map[string]int64 `json:"sim_parallel_fallbacks,omitempty"`
-
 	// Estimate-mode counters: analytic requests served without touching
 	// the scheduler (RunsTotal is by construction unmoved by these).
 	EstimatesTotal          int64   `json:"estimates_total"`
@@ -918,11 +848,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 		TraceUploadsTotal: s.traceUploads.Load(),
 		TraceUnknownTotal: s.traceUnknown.Load(),
 
-		SimParallelMax:           s.opts.MaxParallel,
-		SimParallelWideRunsTotal: s.parWideRuns.Load(),
-		SimParallelNarrowedTotal: s.parNarrowedRuns.Load(),
-		SimParallelEffLanesTotal: s.parEffLanes.Load(),
-
 		EstimatesTotal:          s.estimates.Load(),
 		EstimateCacheHits:       s.estimateHits.Load(),
 		EstimateErrorTotal:      s.estimateFailed.Load(),
@@ -949,14 +874,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 		m.PeerLocalFallbackTotal = s.peerLocalFallback.Load()
 		m.PeerLoopGuardTotal = s.peerLoopGuard.Load()
 	}
-	s.parFallbacks.mu.Lock()
-	if len(s.parFallbacks.m) > 0 {
-		m.SimParallelFallbacks = make(map[string]int64, len(s.parFallbacks.m))
-		for k, v := range s.parFallbacks.m {
-			m.SimParallelFallbacks[k] = v
-		}
-	}
-	s.parFallbacks.mu.Unlock()
 	s.errClasses.mu.Lock()
 	if len(s.errClasses.m) > 0 {
 		m.ErrorClasses = make(map[string]int64, len(s.errClasses.m))

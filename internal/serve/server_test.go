@@ -163,8 +163,8 @@ func TestServerEquivalentRequestsShareOneRun(t *testing.T) {
 
 // fakeRun installs a controllable execution seam; each distinct request
 // blocks until release closes (or its ctx ends).
-func fakeRun(started chan<- string, release <-chan struct{}) func(context.Context, Request, int) (core.Report, error) {
-	return func(ctx context.Context, req Request, parallel int) (core.Report, error) {
+func fakeRun(started chan<- string, release <-chan struct{}) func(context.Context, Request) (core.Report, error) {
+	return func(ctx context.Context, req Request) (core.Report, error) {
 		if started != nil {
 			started <- req.App
 		}
@@ -282,7 +282,7 @@ func TestServerTimeoutFreesWorker(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 2})
 	// procs=4 wedges until its ctx ends (a run that would outlive any
 	// deadline); procs=8 completes instantly.
-	s.run = func(ctx context.Context, req Request, parallel int) (core.Report, error) {
+	s.run = func(ctx context.Context, req Request) (core.Report, error) {
 		if req.Procs == 4 {
 			<-ctx.Done()
 			return core.Report{}, ctx.Err()
@@ -327,7 +327,7 @@ func TestServerTimeoutFreesWorker(t *testing.T) {
 func TestServerErrorsAreNotCached(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 2})
 	calls := 0
-	s.run = func(ctx context.Context, req Request, parallel int) (core.Report, error) {
+	s.run = func(ctx context.Context, req Request) (core.Report, error) {
 		calls++
 		if calls == 1 {
 			return core.Report{}, fmt.Errorf("transient failure")

@@ -498,7 +498,7 @@ func (s *Server) sweepPoint(ctx context.Context, p SweepPoint, timeout time.Dura
 		return s.sched.SubmitWait(ctx, LaneBatch, func(jctx context.Context) ([]byte, error) {
 			pctx, cancel := context.WithTimeout(jctx, timeout)
 			defer cancel()
-			return s.runJob(pctx, p.Req, p.Key, LaneBatch)
+			return s.runJob(pctx, p.Req, p.Key)
 		})
 	})
 	if err != nil {

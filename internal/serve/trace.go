@@ -19,8 +19,8 @@ import (
 // routing work unchanged, and a repeated replay never re-simulates.
 
 // executeRun is the production run seam: resolve app-"trace" requests
-// against the upload store, run everything else through ExecuteParallel.
-func (s *Server) executeRun(ctx context.Context, req Request, parallel int) (core.Report, error) {
+// against the upload store, run everything else through Execute.
+func (s *Server) executeRun(ctx context.Context, req Request) (core.Report, error) {
 	if req.App == "trace" {
 		t, ok := s.traces.Get(req.Trace)
 		if !ok {
@@ -28,9 +28,9 @@ func (s *Server) executeRun(ctx context.Context, req Request, parallel int) (cor
 			return core.Report{}, core.Classify("trace_unknown",
 				fmt.Errorf("serve: trace %s has not been uploaded to this node", req.Trace))
 		}
-		return ExecuteTrace(ctx, req, parallel, t)
+		return ExecuteTrace(ctx, req, 0, t)
 	}
-	return ExecuteParallel(ctx, req, parallel)
+	return Execute(ctx, req)
 }
 
 // traceUploadResult is the POST /trace response body.

@@ -70,13 +70,6 @@ type Engine struct {
 	// down. Nil on every healthy run.
 	abortErr error
 
-	// Bounded execution (RunUntil): while bounded is set, dispatch fires
-	// only events strictly before bound and then pauses, leaving blocked
-	// processes parked for a later RunUntil or Run to resume — the lane
-	// primitive of conservative parallel execution (see lanes.go).
-	bounded bool
-	bound   float64
-
 	metrics *stats.Registry
 	wallSec float64 // real time spent inside Run
 }
@@ -255,24 +248,6 @@ func (e *Engine) AbortRun(err error) {
 	}
 }
 
-// nextTime returns the time of the earliest pending event without removing
-// it. Ring entries are all at the current instant, and the heap never holds
-// anything earlier than now, so the ring (when non-empty) is the minimum.
-func (e *Engine) nextTime() (float64, bool) {
-	if e.ring.size > 0 {
-		return e.now, true
-	}
-	if e.pq.Len() > 0 {
-		return e.pq.ev[0].at, true
-	}
-	return 0, false
-}
-
-// NextEventTime reports when the earliest pending event fires, if any — what
-// a lane scheduler needs to pick the next window without disturbing the
-// queue.
-func (e *Engine) NextEventTime() (float64, bool) { return e.nextTime() }
-
 // next removes and returns the earliest event across the ring and the heap,
 // merging the two lanes in exact (at, seq) order. The heap can hold events
 // at the current instant that were scheduled from an earlier one, and those
@@ -321,13 +296,6 @@ func (e *Engine) dispatch(self *Proc, w *worker) dispatchOutcome {
 				// finds its way back to Run, which sees intrErr and tears
 				// the simulation down.
 				e.intrErr = err
-				return dispatchDrained
-			}
-		}
-		if e.bounded {
-			// Bounded window: pause (leaving the queue and parked processes
-			// intact) once the next event would cross the horizon.
-			if t, ok := e.nextTime(); !ok || t >= e.bound {
 				return dispatchDrained
 			}
 		}
@@ -434,60 +402,6 @@ func (e *Engine) Run() error {
 		e.killAll()
 		return fmt.Errorf("%w, %d process(es) still blocked: [%s]",
 			ErrDeadlock, n, strings.Join(names, " "))
-	}
-	return nil
-}
-
-// RunUntil executes every event strictly before bound, then pauses and
-// returns nil. Blocked processes stay parked and pending events stay queued:
-// a later RunUntil (with a larger bound) or a final Run picks up exactly
-// where this one stopped. Unlike Run, running out of events before the bound
-// is not a deadlock — other lanes of a parallel group may still deliver work.
-//
-// Abort, interrupt, and panic behave as in Run (the engine is torn down and
-// cannot continue). The worker pool is left open for the next window.
-func (e *Engine) RunUntil(bound float64) error {
-	if e.stopped {
-		return fmt.Errorf("sim: RunUntil on stopped engine")
-	}
-	if e.running {
-		return fmt.Errorf("sim: RunUntil called re-entrantly")
-	}
-	e.running = true
-	e.bounded, e.bound = true, bound
-	wallStart := time.Now()
-	defer func() {
-		e.running = false
-		e.bounded = false
-		e.wallSec += time.Since(wallStart).Seconds()
-		e.metrics.Counter("sim.events").Set(int64(e.executed))
-		e.metrics.Float("sim.time_sec", stats.AggSum).Set(e.now)
-	}()
-	switch e.dispatch(nil, nil) {
-	case dispatchHandoff:
-		<-e.handoff
-		if e.fatal != nil {
-			f := e.fatal
-			e.fatal = nil
-			panic(f)
-		}
-	case dispatchFatal:
-		f := e.fatal
-		e.fatal = nil
-		panic(f)
-	case dispatchDrained:
-	}
-	if e.abortErr != nil {
-		err := e.abortErr
-		e.abortErr = nil
-		e.Stop()
-		return fmt.Errorf("%w: %w", ErrAborted, err)
-	}
-	if e.intrErr != nil {
-		err := e.intrErr
-		e.intrErr = nil
-		e.Stop()
-		return fmt.Errorf("%w: %w", ErrInterrupted, err)
 	}
 	return nil
 }

@@ -28,7 +28,9 @@
 # comparison — at nanosecond scale the reading is mostly CPU frequency
 # and cache state, not simulator work. allocs/op, which is exact and
 # machine-independent, is gated unnormalized at the same tolerance for
-# every benchmark, floor included.
+# every benchmark, floor included. Baseline benchmarks absent from the
+# fresh run (deleted or renamed since the baseline was recorded) are
+# listed by name; that list is informational and never fails the gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -108,6 +110,12 @@ if [ -n "$gate" ]; then
             if (ratio[j] < ratio[i]) { t = ratio[i]; ratio[i] = ratio[j]; ratio[j] = t }
         med = (m % 2) ? ratio[int(m/2)] : (ratio[m/2-1] + ratio[m/2]) / 2
         printf "bench gate: %d common benchmarks, machine speed factor %.3f, tolerance %d%%\n", n, med, tol > "/dev/stderr"
+        k = 0
+        for (b in base_ns) if (!(b in new_ns)) gone[k++] = b
+        for (i = 0; i < k; i++) for (j = i + 1; j < k; j++)
+            if (gone[j] < gone[i]) { t = gone[i]; gone[i] = gone[j]; gone[j] = t }
+        for (i = 0; i < k; i++)
+            printf "bench gate: absent from this run (not gated): %s\n", gone[i] > "/dev/stderr"
         fail = 0
         for (b in new_ns) {
             if (!(b in base_ns) || base_ns[b] <= 0) continue
