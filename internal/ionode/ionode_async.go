@@ -2,11 +2,11 @@
 //
 // Every stage of a request — CPU grant, server overhead, cache-space wait,
 // cache copy, disk queueing and service — runs as an engine event on a pooled
-// continuation, with no process goroutine involved. The stages are placed at
+// continuation, with no process involved. The stages are placed at
 // exactly the (time, sequence) positions where the blocking path parks and
 // wakes a process, so a simulation driven through AccessAsync produces
 // byte-identical output to one driven through Access. That equivalence is
-// what lets the hot I/O path shed the goroutine handoffs that dominate the
+// what lets the hot I/O path shed the process handoffs that dominate the
 // kernel's wall-clock profile.
 package ionode
 

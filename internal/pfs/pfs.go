@@ -462,7 +462,7 @@ func (f *File) Transfer(p *sim.Proc, clientNode int, off, size int64, write bool
 	st.order = order
 	if fs.resil == nil && fs.asyncOK {
 		// Healthy fast path: drive the chunks as engine events instead of
-		// blocked processes — byte-identical output, none of the goroutine
+		// blocked processes — byte-identical output, none of the process
 		// handoffs (see pfs_async.go).
 		f.transferAsync(p, clientNode, st.lists, order, write)
 		fs.putXfer(st)

@@ -7,7 +7,7 @@
 // with a single wake of the issuer. Each event is placed at exactly the
 // (time, sequence) position where the blocking path parks and wakes a
 // process, so the two paths produce byte-identical simulation output; the
-// difference is purely mechanical — no goroutine handoffs on the hot path,
+// difference is purely mechanical — no process handoffs on the hot path,
 // which is where the kernel's wall-clock profile says the time goes.
 //
 // The equivalence argument, stage by stage:

@@ -60,7 +60,7 @@ func TestResourceAllocationFree(t *testing.T) {
 // TestContendedResourceSteadyStateAllocs bounds the whole-kernel allocation
 // rate under queued handoffs: after warmup, thousands of contended
 // acquire/release cycles — each a queue append, a wake record, and a
-// goroutine handoff — must run allocation-free modulo the fixed per-Run and
+// process handoff — must run allocation-free modulo the fixed per-Run and
 // per-Spawn setup.
 func TestContendedResourceSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
@@ -93,9 +93,9 @@ func TestContendedResourceSteadyStateAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perOp := float64(after.Mallocs-before.Mallocs) / float64(procs*uses)
-	// The fixed costs (Run bookkeeping, 4 Spawns already counted before
-	// ReadMemStats — only queue growth could land here) must amortize to
-	// well under one allocation per hundred operations.
+	// The fixed costs (Run bookkeeping and the 4 worker coroutines, which
+	// start on their first resume inside Run) must amortize to well under
+	// one allocation per hundred operations.
 	if perOp > 0.01 {
 		t.Fatalf("contended Use allocates %g/op on steady state, want ~0", perOp)
 	}

@@ -15,8 +15,11 @@ func BenchmarkEventThroughput(b *testing.B) {
 	_ = e.Run()
 }
 
-// BenchmarkProcessHandoff measures the goroutine lockstep cost: one Delay
-// is two channel handoffs plus heap traffic — the kernel's hot path.
+// BenchmarkProcessHandoff measures one process delaying in a loop. Despite
+// the name no control ever changes hands: the blocked process dispatches
+// its own wake and continues (dispatchSelf), so this is the heap round trip
+// of a Delay with no switch. BenchmarkCrossProcessHandoff measures the
+// switch.
 func BenchmarkProcessHandoff(b *testing.B) {
 	e := NewEngine()
 	n := b.N
@@ -25,6 +28,28 @@ func BenchmarkProcessHandoff(b *testing.B) {
 			p.Delay(1)
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkCrossProcessHandoff measures a real handoff: two processes
+// alternate on the clock, so every wake moves control to the other one —
+// a yield from the blocked process to the driver and a resume of the woken
+// one.
+func BenchmarkCrossProcessHandoff(b *testing.B) {
+	e := NewEngine()
+	n := b.N
+	for i := 0; i < 2; i++ {
+		e.Spawn("p", func(p *Proc) {
+			p.Delay(float64(i) / 2) // offset the pair by half a period
+			for j := i; j < n; j += 2 {
+				p.Delay(1)
+			}
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
@@ -73,8 +98,8 @@ func BenchmarkSameInstantLane(b *testing.B) {
 }
 
 // BenchmarkSpawnJoin measures process churn: spawn a child, join it. With
-// pooled resume machinery the steady state reuses one parked goroutine and
-// channel instead of creating them per child.
+// pooled workers the steady state reuses one parked coroutine instead of
+// starting one per child.
 func BenchmarkSpawnJoin(b *testing.B) {
 	e := NewEngine()
 	n := b.N

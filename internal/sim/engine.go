@@ -1,7 +1,7 @@
 // Package sim provides a deterministic, process-based discrete-event
 // simulation kernel.
 //
-// Model: a simulation is a set of processes (goroutines) advancing a shared
+// Model: a simulation is a set of processes (coroutines) advancing a shared
 // virtual clock. Exactly one process (or the engine) runs at any instant;
 // control is handed off explicitly, so runs are fully deterministic for a
 // given program and seed. Events scheduled for the same instant fire in
@@ -14,11 +14,14 @@
 //
 // Internally the event queue is split into a same-instant FIFO ring (all
 // zero-delay work: wakeups, After(0, …), Yield) and a 4-ary time heap
-// (everything that moves the clock), merged in exact (at, seq) order. The
-// event loop itself is baton-passed: whichever goroutine holds control pops
-// and fires the next event directly, so waking yourself after a Delay costs
-// no context switch at all and waking another process costs one handoff
-// instead of two. See DESIGN.md, "Kernel performance".
+// (everything that moves the clock), merged in exact (at, seq) order. Each
+// process body runs on an iter.Pull coroutine, and the goroutine that calls
+// Run is the driver that resumes them. A blocked process runs the event loop
+// inline, so waking itself after a Delay, or firing callbacks, costs no
+// switch at all; when the next event wakes a different process it yields to
+// the driver, which resumes that process. A coroutine switch bypasses the Go
+// scheduler, so a handoff through the driver costs far less than one channel
+// operation between goroutines. See DESIGN.md, "Kernel performance".
 package sim
 
 import (
@@ -42,25 +45,21 @@ type Engine struct {
 	stopped  bool
 	executed uint64 // events fired so far
 
-	// Baton-passing state. handoff is where the goroutine that drains the
-	// queue (or traps a fatal panic) returns control; it is received on by
-	// Run, except while killAll temporarily redirects returns through
-	// drainTo to reap victims one by one. current is the process whose
-	// goroutine holds the baton (nil when Run or a finished worker does).
-	handoff chan struct{}
-	drainTo chan struct{}
+	// Control state. current is the process whose coroutine is running, or
+	// is to be resumed next when a blocked process yields to the driver; it
+	// is nil while the driver (Run's goroutine) dispatches. fatal is the
+	// first panic trapped in a process body or callback, carried to Run.
 	current *Proc
-	reaping bool // killAll in progress: dying workers return the baton directly
-	fatal   any  // panic value carried from a worker goroutine to Run
+	fatal   any
 
 	live    map[*Proc]struct{}
 	procSeq uint64    // spawn-order ids, for deterministic teardown
-	workers []*worker // parked resume machinery reusable by the next Spawn
+	workers []*worker // parked coroutines reusable by the next Spawn
 
 	// Interrupt state. intrCheck, when set, is polled every intrStride
 	// events by the dispatch loop; a non-nil return aborts the run (see
 	// SetInterrupt). intrErr carries the abort cause from whichever
-	// goroutine was dispatching back to Run.
+	// coroutine was dispatching back to Run.
 	intrCheck func() error
 	intrErr   error
 
@@ -82,13 +81,10 @@ const intrStride = 1024
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	e := &Engine{
-		handoff: make(chan struct{}),
+	return &Engine{
 		live:    make(map[*Proc]struct{}),
 		metrics: stats.NewRegistry(),
 	}
-	e.drainTo = e.handoff
-	return e
 }
 
 // Metrics returns the engine's metrics registry, the shared substrate
@@ -110,7 +106,7 @@ func (e *Engine) Now() float64 { return e.now }
 // events (and before the first). When check returns a non-nil error the run
 // aborts: Run kills all live processes, stops the engine, and returns the
 // error wrapped in ErrInterrupted. check must be safe to call from whichever
-// goroutine holds the event-loop baton — context.Context.Err is the intended
+// process coroutine is dispatching — context.Context.Err is the intended
 // value. A nil check clears the hook. Must not be called while Run is
 // executing.
 func (e *Engine) SetInterrupt(check func() error) {
@@ -182,9 +178,8 @@ func (e *Engine) After(d float64, fn func()) {
 // current virtual time. The returned Proc is also passed to body. Spawning
 // on a stopped engine panics: after Stop the engine cannot be reused.
 //
-// The goroutine and resume channel backing the process are pooled: a Spawn
-// following a process exit reuses the parked machinery instead of paying
-// for a new goroutine, channel, and activation closure.
+// The coroutine backing the process is pooled: a Spawn following a process
+// exit reuses a parked coroutine instead of paying for a new one.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	if e.stopped {
 		panic("sim: Spawn on stopped engine")
@@ -197,8 +192,7 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 		e.workers[n-1] = nil
 		e.workers = e.workers[:n-1]
 	} else {
-		w = &worker{resume: make(chan struct{})}
-		go e.workerLoop(w)
+		w = &worker{} // its coroutine starts on first resume
 	}
 	w.p = p
 	p.w = w
@@ -266,35 +260,31 @@ func (e *Engine) next() (event, bool) {
 	return event{}, false
 }
 
-// Outcomes of one dispatch stretch: who holds the baton next.
+// Outcomes of one dispatch stretch: who runs next.
 type dispatchOutcome int8
 
 const (
-	dispatchDrained dispatchOutcome = iota // queue empty; caller keeps the baton
-	dispatchHandoff                        // baton sent to another process
+	dispatchDrained dispatchOutcome = iota // queue empty, or the run is ending
+	dispatchHandoff                        // next event wakes e.current, another process
 	dispatchSelf                           // next event was the caller's own wake
-	dispatchFatal                          // a callback panicked; e.fatal is set
 )
 
-// dispatch fires events until the queue drains or the baton must move to a
-// process goroutine. self is the blocked process running the loop and w its
-// worker (both nil when Run runs it; self nil but w set when a finished
-// worker runs it): popping a wake owned by the dispatching goroutine —
-// self's own wake, or the activation of a fresh process assigned to the
-// pooled worker w — returns dispatchSelf without touching a channel, which
-// is what makes an uncontended Delay allocation- and switch-free.
-func (e *Engine) dispatch(self *Proc, w *worker) dispatchOutcome {
+// dispatch fires events until the queue drains or a process must run. self
+// is the blocked process running the loop (nil when the driver runs it):
+// popping self's own wake returns dispatchSelf with no switch at all, which
+// is what makes an uncontended Delay allocation- and switch-free. A wake of
+// any other process sets e.current to it and returns dispatchHandoff.
+func (e *Engine) dispatch(self *Proc) dispatchOutcome {
 	for {
 		if e.abortErr != nil {
-			// A process fail-stopped the run: fire nothing further, return
-			// the baton toward Run, which tears the simulation down.
+			// A process fail-stopped the run: fire nothing further, let
+			// control return to Run, which tears the simulation down.
 			return dispatchDrained
 		}
 		if e.executed%intrStride == 0 && e.intrCheck != nil && e.intrErr == nil {
 			if err := e.intrCheck(); err != nil {
-				// Abort the stretch as if the queue drained; the baton
-				// finds its way back to Run, which sees intrErr and tears
-				// the simulation down.
+				// Abort the stretch as if the queue drained; Run sees
+				// intrErr and tears the simulation down.
 				e.intrErr = err
 				return dispatchDrained
 			}
@@ -310,35 +300,60 @@ func (e *Engine) dispatch(self *Proc, w *worker) dispatchOutcome {
 				continue // stale wake for an exited process
 			}
 			e.current = p
-			if p == self || p.w == w {
+			if p == self {
 				return dispatchSelf
 			}
-			p.w.resume <- struct{}{}
 			return dispatchHandoff
 		}
 		if pan := fire(ev.fn); pan != nil {
-			e.fatal = pan
-			return dispatchFatal
+			e.trap(pan)
+			return dispatchDrained // Run re-raises the panic
 		}
 	}
 }
 
 // fire runs one callback, trapping a panic so it can be re-raised from Run
-// no matter which goroutine was dispatching when it happened.
+// no matter which coroutine was dispatching when it happened.
 func fire(fn func()) (pan any) {
 	defer func() { pan = recover() }()
 	fn()
 	return nil
 }
 
+// trap records a panic for Run to re-raise. The first one wins: a panic in
+// the unwind of a process being torn down because of it is a consequence,
+// not the cause.
+func (e *Engine) trap(pan any) {
+	if e.fatal == nil {
+		e.fatal = pan
+	}
+}
+
+// drive is the driver loop, run on Run's goroutine. It dispatches events
+// and resumes the process each handoff names; a resumed process runs the
+// event loop itself while it blocks, and yields back naming the next
+// process to resume, or nil when the driver should dispatch again (it
+// exited, or its stretch drained or trapped a panic).
+func (e *Engine) drive() {
+	for e.dispatch(nil) == dispatchHandoff {
+		for e.current != nil {
+			e.resume(e.current.w)
+		}
+		if e.fatal != nil || e.intrErr != nil {
+			return
+		}
+	}
+}
+
 // Run executes events until the queue drains. It returns an error if, at
 // that point, processes remain blocked (a deadlock: they wait on a signal
 // or resource that can no longer be provided). Blocked processes are killed
-// so their goroutines are reclaimed. Running a stopped engine is an error:
+// so their coroutines are reclaimed. Running a stopped engine is an error:
 // after Stop the engine can be inspected but not reused.
 //
 // A panic in a process body or event callback propagates out of Run
-// regardless of which goroutine was executing it.
+// regardless of which coroutine was executing it, after the live processes
+// have been torn down in spawn order.
 func (e *Engine) Run() error {
 	if e.stopped {
 		return fmt.Errorf("sim: Run on stopped engine")
@@ -352,7 +367,7 @@ func (e *Engine) Run() error {
 		e.running = false
 		e.wallSec += time.Since(wallStart).Seconds()
 		// Pooled workers must not outlive the Run that parked them, or an
-		// engine dropped without Stop would leak goroutines.
+		// engine dropped without Stop would leak coroutines.
 		e.closePool()
 		// Mirror the kernel's work accounting into the metrics registry
 		// once per Run — Set keeps repeated Runs idempotent, and the hot
@@ -360,54 +375,48 @@ func (e *Engine) Run() error {
 		e.metrics.Counter("sim.events").Set(int64(e.executed))
 		e.metrics.Float("sim.time_sec", stats.AggSum).Set(e.now)
 	}()
-	switch e.dispatch(nil, nil) {
-	case dispatchHandoff:
-		<-e.handoff // baton returns when the queue drains or a panic traps
-		if e.fatal != nil {
-			f := e.fatal
-			e.fatal = nil
-			panic(f)
-		}
-	case dispatchFatal:
-		f := e.fatal
-		e.fatal = nil
-		panic(f)
-	case dispatchDrained:
-	}
-	if e.abortErr != nil {
+	e.drive()
+	var err error
+	switch {
+	case e.fatal != nil:
+		// A process body or callback panicked. Reap the blocked processes
+		// first, so a recovered panic leaks nothing; the panic is re-raised
+		// below.
+		e.killAll()
+	case e.abortErr != nil:
 		// A process fail-stopped the run (Proc.Abort). Tear the simulation
 		// down exactly like Stop and surface the structured cause: a fault
 		// that exhausted its retry budget is an outcome, not a deadlock.
-		err := e.abortErr
+		err = fmt.Errorf("%w: %w", ErrAborted, e.abortErr)
 		e.abortErr = nil
 		e.Stop()
-		return fmt.Errorf("%w: %w", ErrAborted, err)
-	}
-	if e.intrErr != nil {
+	case e.intrErr != nil:
 		// An interrupt check aborted the run. Tear the simulation down
 		// exactly like Stop: the remaining events can never legitimately
 		// fire and the caller gets the cause, not a deadlock report.
-		err := e.intrErr
+		err = fmt.Errorf("%w: %w", ErrInterrupted, e.intrErr)
 		e.intrErr = nil
 		e.Stop()
-		return fmt.Errorf("%w: %w", ErrInterrupted, err)
-	}
-	if len(e.live) > 0 {
-		procs := e.liveInSpawnOrder(e.current)
+	case len(e.live) > 0:
+		procs := e.liveInSpawnOrder(nil)
 		names := make([]string, len(procs))
 		for i, p := range procs {
 			names[i] = p.name
 		}
-		n := len(procs)
 		e.killAll()
-		return fmt.Errorf("%w, %d process(es) still blocked: [%s]",
-			ErrDeadlock, n, strings.Join(names, " "))
+		err = fmt.Errorf("%w, %d process(es) still blocked: [%s]",
+			ErrDeadlock, len(procs), strings.Join(names, " "))
 	}
-	return nil
+	if f := e.fatal; f != nil {
+		// Also reached when a process's unwind panicked during teardown.
+		e.fatal = nil
+		panic(f)
+	}
+	return err
 }
 
 // liveInSpawnOrder snapshots the live processes sorted by spawn order,
-// excluding the baton holder (which cannot be reaped by itself).
+// excluding the running process (which cannot be reaped by itself).
 func (e *Engine) liveInSpawnOrder(exclude *Proc) []*Proc {
 	procs := make([]*Proc, 0, len(e.live))
 	for p := range e.live {
@@ -419,55 +428,46 @@ func (e *Engine) liveInSpawnOrder(exclude *Proc) []*Proc {
 	return procs
 }
 
-// killAll terminates every live process by waking it with the killed flag
-// set; the process panics with errKilled, which the worker loop absorbs.
-// Victims are snapshotted once and reaped in spawn order — linear work and
-// a stable order, where re-scanning the live map per kill would be O(n²)
-// and order-random. The outer loop only repeats if a victim's unwind (a
-// user defer) spawned new processes.
+// killAll terminates every live process by resuming it with the killed
+// flag set; the process panics with errKilled, which the worker loop
+// absorbs, and its coroutine yields back here once it has retired. Victims
+// are snapshotted once and reaped in spawn order — linear work and a stable
+// order, where re-scanning the live map per kill would be O(n²) and
+// order-random. The outer loop only repeats if a victim's unwind (a user
+// defer) spawned new processes. A panic in a victim's unwind is trapped for
+// Run and reaping continues, so one bad defer strands no other process.
 func (e *Engine) killAll() {
 	caller := e.current
-	prev := e.drainTo
-	e.reaping = true
-	defer func() { e.reaping = false }()
 	for {
 		victims := e.liveInSpawnOrder(caller)
 		if len(victims) == 0 {
 			break
 		}
-		ret := make(chan struct{})
-		e.drainTo = ret
 		for _, p := range victims {
 			if p.done {
 				continue
 			}
 			p.killed = true
 			e.current = p
-			p.w.resume <- struct{}{}
-			<-ret // victim unwound and handed the baton back
-			if e.fatal != nil {
-				f := e.fatal
-				e.fatal = nil
-				e.drainTo = prev
-				e.current = caller
-				panic(f)
-			}
+			e.resume(p.w)
 		}
 	}
-	e.drainTo = prev
 	e.current = caller
-	// If the baton holder killed the engine from inside a callback, it is
-	// marked for unwinding too and reaps itself when control returns to it
-	// (see Proc.block).
+	// If a running process killed the engine (from its body, or from a
+	// callback its event loop fired), it is marked for unwinding too and
+	// reaps itself when it next blocks (see Proc.block).
 	if caller != nil {
 		caller.killed = true
 	}
 }
 
-// closePool shuts down parked worker goroutines.
+// closePool ends the parked coroutines. Only parked ones are ever pooled: a
+// worker joins the pool as the last thing it does before yielding.
 func (e *Engine) closePool() {
 	for _, w := range e.workers {
-		close(w.resume)
+		if w.stop != nil {
+			w.stop()
+		}
 	}
 	e.workers = nil
 }

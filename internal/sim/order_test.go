@@ -270,8 +270,8 @@ func TestExitSignalBeforeAndAfterExitSameInstance(t *testing.T) {
 	}
 }
 
-// TestSpawnReusesWorkers checks the pooled resume machinery: sequential
-// process churn runs on a bounded set of goroutines and stays correct.
+// TestSpawnReusesWorkers checks the worker pool: sequential process churn
+// runs on a bounded set of coroutines and stays correct.
 func TestSpawnReusesWorkers(t *testing.T) {
 	e := NewEngine()
 	total := 0
@@ -290,7 +290,7 @@ func TestSpawnReusesWorkers(t *testing.T) {
 	if total != 100 {
 		t.Fatalf("total = %d, want 100", total)
 	}
-	// After Run the pool must be drained so no goroutines leak.
+	// After Run the pool must be drained so no coroutines leak.
 	if len(e.workers) != 0 {
 		t.Fatalf("worker pool not drained after Run: %d parked", len(e.workers))
 	}

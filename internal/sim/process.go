@@ -6,18 +6,20 @@ import "errors"
 // escapes the kernel.
 var errKilled = errors.New("sim: process killed")
 
-// worker is the resume machinery behind a process: a parked goroutine and
-// the channel that hands it the baton. Workers are pooled on the engine so
-// process churn (Spawn → run → exit → Spawn …) reuses the goroutine and
-// channel instead of allocating fresh ones per process.
+// worker is the coroutine behind a process. Workers are pooled on the
+// engine so process churn (Spawn → run → exit → Spawn …) reuses a parked
+// coroutine instead of starting a fresh one per process. The three funcs
+// come from iter.Pull when the coroutine starts (see Engine.resume).
 type worker struct {
-	resume chan struct{}
-	p      *Proc // process currently assigned to this worker
+	p     *Proc                   // process currently assigned to this worker
+	next  func() (struct{}, bool) // resume: run until the coroutine yields or ends
+	stop  func()                  // end the coroutine while it is parked
+	yield func(struct{}) bool     // park, returning control to the resumer
 }
 
-// Proc is a simulation process: a goroutine that runs in lockstep with the
-// engine. All methods must be called from the process's own goroutine,
-// except Name and Done.
+// Proc is a simulation process: a coroutine that runs in lockstep with the
+// engine. All methods must be called from the process's own body, except
+// Name and Done.
 type Proc struct {
 	eng      *Engine
 	w        *worker
@@ -42,61 +44,42 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.eng.now }
 
-// workerLoop runs on the worker's goroutine: execute the assigned process,
-// retire it, keep dispatching events, then park for reuse by a later Spawn.
+// workerLoop runs on the worker's coroutine: execute the assigned process,
+// retire it, then park in the pool for reuse by a later Spawn. A retiring
+// worker never dispatches: it yields with e.current nil and the driver
+// fires the next event, which costs the same one switch out and one switch
+// in as dispatching here first and naming the next process. So a pooled
+// worker never runs a callback, and a Stop fired by one can never end the
+// coroutine it is running on.
 func (e *Engine) workerLoop(w *worker) {
 	for {
-		if _, ok := <-w.resume; !ok {
+		p := w.p
+		runBody(p)
+
+		// Retirement runs while this coroutine is the only one running, so
+		// mutating engine state here is safe. Order matters: the process
+		// must be fully done before its exit signal fires.
+		delete(e.live, p)
+		p.done = true
+		p.body = nil
+		if p.exit != nil {
+			p.exit.Fire()
+		}
+		e.current = nil
+		if p.panicked != nil {
+			// End the coroutine; Run re-raises the panic.
+			e.trap(p.panicked)
+			return
+		}
+		if e.stopped {
+			return // the engine is being torn down; nothing will reuse w
+		}
+		w.p = nil
+		e.workers = append(e.workers, w)
+		if !w.yield(struct{}{}) {
 			return // pool shut down
 		}
-		for {
-			p := w.p
-			runBody(p)
-
-			// Retirement runs with the baton held, so mutating engine
-			// state here is safe. Order matters: the process must be fully
-			// done before its exit signal fires.
-			delete(e.live, p)
-			p.done = true
-			p.body = nil
-			if p.exit != nil {
-				p.exit.Fire()
-			}
-			e.current = nil
-			if p.panicked != nil {
-				// Carry the panic to Run rather than crashing this
-				// goroutine.
-				e.fatal = p.panicked
-				e.drainTo <- struct{}{}
-				return
-			}
-			stopped := e.stopped
-			if !stopped {
-				w.p = nil
-				e.workers = append(e.workers, w)
-			}
-			var out dispatchOutcome
-			if e.reaping {
-				// During teardown the reaper expects the baton straight
-				// back; events scheduled by dying processes stay queued,
-				// unfired.
-				out = dispatchDrained
-			} else {
-				out = e.dispatch(nil, w)
-			}
-			if out == dispatchDrained || out == dispatchFatal {
-				e.drainTo <- struct{}{}
-			}
-			if stopped {
-				return
-			}
-			if out != dispatchSelf {
-				break // park for reuse (or pool shutdown)
-			}
-			// dispatchSelf: a callback we dispatched spawned a new process
-			// onto this pooled worker; run it directly. Spawn already took
-			// the worker back out of the pool and set w.p.
-		}
+		// Resumed by a Spawn that took w from the pool and set w.p.
 	}
 }
 
@@ -113,30 +96,29 @@ func runBody(p *Proc) {
 	}
 }
 
-// block yields control until another event wakes this process. The blocking
-// goroutine itself runs the event loop (baton passing): if the very next
-// event is this process's own wake it simply keeps going — no context
-// switch — and otherwise it hands the baton to the next runnable goroutine
-// and parks. If the process was killed while blocked it unwinds.
+// block yields control until another event wakes this process. The
+// blocked process runs the event loop itself: if the very next event is its
+// own wake it simply keeps going — no switch — and otherwise it yields to
+// the driver, which resumes whichever process e.current names. If the
+// process was killed while blocked it unwinds.
 func (p *Proc) block() {
 	if p.killed {
 		panic(errKilled) // killed mid-unwind; do not dispatch again
 	}
 	e := p.eng
-	switch e.dispatch(p, p.w) {
+	switch e.dispatch(p) {
 	case dispatchSelf:
 		// Our own wake was the next event: continue without parking.
 	case dispatchHandoff:
-		<-p.w.resume
-	case dispatchDrained, dispatchFatal:
+		p.w.yield(struct{}{})
+	case dispatchDrained:
 		if p.killed {
 			// A callback we just dispatched (e.g. Stop) killed this
-			// process: unwind now; retirement hands the baton home.
+			// process: unwind now.
 			panic(errKilled)
 		}
 		e.current = nil
-		e.drainTo <- struct{}{}
-		<-p.w.resume
+		p.w.yield(struct{}{})
 	}
 	if p.killed {
 		panic(errKilled)

@@ -2,7 +2,7 @@ package sim
 
 // Step is a continuation: what happens when an event-driven operation
 // reaches its next boundary. Exactly one field is set. Fn is scheduled as an
-// ordinary callback event — the operation keeps advancing with no goroutine
+// ordinary callback event — the operation keeps advancing with no process
 // involved. P schedules a wakeup of a process parked in Proc.Suspend — the
 // operation's terminal event, after which the issuer runs the epilogue
 // inline, exactly as a blocking caller resuming from its final Delay would.
