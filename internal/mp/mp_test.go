@@ -8,7 +8,7 @@ import (
 	"pario/internal/topology"
 )
 
-func newComm(t *testing.T, ranks int) (*sim.Engine, *Comm) {
+func newComm(t testing.TB, ranks int) (*sim.Engine, *Comm) {
 	t.Helper()
 	e := sim.NewEngine()
 	topo, err := topology.NewMesh2D(32, 16, 480, 16, 4)

@@ -10,6 +10,7 @@ package network
 
 import (
 	"fmt"
+	"strconv"
 
 	"pario/internal/sim"
 	"pario/internal/stats"
@@ -43,7 +44,12 @@ type Network struct {
 	eng  *sim.Engine
 	topo *topology.Topology
 	par  Params
+	// nics holds each node's interface, built on first use by NIC: a point
+	// touches at most its compute and I/O nodes, a small share of a large
+	// mesh.
 	nics []*sim.Resource
+	// sendOps is the free list of Send continuations.
+	sendOps []*sendOp
 
 	// slow scales every wire cost (latency, hop, byte time) — link
 	// degradation injected by a fault plan. 1 = healthy. Node-local memory
@@ -70,9 +76,6 @@ func New(eng *sim.Engine, topo *topology.Topology, par Params) (*Network, error)
 		mStalls: reg.Counter("net.stalls"),
 	}
 	n.nics = make([]*sim.Resource, topo.NumNodes())
-	for i := range n.nics {
-		n.nics[i] = sim.NewResource(eng, fmt.Sprintf("nic%d", i), 1)
-	}
 	return n, nil
 }
 
@@ -86,38 +89,78 @@ func (n *Network) Params() Params { return n.par }
 // The latency and routing portions are uncontended; the bandwidth portion
 // holds dst's NIC, so concurrent senders to one destination serialize.
 // A node-local send is a memory copy and touches no NIC.
+//
+// p is resumed once per message. The setup delay and a queued NIC grant run
+// as engine callbacks (a sendOp) at exactly the slots where a process
+// delaying and acquiring in turn would wake; the bandwidth delay is p's
+// wake, after which p releases the NIC.
 func (n *Network) Send(p *sim.Proc, src, dst int, size int64) {
-	if size < 0 {
-		panic("network: negative message size")
-	}
-	n.msgs++
-	n.bytesSent += size
-	n.mMsgs.Inc()
-	n.mBytes.Add(size)
+	n.AccountMsg(size)
+	setup, xfer := n.SendCosts(src, dst, size)
 	if src == dst {
-		if d := float64(size) * n.par.MemCopyByteTime; d > 0 {
-			p.Delay(d)
+		if xfer > 0 {
+			p.Delay(xfer)
 		}
 		return
 	}
-	hops := n.topo.Hops(src, dst)
-	setup := n.par.Latency + float64(hops)*n.par.HopTime
-	xfer := float64(size) * n.par.ByteTime
-	if n.slow != 1 {
-		setup *= n.slow
-		xfer *= n.slow
-	}
+	o := n.getSendOp()
+	o.p, o.nic, o.xfer, o.granted = p, n.NIC(dst), xfer, false
 	if setup > 0 {
-		p.Delay(setup)
+		n.eng.ScheduleStep(setup, sim.Step{Fn: o.stepFn})
+	} else {
+		o.step()
 	}
-	nic := n.nics[dst]
-	// A busy destination NIC means this transfer will queue behind another
-	// sender — the link-contention stall the paper's I/O-node analysis is
-	// about.
-	if nic.InUse() >= nic.Cap() {
-		n.mStalls.Inc()
+	p.Suspend() // the bandwidth delay ends with our wake
+	nic := o.nic
+	n.putSendOp(o)
+	nic.Release()
+}
+
+// sendOp is the continuation of one remote Send between its issue and the
+// sender's wake. stepFn is bound once at allocation and ops cycle through
+// the network's free list, so a steady-state Send allocates nothing.
+type sendOp struct {
+	n       *Network
+	p       *sim.Proc
+	nic     *sim.Resource
+	xfer    float64
+	granted bool // the destination NIC is held: start the bandwidth delay
+	stepFn  func()
+}
+
+func (n *Network) getSendOp() *sendOp {
+	if k := len(n.sendOps); k > 0 {
+		o := n.sendOps[k-1]
+		n.sendOps = n.sendOps[:k-1]
+		return o
 	}
-	nic.Use(p, xfer)
+	o := &sendOp{n: n}
+	o.stepFn = o.step
+	return o
+}
+
+func (n *Network) putSendOp(o *sendOp) {
+	o.p, o.nic = nil, nil
+	n.sendOps = append(n.sendOps, o)
+}
+
+// step runs when the setup delay ends (contend for the NIC) and again when
+// a queued claim is granted; once the NIC is held it schedules the
+// bandwidth delay as the sender's wake.
+func (o *sendOp) step() {
+	if !o.granted {
+		o.granted = true
+		// A busy destination NIC means this transfer will queue behind
+		// another sender — the link-contention stall the paper's I/O-node
+		// analysis is about.
+		if o.nic.InUse() >= o.nic.Cap() {
+			o.n.mStalls.Inc()
+		}
+		if !o.nic.AcquireFn(o.stepFn) {
+			return // granted later: step runs again then
+		}
+	}
+	o.n.eng.ScheduleStep(o.xfer, sim.Step{P: o.p})
 }
 
 // AccountMsg records one message of size bytes in the traffic statistics —
@@ -186,8 +229,16 @@ func (n *Network) TransferTime(src, dst int, size int64) float64 {
 	return t
 }
 
-// NIC exposes a node's interface resource (for contention statistics).
-func (n *Network) NIC(node int) *sim.Resource { return n.nics[node] }
+// NIC returns a node's interface resource, building it on first use. Every
+// call for one node returns the same resource.
+func (n *Network) NIC(node int) *sim.Resource {
+	if r := n.nics[node]; r != nil {
+		return r
+	}
+	r := sim.NewResource(n.eng, "nic"+strconv.Itoa(node), 1)
+	n.nics[node] = r
+	return r
+}
 
 // Messages returns the number of Send calls so far.
 func (n *Network) Messages() int64 { return n.msgs }

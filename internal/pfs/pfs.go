@@ -156,35 +156,43 @@ type FS struct {
 	// known — a write-behind cache with a zero-cost copy would complete a
 	// cached write with no timed event to hang the issuer's wake on.
 	asyncOK bool
-	// Free lists of pooled asynchronous-path continuations and per-transfer
-	// scratch states.
+	// Free lists of pooled event-chain continuations and transfers.
 	chunkOps []*chunkOp
-	ctrs     []*xferCtr
-	xfers    []*xferState
+	xfers    []*Xfer
 }
 
-// xferState is the pooled per-Transfer scratch: the chunk list from range
-// mapping and its per-node grouping. Each in-flight transfer owns one state
-// from Transfer entry to return, so concurrent transfers never share backing
-// arrays; recycling them removes the per-call slice and map allocations from
-// the hot path.
-type xferState struct {
+// Xfer is one transfer in flight: the chunk list from range mapping, its
+// per-node grouping, and, on the event-driven path, what BeginTransfer
+// hands to EndTransfer. Xfers are pooled per FS and each in-flight transfer
+// owns one, so concurrent transfers never share backing arrays; recycling
+// them removes the per-call slice allocations from the hot path.
+type Xfer struct {
+	start  float64 // virtual time the transfer began, for pfs.xfer_time
 	chunks []Chunk
 	order  []int
 	lists  [][]Chunk
+
+	// Event-driven path only. term is the transfer's terminal event. A
+	// single-node transfer runs one terminal chain, op, whose last timed
+	// event is term itself. A multi-node one runs a chain per node and
+	// the last of the remaining chains to finish schedules term.
+	term      sim.Step
+	op        *chunkOp
+	remaining int
 }
 
-func (fs *FS) getXfer() *xferState {
+func (fs *FS) getXfer() *Xfer {
 	if n := len(fs.xfers); n > 0 {
-		st := fs.xfers[n-1]
+		x := fs.xfers[n-1]
 		fs.xfers = fs.xfers[:n-1]
-		return st
+		return x
 	}
-	return &xferState{}
+	return &Xfer{}
 }
 
-func (fs *FS) putXfer(st *xferState) {
-	fs.xfers = append(fs.xfers, st)
+func (fs *FS) putXfer(x *Xfer) {
+	x.term, x.op = sim.Step{}, nil
+	fs.xfers = append(fs.xfers, x)
 }
 
 // New builds a file system over the I/O partition of the network's
@@ -417,17 +425,51 @@ func (f *File) mapRange(dst []Chunk, off, size int64) []Chunk {
 // with topology index clientNode and the file, blocking p until all chunks
 // complete. Chunks for distinct I/O nodes proceed in parallel; chunks for
 // one node are issued in file order.
+//
+// When the FS is Chained the transfer is BeginTransfer, one Suspend and
+// EndTransfer: p is woken once. Otherwise (a resilience policy, or node
+// parameters with no statically known terminal event) each node's chunks
+// run on a blocked process.
 func (f *File) Transfer(p *sim.Proc, clientNode int, off, size int64, write bool) {
 	if size == 0 {
 		return
 	}
-	start := p.Now()
+	fs := f.fs
+	if fs.Chained() {
+		x := f.BeginTransfer(clientNode, off, size, write, sim.Step{P: p})
+		p.Suspend() // the transfer's terminal event is our wake
+		f.EndTransfer(p, x)
+		return
+	}
+	x := f.prepare(off, size, write)
+	start := x.start // x returns to the pool before the deferred observation
+	defer func() { fs.mXferTime.Observe((p.Now() - start) * 1e6) }()
+	if len(x.order) == 1 {
+		f.serveNode(p, clientNode, x.lists[0], write)
+		fs.putXfer(x)
+		return
+	}
+	wg := sim.NewWaitGroup(p.Engine())
+	for i := range x.order {
+		list := x.lists[i]
+		wg.Go("pfs.xfer", func(c *sim.Proc) {
+			f.serveNode(c, clientNode, list, write)
+		})
+	}
+	wg.Wait(p)
+	fs.putXfer(x)
+}
+
+// prepare is the preamble every transfer shares: count it, map the range to
+// chunks, record the request sizes, extend the file on a write, and group
+// the chunks by I/O node in first-touch order.
+func (f *File) prepare(off, size int64, write bool) *Xfer {
 	fs := f.fs
 	fs.mTransfers.Inc()
-	defer func() { fs.mXferTime.Observe((p.Now() - start) * 1e6) }()
-	st := fs.getXfer()
-	chunks := f.mapRange(st.chunks[:0], off, size)
-	st.chunks = chunks
+	x := fs.getXfer()
+	x.start = fs.eng.Now()
+	chunks := f.mapRange(x.chunks[:0], off, size)
+	x.chunks = chunks
 	fs.mChunks.Add(int64(len(chunks)))
 	for i := range chunks {
 		fs.mReqBytes.Observe(float64(chunks[i].Len))
@@ -438,7 +480,7 @@ func (f *File) Transfer(p *sim.Proc, clientNode int, off, size int64, write bool
 	// Group chunks by I/O node, preserving order within a node. Stripe
 	// factors are small, so a linear scan of the first-touch order beats a
 	// map — and the grouping reuses the pooled state's backing arrays.
-	order := st.order[:0]
+	order := x.order[:0]
 	for i := range chunks {
 		c := chunks[i]
 		pos := -1
@@ -451,37 +493,16 @@ func (f *File) Transfer(p *sim.Proc, clientNode int, off, size int64, write bool
 		if pos == -1 {
 			pos = len(order)
 			order = append(order, c.Node)
-			if pos < len(st.lists) {
-				st.lists[pos] = st.lists[pos][:0]
+			if pos < len(x.lists) {
+				x.lists[pos] = x.lists[pos][:0]
 			} else {
-				st.lists = append(st.lists, nil)
+				x.lists = append(x.lists, nil)
 			}
 		}
-		st.lists[pos] = append(st.lists[pos], c)
+		x.lists[pos] = append(x.lists[pos], c)
 	}
-	st.order = order
-	if fs.resil == nil && fs.asyncOK {
-		// Healthy fast path: drive the chunks as engine events instead of
-		// blocked processes — byte-identical output, none of the process
-		// handoffs (see pfs_async.go).
-		f.transferAsync(p, clientNode, st.lists, order, write)
-		fs.putXfer(st)
-		return
-	}
-	if len(order) == 1 {
-		f.serveNode(p, clientNode, st.lists[0], write)
-		fs.putXfer(st)
-		return
-	}
-	wg := sim.NewWaitGroup(p.Engine())
-	for i := range order {
-		list := st.lists[i]
-		wg.Go("pfs.xfer", func(c *sim.Proc) {
-			f.serveNode(c, clientNode, list, write)
-		})
-	}
-	wg.Wait(p)
-	fs.putXfer(st)
+	x.order = order
+	return x
 }
 
 // serveNode performs an ordered chunk list against one I/O node. A chunk

@@ -1,10 +1,12 @@
-// Asynchronous transfer path: the event-driven twin of the blocking
-// serveNode/doChunk pipeline.
+// Event-driven transfer path: the twin of the blocking serveNode/doChunk
+// pipeline.
 //
-// A Transfer on this path parks the issuing process once (sim.Proc.Suspend)
-// and drives every chunk — request message, NIC contention, device access,
-// data reply — as engine events on a pooled continuation (chunkOp), finishing
-// with a single wake of the issuer. Each event is placed at exactly the
+// BeginTransfer drives every chunk — request message, NIC contention, device
+// access, data reply — as engine events on a pooled continuation (chunkOp),
+// finishing with one terminal event: a wake of the issuing process, or a
+// callback when the issuer is itself an event chain (pio's prefetch). It
+// never blocks, so it can run inside a callback. EndTransfer is the epilogue
+// the terminal runs. Each event is placed at exactly the
 // (time, sequence) position where the blocking path parks and wakes a
 // process, so the two paths produce byte-identical simulation output; the
 // difference is purely mechanical — no process handoffs on the hot path,
@@ -16,14 +18,14 @@
 //   - A multi-node transfer spawns one process per node (one activation
 //     event each) and joins on a WaitGroup (one wake); here each node gets
 //     one kick-off event and the last chain to finish wakes the issuer.
-//   - The final timed event of a single-node transfer is the wake of the
-//     issuer itself, replacing the blocking path's last delay-wake one for
-//     one; the issuer then runs the epilogue (release/accounting calls the
-//     blocking path makes inline after that delay) before returning.
+//   - The final timed event of a single-node transfer is the terminal
+//     itself, replacing the blocking path's last delay-wake one for one;
+//     EndTransfer then runs the epilogue (release/accounting calls the
+//     blocking path makes inline after that delay).
 //
-// The path is only taken when it cannot diverge: no resilience policy (the
-// timeout/retry machinery is process-based) and parameters under which the
-// terminal event of every chunk is statically known (see FS.asyncOK).
+// The path is only taken when it cannot diverge (FS.Chained): no resilience
+// policy (the timeout/retry machinery is process-based) and parameters under
+// which the terminal event of every chunk is statically known (FS.asyncOK).
 package pfs
 
 import (
@@ -46,8 +48,8 @@ const (
 )
 
 // Terminal-epilogue kinds of a single-node transfer: which release/accounting
-// calls the woken issuer must make, mirroring what the blocking path does
-// inline after its final delay.
+// calls EndTransfer must make, mirroring what the blocking path does inline
+// after its final delay.
 const (
 	kindNone      int8 = iota // nothing pending (local reply memcpy)
 	kindCacheCopy             // cached write: start the write-behind drain
@@ -56,26 +58,18 @@ const (
 	kindReplyNIC              // remote read: release the client NIC
 )
 
-// xferCtr joins the per-node chains of a multi-node transfer — the
-// event-driven twin of the blocking path's WaitGroup.
-type xferCtr struct {
-	remaining int
-	client    *sim.Proc
-}
-
 // chunkOp drives an ordered chunk list against one I/O node. stepFn is bound
-// once at allocation; ops and counters cycle through per-FS free lists, so a
+// once at allocation and ops cycle through a per-FS free list, so a
 // steady-state transfer allocates only what the blocking path's shared
 // preamble does.
 type chunkOp struct {
 	f          *File
-	client     *sim.Proc
+	x          *Xfer
 	clientNode int
 	list       []Chunk
 	idx        int
 	write      bool
-	terminal   bool // single-node transfer: last chunk ends by waking client
-	ctr        *xferCtr
+	terminal   bool    // single-node transfer: the last chunk ends with x.term
 	xfer       float64 // bandwidth cost of the in-flight message, sampled at send time
 	onNIC      bool    // the in-flight message occupies a NIC (remote)
 	err        error
@@ -97,63 +91,77 @@ func (fs *FS) getChunkOp() *chunkOp {
 
 func (fs *FS) putChunkOp(o *chunkOp) {
 	o.f = nil
-	o.client = nil
+	o.x = nil
 	o.list = nil
-	o.ctr = nil
 	o.err = nil
 	fs.chunkOps = append(fs.chunkOps, o)
 }
 
-func (fs *FS) getCtr() *xferCtr {
-	if n := len(fs.ctrs); n > 0 {
-		c := fs.ctrs[n-1]
-		fs.ctrs = fs.ctrs[:n-1]
-		return c
-	}
-	return &xferCtr{}
-}
+// Chained reports whether transfers run as event chains: BeginTransfer is
+// usable and Transfer wakes its caller once. It holds when no resilience
+// policy is set and the node parameters give every chunk a statically known
+// terminal event.
+func (fs *FS) Chained() bool { return fs.resil == nil && fs.asyncOK }
 
-func (fs *FS) putCtr(c *xferCtr) {
-	c.client = nil
-	fs.ctrs = append(fs.ctrs, c)
-}
-
-// transferAsync is Transfer's event-driven body. The shared preamble
-// (metrics, range mapping, grouping) has already run; lists carries the
-// per-node chunk lists, parallel to order (I/O nodes in first-touch order).
-func (f *File) transferAsync(p *sim.Proc, clientNode int, lists [][]Chunk, order []int, write bool) {
+// BeginTransfer starts moving [off, off+size) between the memory of the
+// compute node with topology index clientNode and the file, and returns at
+// once: it runs Transfer's preamble and starts the chunk chains, and never
+// blocks, so it may be called from an event callback. The transfer's last
+// event is term: a wake of a process parked in Suspend, or a callback. Either
+// must then call EndTransfer exactly once. size must be positive and the FS
+// Chained.
+func (f *File) BeginTransfer(clientNode int, off, size int64, write bool, term sim.Step) *Xfer {
 	fs := f.fs
-	if len(order) == 1 {
-		o := fs.getChunkOp()
-		o.f, o.client, o.clientNode = f, p, clientNode
-		o.list, o.idx, o.write = lists[0], 0, write
-		o.terminal, o.ctr = true, nil
-		o.kind = kindNone
-		o.startChunk()
-		p.Suspend() // the chain's terminal event is our wake
-		f.finishTerminal(p, o)
-		return
+	if size <= 0 || !fs.Chained() {
+		panic("pfs: BeginTransfer needs a positive size on a chained FS")
 	}
-	ctr := fs.getCtr()
-	ctr.remaining, ctr.client = len(order), p
-	for i := range order {
+	x := f.prepare(off, size, write)
+	x.term = term
+	if len(x.order) == 1 {
 		o := fs.getChunkOp()
-		o.f, o.client, o.clientNode = f, p, clientNode
-		o.list, o.idx, o.write = lists[i], 0, write
-		o.terminal, o.ctr = false, ctr
+		o.f, o.x, o.clientNode = f, x, clientNode
+		o.list, o.idx, o.write = x.lists[0], 0, write
+		o.terminal = true
+		o.kind = kindNone
+		x.op = o
+		o.startChunk()
+		return x
+	}
+	x.remaining = len(x.order)
+	for i := range x.order {
+		o := fs.getChunkOp()
+		o.f, o.x, o.clientNode = f, x, clientNode
+		o.list, o.idx, o.write = x.lists[i], 0, write
+		o.terminal = false
 		o.stage = cStart
 		// One kick-off event per node chain, where the blocking path
 		// schedules one process activation per node.
 		fs.eng.ScheduleStep(0, sim.Step{Fn: o.stepFn})
 	}
-	p.Suspend() // woken by the last chain to finish
-	fs.putCtr(ctr)
+	return x
 }
 
-// finishTerminal is the issuer-side epilogue of a single-node transfer: the
-// release and accounting calls the blocking path makes inline after its final
-// delay, plus the fail-stop that serveNode performs on a device error.
-func (f *File) finishTerminal(p *sim.Proc, o *chunkOp) {
+// EndTransfer is the epilogue of a transfer started by BeginTransfer, run by
+// its terminal: the release and accounting calls the blocking path makes
+// inline after its final delay, then the pfs.xfer_time observation. A device
+// error fail-stops the run with the same structured IOError as the blocking
+// path: through p.Abort when the terminal woke process p, which does not
+// return, or through Engine.AbortRun when p is nil (a callback terminal), in
+// which case EndTransfer returns false.
+func (f *File) EndTransfer(p *sim.Proc, x *Xfer) bool {
+	fs := f.fs
+	fs.mXferTime.Observe((fs.eng.Now() - x.start) * 1e6)
+	ok := true
+	if x.op != nil {
+		ok = f.finishTerminal(p, x.op)
+	}
+	fs.putXfer(x)
+	return ok
+}
+
+// finishTerminal is the epilogue of a single-node chain, plus the
+// fail-stop that serveNode performs on a device error.
+func (f *File) finishTerminal(p *sim.Proc, o *chunkOp) bool {
 	fs := f.fs
 	c := &o.list[len(o.list)-1]
 	nd := fs.nodes[c.Node]
@@ -169,9 +177,13 @@ func (f *File) finishTerminal(p *sim.Proc, o *chunkOp) {
 			fs.mAborted = fs.eng.Metrics().Counter("pfs.aborted_ops")
 		}
 		fs.mAborted.Inc()
-		ioerr := &IOError{Op: opName(o.write), Node: c.Node, Attempts: 1, Time: p.Now(), Err: err}
+		ioerr := &IOError{Op: opName(o.write), Node: c.Node, Attempts: 1, Time: fs.eng.Now(), Err: err}
 		fs.putChunkOp(o)
-		p.Abort(ioerr)
+		if p != nil {
+			p.Abort(ioerr)
+		}
+		fs.eng.AbortRun(ioerr)
+		return false
 	}
 	switch o.kind {
 	case kindCacheCopy:
@@ -188,6 +200,7 @@ func (f *File) finishTerminal(p *sim.Proc, o *chunkOp) {
 	case kindNone:
 	}
 	fs.putChunkOp(o)
+	return true
 }
 
 // step advances the continuation by one stage. It is the single callback the
@@ -281,8 +294,8 @@ func (o *chunkOp) nicGranted() {
 }
 
 // access issues the device access. The last chunk of a terminal chain passes
-// the issuing process down as the continuation: the device layer's final
-// timed event becomes the issuer's wake, and finishTerminal runs the matching
+// the transfer's terminal down as the continuation: the device layer's final
+// timed event becomes the terminal, and finishTerminal runs the matching
 // epilogue.
 func (o *chunkOp) access() {
 	c := &o.list[o.idx]
@@ -297,7 +310,7 @@ func (o *chunkOp) access() {
 			} else {
 				o.kind = kindDiskWrite
 			}
-			nd.AccessAsync(c.Disk, c.DiskOff, c.Len, true, &o.err, sim.Step{P: o.client})
+			nd.AccessAsync(c.Disk, c.DiskOff, c.Len, true, &o.err, o.x.term)
 			return
 		}
 		o.stage = cAccessDone
@@ -308,7 +321,7 @@ func (o *chunkOp) access() {
 		// The reply would be a zero-cost local copy: the disk's end of
 		// service is the chain's final timed event.
 		o.kind = kindDiskRead
-		nd.AccessAsync(c.Disk, c.DiskOff, c.Len, false, &o.err, sim.Step{P: o.client})
+		nd.AccessAsync(c.Disk, c.DiskOff, c.Len, false, &o.err, o.x.term)
 		return
 	}
 	o.stage = cAccessDone
@@ -329,7 +342,7 @@ func (o *chunkOp) reply() {
 		if xfer > 0 {
 			if last {
 				o.kind = kindNone
-				fs.eng.ScheduleStep(xfer, sim.Step{P: o.client})
+				fs.eng.ScheduleStep(xfer, o.x.term)
 				return
 			}
 			o.stage = cReplyDone
@@ -364,10 +377,10 @@ func (o *chunkOp) replyAtNIC() {
 func (o *chunkOp) replyNICGranted() {
 	fs := o.f.fs
 	if o.terminal && o.idx == len(o.list)-1 {
-		// The reply transfer is the chain's final timed event; the woken
-		// issuer releases the client NIC (kindReplyNIC).
+		// The reply transfer is the chain's final timed event; EndTransfer
+		// releases the client NIC (kindReplyNIC).
 		o.kind = kindReplyNIC
-		fs.eng.ScheduleStep(o.xfer, sim.Step{P: o.client})
+		fs.eng.ScheduleStep(o.xfer, o.x.term)
 		return
 	}
 	o.stage = cReplyDone
@@ -387,11 +400,11 @@ func (o *chunkOp) chunkDone() {
 		panic("pfs: terminal chunk fell through")
 	}
 	fs := o.f.fs
-	ctr := o.ctr
+	x := o.x
 	fs.putChunkOp(o)
-	ctr.remaining--
-	if ctr.remaining == 0 {
-		fs.eng.Wake(ctr.client)
+	x.remaining--
+	if x.remaining == 0 {
+		fs.eng.ScheduleStep(0, x.term)
 	}
 }
 

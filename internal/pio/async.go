@@ -13,23 +13,52 @@ type AsyncRead struct {
 	done *sim.Signal
 }
 
-// ReadAsync starts reading n bytes at off in a background process and
-// returns immediately. The caller later calls Await. The background read
-// pays the full interface and transfer costs but is not charged to the
-// caller; Await charges the wait time plus a memory-copy cost, which is the
-// paper's measurement convention for the prefetching versions ("we take
-// into account the I/O, wait and copy times").
+// ReadAsync starts reading n bytes at off and returns immediately; the
+// caller later calls Await. The read pays the full interface and transfer
+// costs but is not charged to the caller; Await charges the wait time plus a
+// memory-copy cost, which is the paper's measurement convention for the
+// prefetching versions ("we take into account the I/O, wait and copy
+// times").
+//
+// On a chained file system the read is a chain of engine callbacks — its
+// activation, the call overhead, the transfer — whose terminal callback
+// completes it; no process runs it. A resilience policy needs a blocked
+// process for its retries, so there the read runs on a spawned one.
 func (h *Handle) ReadAsync(off, n int64) *AsyncRead {
-	ar := &AsyncRead{h: h, off: off, n: n}
-	ar.done = sim.NewSignal(h.engine())
-	h.engine().Spawn("pio.prefetch", func(bg *sim.Proc) {
-		if h.c.par.ReadCallSec > 0 {
-			bg.Delay(h.c.par.ReadCallSec)
-		}
-		h.f.Transfer(bg, h.c.node, off, n, false)
+	eng := h.engine()
+	ar := &AsyncRead{h: h, off: off, n: n, done: sim.NewSignal(eng)}
+	o := h.c.getOp(h, off, n, false)
+	o.ar = ar
+	o.stage = opCall
+	o.chain = n > 0 && h.c.fs.Chained()
+	if h.c.fs.Chained() {
+		// The activation is a callback in the slot a spawned process's
+		// activation would take.
+		eng.ScheduleStep(0, sim.Step{Fn: o.stepFn})
+		return ar
+	}
+	eng.Spawn("pio.prefetch", func(bg *sim.Proc) {
+		o.p = bg
+		o.run(bg)
+		h.c.putOp(o)
 		ar.done.Fire()
 	})
 	return ar
+}
+
+// finishPrefetch completes a chained prefetch in its terminal callback: the
+// transfer's epilogue, then the completion signal. A device error has
+// already fail-stopped the run, so the signal stays unfired.
+func (o *ioOp) finishPrefetch() {
+	ok := true
+	if o.x != nil {
+		ok = o.h.f.EndTransfer(nil, o.x)
+	}
+	ar := o.ar
+	o.h.c.putOp(o)
+	if ok {
+		ar.done.Fire()
+	}
 }
 
 // engine digs the simulation engine out of the client's resources.
@@ -38,17 +67,26 @@ func (h *Handle) engine() *sim.Engine { return h.c.fs.Engine() }
 // Await blocks until the read completes, then charges the wait plus the
 // buffer copy and records a Read of n bytes. A prefetch that finished
 // before Await is a hit (the overlap worked: the caller pays only the
-// copy); one still in flight is a miss (the caller eats the wait).
+// copy); one still in flight is a miss (the caller eats the wait). On a
+// miss the copy delay is a callback chained behind the completion, so the
+// caller is woken once, when the copy ends.
 func (h *Handle) Await(p *sim.Proc, ar *AsyncRead) {
 	start := p.Now()
-	if ar.done.Fired() {
+	ct := float64(ar.n) * h.c.fs.Network().Params().MemCopyByteTime
+	switch {
+	case ar.done.Fired():
 		h.c.mPrefHit.Inc()
-	} else {
+		if ct > 0 {
+			p.Delay(ct)
+		}
+	case ct > 0:
 		h.c.mPrefMiss.Inc()
-	}
-	p.WaitSignal(ar.done)
-	if ct := float64(ar.n) * h.c.fs.Network().Params().MemCopyByteTime; ct > 0 {
-		p.Delay(ct)
+		eng := h.engine()
+		ar.done.WaitFn(func() { eng.ScheduleStep(ct, sim.Step{P: p}) })
+		p.Suspend()
+	default:
+		h.c.mPrefMiss.Inc()
+		p.WaitSignal(ar.done)
 	}
 	h.pos = ar.off + ar.n
 	h.c.rec.RecordAt(trace.Read, start, p.Now()-start, ar.off, ar.n)

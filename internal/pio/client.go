@@ -7,9 +7,10 @@
 //     first order, a per-call constant plus a seek-call discipline, and
 //     that is exactly what Tables 2 and 3 of the paper measure.
 //   - Async reads and a Prefetcher: PASSION's prefetching interface. The
-//     caller overlaps computation with a background read; the awaited time
-//     (wait + copy) is what gets charged as I/O, following the paper's
-//     measurement convention.
+//     caller overlaps computation with a read that runs as a chain of
+//     engine events, no process of its own; the awaited time (wait + copy)
+//     is what gets charged as I/O, following the paper's measurement
+//     convention.
 //   - Collective: two-phase collective I/O (§4.5). Ranks exchange data over
 //     the interconnect so that each rank performs a single large
 //     conforming request against the file system.
@@ -18,6 +19,11 @@
 //
 // All interfaces record their operations in a trace.Recorder so the paper's
 // op-level tables fall out of any run.
+//
+// A data call's stages (positioning seek, call overhead, striped transfer)
+// run as one pooled continuation (see op.go): every stage but the last is an
+// engine callback and the last is the caller's single wake, so a call costs
+// one process resume however many stages it has.
 package pio
 
 import (
@@ -73,6 +79,8 @@ type Client struct {
 	// Prefetch accounting (see Handle.Await).
 	mPrefHit  *stats.Counter
 	mPrefMiss *stats.Counter
+
+	ops []*ioOp // free list of data-call continuations
 }
 
 // NewClient builds a client for the process on the given topology node,
@@ -139,49 +147,15 @@ func (h *Handle) Seek(p *sim.Proc, off int64) {
 	h.pos = off
 }
 
-// position performs the interface's positioning discipline before a data
-// call at off.
-func (h *Handle) position(p *sim.Proc, off int64) {
-	if h.c.par.ExplicitSeeks {
-		// PASSION-style: every positioned call issues a seek.
-		h.Seek(p, off)
-		return
-	}
-	if off != h.pos {
-		// Fortran/UNIX-style: an out-of-sequence access implies a seek.
-		h.Seek(p, off)
-	}
-}
-
-// ReadAt reads n bytes at off, blocking for the call overhead plus the
-// striped transfer, and records the read.
-func (h *Handle) ReadAt(p *sim.Proc, off, n int64) {
-	h.position(p, off)
-	h.c.mIndep.Inc()
-	start := p.Now()
-	if h.c.par.ReadCallSec > 0 {
-		p.Delay(h.c.par.ReadCallSec)
-	}
-	h.f.Transfer(p, h.c.node, off, n, false)
-	h.pos = off + n
-	h.c.rec.RecordAt(trace.Read, start, p.Now()-start, off, n)
-}
+// ReadAt reads n bytes at off, blocking for the positioning discipline,
+// the call overhead and the striped transfer, and records the read.
+func (h *Handle) ReadAt(p *sim.Proc, off, n int64) { h.call(p, off, n, false) }
 
 // Read reads n bytes at the current position.
 func (h *Handle) Read(p *sim.Proc, n int64) { h.ReadAt(p, h.pos, n) }
 
 // WriteAt writes n bytes at off.
-func (h *Handle) WriteAt(p *sim.Proc, off, n int64) {
-	h.position(p, off)
-	h.c.mIndep.Inc()
-	start := p.Now()
-	if h.c.par.WriteCallSec > 0 {
-		p.Delay(h.c.par.WriteCallSec)
-	}
-	h.f.Transfer(p, h.c.node, off, n, true)
-	h.pos = off + n
-	h.c.rec.RecordAt(trace.Write, start, p.Now()-start, off, n)
-}
+func (h *Handle) WriteAt(p *sim.Proc, off, n int64) { h.call(p, off, n, true) }
 
 // Write writes n bytes at the current position.
 func (h *Handle) Write(p *sim.Proc, n int64) { h.WriteAt(p, h.pos, n) }

@@ -27,6 +27,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -44,6 +45,7 @@ type Engine struct {
 	running  bool
 	stopped  bool
 	executed uint64 // events fired so far
+	resumes  uint64 // driver handoffs so far (see Resumes)
 
 	// Control state. current is the process whose coroutine is running, or
 	// is to be resumed next when a blocked process yields to the driver; it
@@ -134,13 +136,28 @@ var ErrDeadlock = errors.New("sim: deadlock")
 // metric for performance reporting.
 func (e *Engine) Events() uint64 { return e.executed }
 
+// Resumes returns the number of driver handoffs so far: each is a switch
+// from the driver into a process coroutine and the yield back, the cost that
+// a process continuing inline (its own wake, a callback) avoids. Teardown
+// resumes of killed processes are not counted. Like Events it is a plain
+// counter, kept out of the metrics registry: it measures how the kernel ran
+// a model, not the model.
+func (e *Engine) Resumes() uint64 { return e.resumes }
+
 // schedule inserts an occurrence at absolute time t: a wakeup of p when
 // p != nil, otherwise the callback fn. Same-instant events take the FIFO
 // ring; future events take the heap. The split preserves the global
 // (at, seq) firing order because ring entries all carry at == now and
 // monotonically increasing seq, and the clock cannot advance while the ring
 // is non-empty.
+//
+// A NaN or +Inf t panics: it would corrupt the clock, and the queue's
+// bit-pattern ordering (event.before) requires finite times. Callers have
+// already rejected negative delays and times before now, -Inf included.
 func (e *Engine) schedule(t float64, fn func(), p *Proc) {
+	if !(t <= math.MaxFloat64) {
+		badTime(t)
+	}
 	e.seq++
 	ev := event{at: t, seq: e.seq, fn: fn, proc: p}
 	if t == e.now {
@@ -150,9 +167,18 @@ func (e *Engine) schedule(t float64, fn func(), p *Proc) {
 	}
 }
 
+// badTime panics on a non-finite event time. It is kept out of line so the
+// check costs schedule one compare.
+//
+//go:noinline
+func badTime(t float64) {
+	panic(fmt.Sprintf("sim: non-finite event time %g", t))
+}
+
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it would corrupt the clock. Scheduling on a stopped engine panics
-// too: after Stop the engine can be inspected but not reused.
+// panics: it would corrupt the clock. So does a NaN or infinite t.
+// Scheduling on a stopped engine panics too: after Stop the engine can be
+// inspected but not reused. A t of -0 is stored as +0.
 func (e *Engine) At(t float64, fn func()) {
 	if e.stopped {
 		panic("sim: At on stopped engine")
@@ -160,10 +186,14 @@ func (e *Engine) At(t float64, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %g before now %g", t, e.now))
 	}
+	if t == 0 {
+		t = 0 // -0 would order after every positive time (see event.before)
+	}
 	e.schedule(t, fn, nil)
 }
 
-// After schedules fn to run d seconds from now.
+// After schedules fn to run d seconds from now. A negative, NaN or infinite
+// d panics.
 func (e *Engine) After(d float64, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %g", d))
@@ -222,12 +252,6 @@ func (e *Engine) scheduleFn(fn func()) {
 	e.schedule(e.now, fn, nil)
 }
 
-// Wake schedules a zero-delay wakeup of p: the terminal event of a
-// continuation-style operation whose issuer parked itself with
-// Proc.Suspend. Waking an already-runnable or exited process is harmless
-// (the stale wake is skipped), and on a stopped engine Wake is a no-op.
-func (e *Engine) Wake(p *Proc) { e.scheduleWake(p) }
-
 // AbortRun fail-stops the run from an event callback — the continuation
 // analog of Proc.Abort. The first recorded cause wins; the dispatch loop
 // fires nothing further once the current callback returns, and Run returns
@@ -274,50 +298,88 @@ const (
 // popping self's own wake returns dispatchSelf with no switch at all, which
 // is what makes an uncontended Delay allocation- and switch-free. A wake of
 // any other process sets e.current to it and returns dispatchHandoff.
+//
+// The first callback of a stretch moves the rest of the stretch into
+// dispatchCallbacks, whose one deferred recover traps a panic in any
+// callback it fires. A stretch that only wakes processes, such as a Delay
+// popping its own wake, sets up no defer at all.
 func (e *Engine) dispatch(self *Proc) dispatchOutcome {
 	for {
-		if e.abortErr != nil {
-			// A process fail-stopped the run: fire nothing further, let
-			// control return to Run, which tears the simulation down.
-			return dispatchDrained
-		}
-		if e.executed%intrStride == 0 && e.intrCheck != nil && e.intrErr == nil {
-			if err := e.intrCheck(); err != nil {
-				// Abort the stretch as if the queue drained; Run sees
-				// intrErr and tears the simulation down.
-				e.intrErr = err
-				return dispatchDrained
-			}
-		}
-		ev, ok := e.next()
+		ev, ok := e.take()
 		if !ok {
 			return dispatchDrained
 		}
-		e.now = ev.at
-		e.executed++
 		if p := ev.proc; p != nil {
 			if p.done {
 				continue // stale wake for an exited process
 			}
-			e.current = p
-			if p == self {
-				return dispatchSelf
-			}
-			return dispatchHandoff
+			return e.wake(self, p)
 		}
-		if pan := fire(ev.fn); pan != nil {
-			e.trap(pan)
-			return dispatchDrained // Run re-raises the panic
-		}
+		return e.dispatchCallbacks(self, ev.fn)
 	}
 }
 
-// fire runs one callback, trapping a panic so it can be re-raised from Run
-// no matter which coroutine was dispatching when it happened.
-func fire(fn func()) (pan any) {
-	defer func() { pan = recover() }()
+// dispatchCallbacks fires fn and continues the stretch like dispatch. A
+// panic in any callback it fires ends the stretch: it is trapped for Run to
+// re-raise, whichever coroutine was dispatching, and the stretch reports
+// dispatchDrained. One recover per stretch, rather than one around every
+// callback, keeps the defer off the per-event path.
+func (e *Engine) dispatchCallbacks(self *Proc, fn func()) (out dispatchOutcome) {
+	defer func() {
+		if pan := recover(); pan != nil {
+			e.trap(pan)
+			out = dispatchDrained // Run re-raises the panic
+		}
+	}()
 	fn()
-	return nil
+	for {
+		ev, ok := e.take()
+		if !ok {
+			return dispatchDrained
+		}
+		if p := ev.proc; p != nil {
+			if p.done {
+				continue // stale wake for an exited process
+			}
+			return e.wake(self, p)
+		}
+		ev.fn()
+	}
+}
+
+// take pops the next event to fire and advances the clock to it. It
+// reports false when the queue is empty or the run is ending: a process
+// fail-stopped it, or the interrupt check fired.
+func (e *Engine) take() (event, bool) {
+	if e.abortErr != nil {
+		// A process fail-stopped the run: fire nothing further, let
+		// control return to Run, which tears the simulation down.
+		return event{}, false
+	}
+	if e.executed%intrStride == 0 && e.intrCheck != nil && e.intrErr == nil {
+		if err := e.intrCheck(); err != nil {
+			// End the stretch as if the queue drained; Run sees intrErr
+			// and tears the simulation down.
+			e.intrErr = err
+			return event{}, false
+		}
+	}
+	ev, ok := e.next()
+	if ok {
+		e.now = ev.at
+		e.executed++
+	}
+	return ev, ok
+}
+
+// wake makes p the current process: the outcome of a stretch that popped
+// p's wake.
+func (e *Engine) wake(self, p *Proc) dispatchOutcome {
+	e.current = p
+	if p == self {
+		return dispatchSelf
+	}
+	return dispatchHandoff
 }
 
 // trap records a panic for Run to re-raise. The first one wins: a panic in
@@ -337,6 +399,7 @@ func (e *Engine) trap(pan any) {
 func (e *Engine) drive() {
 	for e.dispatch(nil) == dispatchHandoff {
 		for e.current != nil {
+			e.resumes++
 			e.resume(e.current.w)
 		}
 		if e.fatal != nil || e.intrErr != nil {

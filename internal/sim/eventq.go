@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"math"
+	"math/bits"
+)
+
 // event is a scheduled occurrence. Events with equal timestamps fire in
 // scheduling order (seq), which keeps the simulation deterministic.
 //
@@ -17,11 +22,17 @@ type event struct {
 }
 
 // before reports whether a fires before b in the global (at, seq) order.
+//
+// The pair is compared as one 128-bit unsigned number, the IEEE bits of at
+// above seq, with a borrow chain: no branch on the data. That is exact only
+// because every queued time is finite and non-negative with -0 stored as +0
+// — for such values the bit pattern orders like the value — and the kernel
+// makes that an invariant: schedule rejects NaN and ±Inf, the public entry
+// points reject negative delays and past times, and At normalises -0.
 func (a *event) before(b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(math.Float64bits(a.at), math.Float64bits(b.at), borrow)
+	return borrow != 0
 }
 
 // eventHeap is a 4-ary min-heap of events ordered by (at, seq). It is
@@ -39,59 +50,65 @@ type eventHeap struct {
 
 func (h *eventHeap) Len() int { return len(h.ev) }
 
-func (h *eventHeap) less(i, j int) bool {
-	return h.ev[i].before(&h.ev[j])
-}
-
-// push inserts e and restores the heap invariant.
+// push inserts e, moving a hole up from the new leaf instead of swapping.
 func (h *eventHeap) push(e event) {
-	h.ev = append(h.ev, e)
+	h.ev = append(h.ev, event{})
 	i := len(h.ev) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !h.less(i, parent) {
+		if !e.before(&h.ev[parent]) {
 			break
 		}
-		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
+		h.ev[i] = h.ev[parent]
 		i = parent
 	}
+	h.ev[i] = e
 }
 
 // pop removes and returns the earliest event. It must not be called on an
 // empty heap.
+//
+// It uses Floyd's bottom-up deletion: the hole left at the root moves down
+// to a leaf along the path of smallest children, with no comparison against
+// the element being re-inserted, and the former last element then sifts up
+// from there. The last element of a heap almost always belongs near the
+// bottom, so the sift-up stops after a step or two, where the classic
+// sift-down compares it against every level's minimum.
 func (h *eventHeap) pop() event {
 	top := h.ev[0]
-	last := len(h.ev) - 1
-	h.ev[0] = h.ev[last]
-	h.ev[last] = event{} // release fn/proc for GC
-	h.ev = h.ev[:last]
-	h.siftDown(0)
-	return top
-}
-
-func (h *eventHeap) siftDown(i int) {
-	n := len(h.ev)
+	n := len(h.ev) - 1
+	x := h.ev[n]
+	h.ev[n] = event{} // release fn/proc for GC
+	h.ev = h.ev[:n]
+	if n == 0 {
+		return top
+	}
+	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
-			return
+			break
 		}
 		least := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
+		end := min(first+4, n)
 		for c := first + 1; c < end; c++ {
-			if h.less(c, least) {
+			if h.ev[c].before(&h.ev[least]) {
 				least = c
 			}
 		}
-		if !h.less(least, i) {
-			return
-		}
-		h.ev[i], h.ev[least] = h.ev[least], h.ev[i]
+		h.ev[i] = h.ev[least]
 		i = least
 	}
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !x.before(&h.ev[parent]) {
+			break
+		}
+		h.ev[i] = h.ev[parent]
+		i = parent
+	}
+	h.ev[i] = x
+	return top
 }
 
 // eventRing is a growable circular FIFO holding the engine's same-instant

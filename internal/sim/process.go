@@ -127,9 +127,10 @@ func (p *Proc) block() {
 
 // Delay advances this process d seconds of virtual time. Other processes
 // and events run in the meantime. A zero delay still round-trips through
-// the event queue, so same-instant events scheduled earlier run first.
-// Steady-state Delay is allocation-free: the wakeup is a proc-wake record
-// in the event queue, not a closure.
+// the event queue, so same-instant events scheduled earlier run first. A
+// negative, NaN or infinite d panics. Steady-state Delay is
+// allocation-free: the wakeup is a proc-wake record in the event queue, not
+// a closure.
 func (p *Proc) Delay(d float64) {
 	if d < 0 {
 		panic("sim: negative Delay")
@@ -188,11 +189,11 @@ func (p *Proc) WaitSignal(s *Signal) {
 	p.block()
 }
 
-// Suspend parks the process until another event wakes it via Engine.Wake
-// (or a resource/signal grant). It is the blocking half of the kernel's
-// continuation-passing protocol: event-driven operations issued by this
-// process run as ordinary events while the issuer sleeps here, and the
-// operation's terminal event is a wake of this process. The caller must
+// Suspend parks the process until an event wakes it: a Step{P} scheduled
+// with Engine.ScheduleStep, or a resource or signal grant. It is the
+// blocking half of the kernel's continuation-passing protocol: event-driven
+// operations issued by this process run as ordinary events while the issuer
+// sleeps here, and the operation's terminal event is a wake of this process. The caller must
 // guarantee a wake is already scheduled or will be scheduled by pending
 // events — Suspend with no wake in flight deadlocks the run.
 func (p *Proc) Suspend() { p.block() }

@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"fmt"
+	"math"
+)
+
 // Step is a continuation: what happens when an event-driven operation
 // reaches its next boundary. Exactly one field is set. Fn is scheduled as an
 // ordinary callback event — the operation keeps advancing with no process
@@ -17,10 +22,11 @@ type Step struct {
 }
 
 // ScheduleStep schedules k to run d seconds from now: a callback event for
-// Fn, a process wake for P. Negative d panics, matching After.
+// Fn, a process wake for P. A negative, NaN or infinite d panics, matching
+// After.
 func (e *Engine) ScheduleStep(d float64, k Step) {
-	if d < 0 {
-		panic("sim: negative ScheduleStep delay")
+	if !(d >= 0 && d <= math.MaxFloat64) {
+		panic(fmt.Sprintf("sim: bad ScheduleStep delay %g", d))
 	}
 	if e.stopped {
 		return
