@@ -86,6 +86,10 @@ func BenchmarkFig7(b *testing.B)   { benchExperiment(b, "fig7") }
 func BenchmarkTable4(b *testing.B) { benchExperiment(b, "table4") }
 func BenchmarkTable5(b *testing.B) { benchExperiment(b, "table5") }
 
+// BenchmarkDegraded regenerates the fault-injection artifact, so the gate
+// covers runs under a resilience policy: retries, timeouts and fail-stops.
+func BenchmarkDegraded(b *testing.B) { benchExperiment(b, "degraded") }
+
 // Ablation benches (DESIGN.md §5). Each reports the simulated quantity of
 // interest as a custom metric so the effect is visible in the bench output.
 

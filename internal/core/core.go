@@ -101,9 +101,11 @@ func NewSystem(cfg *machine.Config, procs int) (*System, error) {
 // because a faulted run without client resilience would fail-stop on the
 // first transient — enables the PFS resilience defaults (2 retries, 1 ms
 // initial backoff, no timeout), overridden by whatever policy knobs the
-// plan sets. A nil or empty plan changes nothing: no events, no extra
-// metrics, byte-identical output. Call it after NewSystem and before the
-// run starts.
+// plan sets. The policy runs inside the transfers' event chains: it adds
+// events only when it acts (a backoff, a timeout race) and never wakes a
+// rank more often than a healthy run does. A nil or empty plan changes
+// nothing: no events, no extra metrics, byte-identical output. Call it
+// after NewSystem and before the run starts.
 func (s *System) InstallFaults(pl *fault.Plan) error {
 	if pl.Empty() {
 		return nil

@@ -21,7 +21,7 @@ import (
 	"pario/internal/stats"
 )
 
-// ErrFailed is the cause returned by Access while the drive is failed
+// ErrFailed is the cause a request reports while the drive is failed
 // (an injected outage). Callers match it with errors.Is through whatever
 // wrapping the upper layers add.
 var ErrFailed = errors.New("disk: drive failed")
@@ -137,46 +137,17 @@ func (d *Disk) ServiceTime(off, size int64) float64 {
 // It updates the head to the end of the accessed range. While the drive is
 // failed (SetFailed/an injected outage) the request reaches the head of the
 // queue and then errors with ErrFailed without consuming service time —
-// fail-stop, not fail-slow.
+// fail-stop, not fail-slow. It is AccessAsync with p's wake as both
+// continuations: a healthy request costs exactly the events of the
+// asynchronous path, a failed one one zero-delay wake more.
 func (d *Disk) Access(p *sim.Proc, off, size int64, write bool) error {
-	if off < 0 || size < 0 {
-		panic(fmt.Sprintf("disk: bad request off=%d size=%d", off, size))
+	var err error
+	d.AccessAsync(off, size, write, &err, sim.Step{P: p}, sim.Step{P: p})
+	p.Suspend()
+	if err != nil {
+		return err
 	}
-	d.res.Acquire(p)
-	if d.failed {
-		d.res.Release()
-		if d.mFailed == nil {
-			d.mFailed = d.eng.Metrics().Counter("disk.failed_requests")
-		}
-		d.mFailed.Inc()
-		return fmt.Errorf("%s: %w", d.name, ErrFailed)
-	}
-	// Service time is computed under the resource: the head position seen
-	// is the one left by the previous request, so interleaved streams from
-	// different processes genuinely disturb each other.
-	svc := d.par.RequestOverhead + float64(size)*d.par.ByteTime
-	if s := d.seekTime(off); s > 0 {
-		svc += s
-		d.st.Seeks++
-		d.mSeeks.Inc()
-	}
-	if d.mult != 1 {
-		svc *= d.mult
-	}
-	d.head = off + size
-	if write {
-		d.st.Writes++
-		d.st.BytesWrite += size
-		d.mBytesWrite.Add(size)
-	} else {
-		d.st.Reads++
-		d.st.BytesRead += size
-		d.mBytesRead.Add(size)
-	}
-	d.st.BusySec += svc
-	d.mSvcTime.Observe(svc * 1e6)
-	p.Delay(svc)
-	d.res.Release()
+	d.FinishAccess()
 	return nil
 }
 
@@ -184,8 +155,8 @@ func (d *Disk) Access(p *sim.Proc, off, size int64, write bool) error {
 // for a failing or throttled spindle. The factor applies to every component
 // (overhead, seek, transfer) of requests that reach service while it is in
 // effect; requests already queued are unaffected until then. Factors below
-// 1 model an upgrade. Unlike the deprecated Degrade, repeated calls do not
-// compound: SetDegrade(8) twice is still 8x.
+// 1 model an upgrade. Repeated calls do not compound: SetDegrade(8) twice
+// is still 8x.
 func (d *Disk) SetDegrade(factor float64) {
 	if factor <= 0 {
 		panic("disk: degrade factor must be positive")
@@ -220,18 +191,6 @@ func (d *Disk) Stall(dur float64) {
 	d.eng.Spawn(d.name+".stall", func(w *sim.Proc) {
 		d.res.Use(w, dur)
 	})
-}
-
-// Degrade multiplies the current degrade factor — kept for compatibility.
-//
-// Deprecated: repeated calls compound and there is no way to recover the
-// healthy cost model from the result. Use SetDegrade/Restore, which hold an
-// absolute multiplier, instead.
-func (d *Disk) Degrade(factor float64) {
-	if factor <= 0 {
-		panic("disk: degrade factor must be positive")
-	}
-	d.mult *= factor
 }
 
 // Head returns the current head byte position.

@@ -15,7 +15,7 @@ type op struct {
 	off, size int64
 	write     bool
 	errp      *error
-	k         sim.Step
+	k, fail   sim.Step
 	grantFn   func()
 	doneFn    func()
 }
@@ -34,41 +34,41 @@ func (d *Disk) getOp() *op {
 
 func (d *Disk) putOp(o *op) {
 	o.errp = nil
-	o.k = sim.Step{}
+	o.k, o.fail = sim.Step{}, sim.Step{}
 	d.ops = append(d.ops, o)
 }
 
-// AccessAsync performs one request without a blocking process: queueing and
-// service run as engine events, and k runs when service completes. It is
-// event-for-event identical to Access issued by a process — the grant and the
-// end-of-service events land at the same (time, sequence) positions — which
-// is what keeps simulation outputs byte-identical across the two paths.
+// AccessAsync performs one request as engine events: queueing and service
+// run on a pooled continuation, and k runs when service completes. Access
+// is this call plus the issuer's Suspend.
 //
-// On failure (an injected outage) *errp is set before k runs; otherwise *errp
-// is left untouched, so the caller must clear it beforehand.
+// On failure (an injected outage) *errp is set, the service slot is already
+// released, and fail runs instead of k; otherwise *errp is left untouched,
+// so the caller must clear it beforehand. A failure is known when the
+// request reaches the head of the queue, so it costs no event of its own:
+// fail.Fn runs inline there — before AccessAsync returns when the drive was
+// idle. A fail.P wake is scheduled at that instant.
 //
-// The continuation contract differs by kind:
+// The success continuation contract differs by kind:
 //   - k.Fn: the service slot is released first, then k.Fn runs inline within
-//     the end-of-service event, exactly where a blocking caller would resume.
+//     the end-of-service event.
 //   - k.P: the end-of-service event is the wake of p itself (the operation's
 //     terminal event). The slot is NOT released — the woken process must call
-//     FinishAccess, mirroring a blocking caller that releases after its final
-//     Delay. On failure the slot was already released; the woken process must
-//     check *errp and skip FinishAccess then.
-func (d *Disk) AccessAsync(off, size int64, write bool, errp *error, k sim.Step) {
+//     FinishAccess, the release a k.Fn request makes before k.Fn runs.
+func (d *Disk) AccessAsync(off, size int64, write bool, errp *error, k, fail sim.Step) {
 	if off < 0 || size < 0 {
 		panic(fmt.Sprintf("disk: bad request off=%d size=%d", off, size))
 	}
 	o := d.getOp()
-	o.off, o.size, o.write, o.errp, o.k = off, size, write, errp, k
+	o.off, o.size, o.write, o.errp, o.k, o.fail = off, size, write, errp, k, fail
 	if d.res.AcquireFn(o.grantFn) {
 		o.grant()
 	}
 }
 
 // grant runs when the request reaches the head of the queue — inline when the
-// disk was idle, as a grant event otherwise — matching the instant a blocking
-// Acquire returns.
+// disk was idle, as a grant event otherwise — the instant a process's
+// Acquire would return.
 func (o *op) grant() {
 	d := o.d
 	if d.failed {
@@ -78,13 +78,9 @@ func (o *op) grant() {
 		}
 		d.mFailed.Inc()
 		*o.errp = fmt.Errorf("%s: %w", d.name, ErrFailed)
-		k := o.k
+		fail := o.fail
 		d.putOp(o)
-		if k.Fn != nil {
-			k.Fn() // inline, like a blocking Access returning the error
-		} else {
-			d.eng.ScheduleStep(0, k)
-		}
+		d.eng.Continue(fail) // the request errs where it reached the head
 		return
 	}
 	svc := d.par.RequestOverhead + float64(o.size)*d.par.ByteTime
@@ -120,8 +116,8 @@ func (o *op) grant() {
 }
 
 // done runs at end of service for an Fn continuation: release the slot, then
-// continue the caller inline — the exact shape of a blocking caller resuming
-// from its Delay and calling Release before returning.
+// continue the caller inline — the shape of a process resuming from its
+// Delay and calling Release before returning.
 func (o *op) done() {
 	d := o.d
 	d.res.Release()
@@ -131,5 +127,5 @@ func (o *op) done() {
 }
 
 // FinishAccess releases the service slot of a terminal (k.P) AccessAsync.
-// Call it from the woken process, once, unless *errp was set.
+// Call it from the woken process, once, after a successful request.
 func (d *Disk) FinishAccess() { d.res.Release() }

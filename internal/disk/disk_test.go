@@ -225,7 +225,7 @@ func TestDegradeSlowsService(t *testing.T) {
 		s := p.Now()
 		d.Access(p, 0, 100000, false)
 		before = p.Now() - s
-		d.Degrade(4)
+		d.SetDegrade(4)
 		s = p.Now()
 		d.Access(p, 100000, 100000, false)
 		after = p.Now() - s
@@ -245,14 +245,14 @@ func TestDegradeBadFactorPanics(t *testing.T) {
 			t.Fatal("zero factor did not panic")
 		}
 	}()
-	d.Degrade(0)
+	d.SetDegrade(0)
 }
 
-// TestSetDegradeRestoreExact pins the degrade→restore regression: the old
-// Degrade multiplied the factor in place, so a repair implemented as
-// Degrade(1/f) drifted off baseline by floating-point residue. SetDegrade
-// is absolute and Restore returns the multiplier to exactly 1, so a
-// repaired disk's service times are bit-identical to a never-degraded one.
+// TestSetDegradeRestoreExact pins the degrade→restore regression: a
+// multiplier compounded in place and repaired by multiplying with 1/f drifts
+// off baseline by floating-point residue. SetDegrade is absolute and
+// Restore returns the multiplier to exactly 1, so a repaired disk's service
+// times are bit-identical to a never-degraded one.
 func TestSetDegradeRestoreExact(t *testing.T) {
 	e, d := newDisk(t)
 	var base, repaired float64
@@ -275,20 +275,6 @@ func TestSetDegradeRestoreExact(t *testing.T) {
 	}
 	if repaired != base {
 		t.Fatalf("post-restore access %g != baseline %g (degrade state leaked)", repaired, base)
-	}
-}
-
-// The deprecated wrapper keeps its historical compounding semantics.
-func TestDeprecatedDegradeCompounds(t *testing.T) {
-	_, d := newDisk(t)
-	d.Degrade(2)
-	d.Degrade(3)
-	if got := d.DegradeFactor(); got != 6 {
-		t.Fatalf("DegradeFactor = %g, want 6 (Degrade compounds in place)", got)
-	}
-	d.Restore()
-	if got := d.DegradeFactor(); got != 1 {
-		t.Fatalf("DegradeFactor after Restore = %g, want 1", got)
 	}
 }
 

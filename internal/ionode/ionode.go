@@ -23,7 +23,7 @@ import (
 	"pario/internal/stats"
 )
 
-// ErrCrashed is the cause returned by Access while the node is crashed
+// ErrCrashed is the cause a request reports while the node is crashed
 // (an injected fault). Callers match it with errors.Is through whatever
 // wrapping the upper layers add.
 var ErrCrashed = errors.New("ionode: node crashed")
@@ -43,10 +43,15 @@ type Params struct {
 	CacheCopyByteTime float64
 }
 
-// Validate reports obviously broken parameters.
+// Validate reports obviously broken parameters. A write-behind cache needs
+// a positive copy cost: the end of the copy is the event that completes a
+// cached write.
 func (p Params) Validate() error {
 	if p.ServerOverhead < 0 || p.NumDisks < 1 || p.CacheBytes < 0 || p.CacheCopyByteTime < 0 {
 		return fmt.Errorf("ionode: invalid params %+v", p)
+	}
+	if p.CacheBytes > 0 && p.CacheCopyByteTime == 0 {
+		return fmt.Errorf("ionode: write-behind cache of %d bytes needs a positive CacheCopyByteTime", p.CacheBytes)
 	}
 	return p.Disk.Validate()
 }
@@ -121,64 +126,20 @@ func (n *Node) CPU() *sim.Resource { return n.cpu }
 func (n *Node) Requests() int64 { return n.requests }
 
 // Access services one request against drive diskIdx at the given
-// drive-local offset. Reads always wait for the disk. Writes go through the
-// write-behind cache when one is configured. While the node is crashed the
-// request is refused immediately with ErrCrashed, before any accounting —
-// a dead server does not queue work. A failed backing disk surfaces as the
-// disk's error.
+// drive-local offset, blocking p until it completes. Reads always wait for
+// the disk. Writes go through the write-behind cache when one is
+// configured. While the node is crashed the request is refused with
+// ErrCrashed, before any accounting — a dead server does not queue work. A
+// failed backing disk surfaces as the disk's error. Access is AccessAsync
+// with p's wake as both continuations, then EndAccess: a healthy request
+// costs exactly the events of the asynchronous path, a failed one one
+// zero-delay wake more.
 func (n *Node) Access(p *sim.Proc, diskIdx int, off, size int64, write bool) error {
-	if diskIdx < 0 || diskIdx >= len(n.disks) {
-		panic(fmt.Sprintf("ionode %s: disk index %d out of range", n.name, diskIdx))
-	}
-	if n.crashed {
-		if n.mDropped == nil {
-			n.mDropped = n.eng.Metrics().Counter("ionode.dropped_requests")
-		}
-		n.mDropped.Inc()
-		return fmt.Errorf("%s: %w", n.name, ErrCrashed)
-	}
-	n.requests++
-	n.mRequests.Inc()
-	// The queue-depth series tracks requests outstanding against the I/O
-	// partition, from arrival at the node until the backing disk write or
-	// read completes (a cached write stays in flight until its drain
-	// finishes — dirty data is still queued work).
-	n.mQDepth.Observe(n.eng.Now(), float64(n.mInflight.Add(1)))
-	if n.par.ServerOverhead > 0 {
-		n.cpu.Use(p, n.par.ServerOverhead)
-	}
-	d := n.disks[diskIdx]
-	if !write || n.par.CacheBytes == 0 {
-		err := d.Access(p, off, size, write)
-		n.mQDepth.Observe(n.eng.Now(), float64(n.mInflight.Add(-1)))
-		return err
-	}
-	// Write-behind: wait for cache space, copy in, schedule async drain.
-	for n.dirty+size > n.par.CacheBytes && n.dirty > 0 {
-		if n.cacheSpace == nil || n.cacheSpace.Fired() {
-			n.cacheSpace = sim.NewSignal(n.eng)
-		}
-		p.WaitSignal(n.cacheSpace)
-	}
-	n.dirty += size
-	n.mWriteback.Add(size)
-	if c := float64(size) * n.par.CacheCopyByteTime; c > 0 {
-		p.Delay(c)
-	}
-	n.eng.Spawn(n.name+".drain", func(w *sim.Proc) {
-		if err := d.Access(w, off, size, true); err != nil {
-			// The client already saw the write complete into the cache;
-			// losing the drain is unreported data loss, so it fail-stops
-			// the run rather than vanishing.
-			w.Abort(fmt.Errorf("ionode %s: write-behind drain: %w", n.name, err))
-		}
-		n.dirty -= size
-		n.mQDepth.Observe(n.eng.Now(), float64(n.mInflight.Add(-1)))
-		if n.cacheSpace != nil && !n.cacheSpace.Fired() {
-			n.cacheSpace.Fire()
-		}
-	})
-	return nil
+	var err error
+	n.AccessAsync(diskIdx, off, size, write, &err, sim.Step{P: p}, sim.Step{P: p})
+	p.Suspend()
+	n.EndAccess(diskIdx, off, size, write, err)
+	return err
 }
 
 // Crash marks the node crashed: every subsequent Access errors with

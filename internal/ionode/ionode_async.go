@@ -1,16 +1,15 @@
-// Asynchronous access path: the event-driven twin of Node.Access.
+// The request path of an I/O node.
 //
 // Every stage of a request — CPU grant, server overhead, cache-space wait,
 // cache copy, disk queueing and service — runs as an engine event on a pooled
-// continuation, with no process involved. The stages are placed at
-// exactly the (time, sequence) positions where the blocking path parks and
-// wakes a process, so a simulation driven through AccessAsync produces
-// byte-identical output to one driven through Access. That equivalence is
-// what lets the hot I/O path shed the process handoffs that dominate the
-// kernel's wall-clock profile.
+// continuation, with no process involved. A stage that is not the request's
+// last runs as a callback; the last one is the caller's continuation, a
+// callback or the wake of a process parked in Suspend. Access is this path
+// driven from a process.
 package ionode
 
 import (
+	"errors"
 	"fmt"
 
 	"pario/internal/disk"
@@ -23,7 +22,7 @@ const (
 	iopCPUDone               // overhead served: release CPU, dispatch to disk/cache
 	iopCacheWait             // cache space may have freed: re-check the bound
 	iopCopyDone              // cache copy finished: start the drain, continue caller
-	iopAfterDisk             // disk service finished (Fn path): close accounting
+	iopAfterDisk             // disk service finished or failed (Fn path): close accounting
 )
 
 // iop is the pooled continuation state of one AccessAsync request. stepFn is
@@ -35,7 +34,7 @@ type iop struct {
 	write     bool
 	cached    bool
 	errp      *error
-	k         sim.Step
+	k, fail   sim.Step
 	stage     int8
 	stepFn    func()
 }
@@ -54,27 +53,29 @@ func (n *Node) getIop() *iop {
 func (n *Node) putIop(o *iop) {
 	o.d = nil
 	o.errp = nil
-	o.k = sim.Step{}
+	o.k, o.fail = sim.Step{}, sim.Step{}
 	n.iops = append(n.iops, o)
 }
 
-// AccessAsync services one request without a blocking process. Semantics,
-// accounting, and event placement match Access exactly; see the package-level
-// comment of this file. *errp must be cleared by the caller beforehand; it is
-// set only on failure, before the continuation runs.
+// AccessAsync services one request as engine events. k runs when it
+// completes; on failure *errp is set and fail runs instead. *errp must be
+// cleared by the caller beforehand.
 //
-// The continuation k may run inline, before AccessAsync returns (a crashed
-// node refuses work with no events, like the blocking path's immediate error
-// return), so callers must invoke AccessAsync in tail position.
+// A failure costs no event of its own: a crashed node refuses the request
+// at entry and a failed drive errs when the request reaches the head of its
+// queue, and fail.Fn runs inline at that instant — before AccessAsync
+// returns for a refusal, so callers must invoke AccessAsync in tail
+// position. A fail.P wake is scheduled at that instant.
 //
-// Terminal (k.P) requests split the epilogue with the caller, mirroring what
-// a blocking caller does inline after its final wait:
-//   - read or uncached write: the wake is the disk's end-of-service event;
-//     the woken process must call the disk's FinishAccess (unless *errp is
-//     set) and then NoteComplete.
-//   - cached write: the wake is the end of the cache copy; the woken process
-//     must call StartDrain. The drain closes the inflight accounting.
-func (n *Node) AccessAsync(diskIdx int, off, size int64, write bool, errp *error, k sim.Step) {
+// Terminal (k.P) requests split the epilogue with the caller: the woken
+// process must call EndAccess, which is the release and accounting a
+// request continuing through a callback does before k.Fn runs.
+//   - read or uncached write: the wake is the disk's end-of-service event.
+//   - cached write: the wake is the end of the cache copy; EndAccess starts
+//     the drain, which closes the inflight accounting.
+//
+// A failed terminal request must be closed by EndAccess with its error too.
+func (n *Node) AccessAsync(diskIdx int, off, size int64, write bool, errp *error, k, fail sim.Step) {
 	if diskIdx < 0 || diskIdx >= len(n.disks) {
 		panic(fmt.Sprintf("ionode %s: disk index %d out of range", n.name, diskIdx))
 	}
@@ -84,19 +85,19 @@ func (n *Node) AccessAsync(diskIdx int, off, size int64, write bool, errp *error
 		}
 		n.mDropped.Inc()
 		*errp = fmt.Errorf("%s: %w", n.name, ErrCrashed)
-		if k.Fn != nil {
-			k.Fn() // inline, like the blocking path's immediate error return
-		} else {
-			n.eng.ScheduleStep(0, k)
-		}
+		n.eng.Continue(fail)
 		return
 	}
 	n.requests++
 	n.mRequests.Inc()
+	// The queue-depth series tracks requests outstanding against the I/O
+	// partition, from arrival at the node until the backing disk write or
+	// read completes (a cached write stays in flight until its drain
+	// finishes — dirty data is still queued work).
 	n.mQDepth.Observe(n.eng.Now(), float64(n.mInflight.Add(1)))
 	o := n.getIop()
 	o.d = n.disks[diskIdx]
-	o.off, o.size, o.write, o.errp, o.k = off, size, write, errp, k
+	o.off, o.size, o.write, o.errp, o.k, o.fail = off, size, write, errp, k, fail
 	o.cached = write && n.par.CacheBytes > 0
 	if n.par.ServerOverhead > 0 {
 		o.stage = iopCPUGrant
@@ -127,9 +128,12 @@ func (o *iop) step() {
 		k.Fn()
 	case iopAfterDisk:
 		n, k := o.n, o.k
-		n.mQDepth.Observe(n.eng.Now(), float64(n.mInflight.Add(-1)))
+		if *o.errp != nil {
+			k = o.fail
+		}
+		n.noteComplete()
 		n.putIop(o)
-		k.Fn()
+		n.eng.Continue(k)
 	}
 }
 
@@ -140,22 +144,21 @@ func (o *iop) afterCPU() {
 	if !o.cached {
 		if o.k.P != nil {
 			// Terminal: the disk's end-of-service event wakes the issuer
-			// directly; inflight accounting closes in the caller's epilogue
-			// via NoteComplete.
-			d, off, size, write, errp, k := o.d, o.off, o.size, o.write, o.errp, o.k
+			// directly; inflight accounting closes in the caller's EndAccess.
+			d, off, size, write, errp, k, fail := o.d, o.off, o.size, o.write, o.errp, o.k, o.fail
 			n.putIop(o)
-			d.AccessAsync(off, size, write, errp, k)
+			d.AccessAsync(off, size, write, errp, k, fail)
 			return
 		}
 		o.stage = iopAfterDisk
-		o.d.AccessAsync(o.off, o.size, o.write, o.errp, sim.Step{Fn: o.stepFn})
+		o.d.AccessAsync(o.off, o.size, o.write, o.errp, sim.Step{Fn: o.stepFn}, sim.Step{Fn: o.stepFn})
 		return
 	}
 	o.cacheWait()
 }
 
-// cacheWait enforces the dirty-bytes bound, re-arming and waiting on the
-// cache-space signal exactly like the blocking path's wait loop.
+// cacheWait enforces the dirty-bytes bound: while the cache is full the
+// request waits on the cache-space signal, re-armed on each pass.
 func (o *iop) cacheWait() {
 	n := o.n
 	for n.dirty+o.size > n.par.CacheBytes && n.dirty > 0 {
@@ -166,31 +169,28 @@ func (o *iop) cacheWait() {
 		if n.cacheSpace.WaitFn(o.stepFn) {
 			return
 		}
-		// Already fired: continue inline, like WaitSignal on a fired signal.
+		// Already fired: re-check inline.
 	}
 	n.dirty += o.size
 	n.mWriteback.Add(o.size)
 	c := float64(o.size) * n.par.CacheCopyByteTime
 	if o.k.P != nil {
-		// Terminal: the end of the cache copy wakes the issuer; the caller's
-		// epilogue starts the drain (StartDrain), as the blocking path does
-		// inline after its copy delay.
+		// Terminal: the end of the cache copy wakes the issuer; its
+		// EndAccess starts the drain.
 		k := o.k
 		n.putIop(o)
 		n.eng.ScheduleStep(c, k)
 		return
 	}
+	o.stage = iopCopyDone
 	if c > 0 {
-		o.stage = iopCopyDone
 		n.eng.ScheduleStep(c, sim.Step{Fn: o.stepFn})
 		return
 	}
-	o.stage = iopCopyDone
 	o.step()
 }
 
-// drainOp is the pooled continuation of one write-behind drain — the
-// event-driven twin of the blocking path's spawned drain process.
+// drainOp is the pooled continuation of one write-behind drain.
 type drainOp struct {
 	n         *Node
 	d         *disk.Disk
@@ -218,14 +218,8 @@ func (n *Node) putDrainOp(o *drainOp) {
 	n.drains = append(n.drains, o)
 }
 
-// StartDrain queues the background disk write behind a cached write whose
-// terminal AccessAsync completed: the caller's half of the split epilogue.
-// The kick-off event lands where the blocking path's drain-process activation
-// does, so the event streams stay identical.
-func (n *Node) StartDrain(diskIdx int, off, size int64) {
-	n.startDrain(n.disks[diskIdx], off, size)
-}
-
+// startDrain queues the background disk write behind a cached write: one
+// kick-off event, then the disk request.
 func (n *Node) startDrain(d *disk.Disk, off, size int64) {
 	o := n.getDrainOp()
 	o.d, o.off, o.size = d, off, size
@@ -234,7 +228,8 @@ func (n *Node) startDrain(d *disk.Disk, off, size int64) {
 
 func (o *drainOp) start() {
 	o.err = nil
-	o.d.AccessAsync(o.off, o.size, true, &o.err, sim.Step{Fn: o.afterFn})
+	k := sim.Step{Fn: o.afterFn}
+	o.d.AccessAsync(o.off, o.size, true, &o.err, k, k)
 }
 
 func (o *drainOp) after() {
@@ -242,27 +237,39 @@ func (o *drainOp) after() {
 	if o.err != nil {
 		// The client already saw the write complete into the cache; losing
 		// the drain is unreported data loss, so it fail-stops the run rather
-		// than vanishing — same policy as the blocking drain's Abort.
+		// than vanishing.
 		n.eng.AbortRun(fmt.Errorf("ionode %s: write-behind drain: %w", n.name, o.err))
 		n.putDrainOp(o)
 		return
 	}
 	n.dirty -= o.size
-	n.mQDepth.Observe(n.eng.Now(), float64(n.mInflight.Add(-1)))
+	n.noteComplete()
 	if n.cacheSpace != nil && !n.cacheSpace.Fired() {
 		n.cacheSpace.Fire()
 	}
 	n.putDrainOp(o)
 }
 
-// WriteBehind reports whether writes go through the write-behind cache —
-// static per node, which lets callers of terminal AccessAsync requests pick
-// the matching epilogue ahead of time.
-func (n *Node) WriteBehind() bool { return n.par.CacheBytes > 0 }
+// EndAccess is the epilogue of a terminal AccessAsync, run by the woken
+// issuer with the request's error: it releases the drive and closes the
+// inflight accounting of a read or uncached write, or starts the drain of a
+// cached write. A failed request only closes the accounting, unless the
+// node refused it (ErrCrashed) before counting it.
+func (n *Node) EndAccess(diskIdx int, off, size int64, write bool, err error) {
+	switch {
+	case err != nil:
+		if !errors.Is(err, ErrCrashed) {
+			n.noteComplete()
+		}
+	case write && n.par.CacheBytes > 0:
+		n.startDrain(n.disks[diskIdx], off, size)
+	default:
+		n.disks[diskIdx].FinishAccess()
+		n.noteComplete()
+	}
+}
 
-// NoteComplete closes the inflight accounting of a terminal AccessAsync read
-// or uncached write: the caller's half of the split epilogue, at the instant
-// the blocking path would have observed the completion inline.
-func (n *Node) NoteComplete() {
+// noteComplete closes the inflight accounting of one request.
+func (n *Node) noteComplete() {
 	n.mQDepth.Observe(n.eng.Now(), float64(n.mInflight.Add(-1)))
 }

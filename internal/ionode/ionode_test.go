@@ -207,13 +207,27 @@ func TestBadDiskIndexPanics(t *testing.T) {
 
 func TestInvalidParamsRejected(t *testing.T) {
 	e := sim.NewEngine()
-	if _, err := New(e, "x", Params{}); err == nil {
-		t.Fatal("zero params accepted")
+	for _, tc := range []struct {
+		name string
+		edit func(*Params)
+	}{
+		{"zero params", func(p *Params) { *p = Params{} }},
+		{"zero disks", func(p *Params) { p.NumDisks = 0 }},
+		{"negative cache", func(p *Params) { p.CacheBytes = -1 }},
+		// A cached write completes at the end of its copy; without a copy
+		// cost it would have no event to complete on.
+		{"copy-free write-behind", func(p *Params) { p.CacheBytes = 1 << 20 }},
+	} {
+		par := testParams()
+		tc.edit(&par)
+		if _, err := New(e, "x", par); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 	par := testParams()
-	par.NumDisks = 0
-	if _, err := New(e, "x", par); err == nil {
-		t.Fatal("zero disks accepted")
+	par.CacheBytes, par.CacheCopyByteTime = 1<<20, 1e-9
+	if _, err := New(e, "x", par); err != nil {
+		t.Fatalf("write-behind with a copy cost rejected: %v", err)
 	}
 }
 
@@ -305,6 +319,7 @@ func TestNodeStallDelaysService(t *testing.T) {
 func TestWriteBehindDrainFailureAborts(t *testing.T) {
 	par := testParams()
 	par.CacheBytes = 1 << 20
+	par.CacheCopyByteTime = 1e-9
 	e, n := newNode(t, par)
 	e.Spawn("u", func(p *sim.Proc) {
 		n.Disk(0).SetFailed(true)

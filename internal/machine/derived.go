@@ -8,26 +8,14 @@ import (
 
 // Derived analytic rates. These fold the layered cost models into the
 // closed-form ceilings the roofline estimator (internal/roofline) reasons
-// with: aggregate spindle bandwidth, per-request disk positioning cost,
-// per-NIC link bandwidth and the client software path per interface. They
+// with: the spindle count, per-request disk positioning cost, link latency
+// and the client software path per interface. They
 // are derivations, not new calibration — every number traces back to the
 // Params structs above.
 
 // Spindles is the total number of disks behind the I/O partition.
 func (c *Config) Spindles() int {
 	return c.NumIO * c.Node.NumDisks
-}
-
-// DiskStreamBytesPerSec is the sustained transfer rate of one spindle,
-// excluding per-request overhead and seeks.
-func (c *Config) DiskStreamBytesPerSec() float64 {
-	return 1 / c.Node.Disk.ByteTime
-}
-
-// AggregateDiskBytesPerSec is the machine-wide streaming ceiling: all
-// spindles transferring flat out.
-func (c *Config) AggregateDiskBytesPerSec() float64 {
-	return float64(c.Spindles()) / c.Node.Disk.ByteTime
 }
 
 // DiskRequestSec is the non-transfer cost of one disk request: fixed
@@ -43,12 +31,6 @@ func (c *Config) DiskRequestSec(seekFrac float64) float64 {
 		t += d.SeekMin + (d.SeekMax-d.SeekMin)*f
 	}
 	return t
-}
-
-// LinkBytesPerSec is the serialized bandwidth of one NIC — the per-node
-// ceiling the network model enforces at the receiver.
-func (c *Config) LinkBytesPerSec() float64 {
-	return 1 / c.Net.ByteTime
 }
 
 // LinkLatencySec is the expected end-to-end message latency for a typical

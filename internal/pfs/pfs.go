@@ -53,7 +53,7 @@ type Resilience struct {
 }
 
 // IOError is the structured failure of one file-system operation after all
-// retries are exhausted. It is the cause passed to sim.Proc.Abort, so it
+// retries are exhausted. It is the cause passed to sim.Engine.AbortRun, so it
 // surfaces from Engine.Run wrapped in sim.ErrAborted with the underlying
 // device error still matchable via errors.Is/As.
 type IOError struct {
@@ -151,48 +151,61 @@ type FS struct {
 	mReqBytes  *stats.Histogram // per-chunk (stripe-unit-bounded) request size
 	mXferTime  *stats.Histogram // per-Transfer wall time in simulated us
 
-	// asyncOK gates the event-driven transfer path (see pfs_async.go): the
-	// node parameters must make every chunk's terminal event statically
-	// known — a write-behind cache with a zero-cost copy would complete a
-	// cached write with no timed event to hang the issuer's wake on.
-	asyncOK bool
-	// Free lists of pooled event-chain continuations and transfers.
+	// Free lists of pooled chunk chains and transfers. allXfers heads a list
+	// of every Xfer ever built, so a teardown can find the ones in flight.
 	chunkOps []*chunkOp
 	xfers    []*Xfer
+	allXfers *Xfer
 }
 
 // Xfer is one transfer in flight: the chunk list from range mapping, its
-// per-node grouping, and, on the event-driven path, what BeginTransfer
-// hands to EndTransfer. Xfers are pooled per FS and each in-flight transfer
-// owns one, so concurrent transfers never share backing arrays; recycling
-// them removes the per-call slice allocations from the hot path.
+// per-node grouping, and what BeginTransfer hands to EndTransfer. Xfers are
+// pooled per FS and each in-flight transfer owns one, so concurrent
+// transfers never share backing arrays; recycling them removes the per-call
+// slice allocations from the hot path.
 type Xfer struct {
 	start  float64 // virtual time the transfer began, for pfs.xfer_time
+	live   bool    // begun and not yet ended
+	built  *Xfer   // the Xfer built before this one (FS.allXfers)
 	chunks []Chunk
 	order  []int
 	lists  [][]Chunk
 
-	// Event-driven path only. term is the transfer's terminal event. A
-	// single-node transfer runs one terminal chain, op, whose last timed
-	// event is term itself. A multi-node one runs a chain per node and
-	// the last of the remaining chains to finish schedules term.
+	// term is the transfer's terminal event. A single-node transfer runs
+	// one terminal chain, op, whose last timed event is term itself. A
+	// multi-node one runs a chain per node and the last of the remaining
+	// chains to finish schedules term.
 	term      sim.Step
 	op        *chunkOp
 	remaining int
 }
 
 func (fs *FS) getXfer() *Xfer {
+	var x *Xfer
 	if n := len(fs.xfers); n > 0 {
-		x := fs.xfers[n-1]
+		x = fs.xfers[n-1]
 		fs.xfers = fs.xfers[:n-1]
-		return x
+	} else {
+		x = &Xfer{built: fs.allXfers}
+		fs.allXfers = x
 	}
-	return &Xfer{}
+	x.live = true
+	return x
 }
 
 func (fs *FS) putXfer(x *Xfer) {
-	x.term, x.op = sim.Step{}, nil
+	x.term, x.op, x.live = sim.Step{}, nil, false
 	fs.xfers = append(fs.xfers, x)
+}
+
+// endInFlight observes the pfs.xfer_time of every transfer still in
+// flight, ended now by the run's teardown.
+func (fs *FS) endInFlight() {
+	for x := fs.allXfers; x != nil; x = x.built {
+		if x.live {
+			fs.mXferTime.Observe((fs.eng.Now() - x.start) * 1e6)
+		}
+	}
 }
 
 // New builds a file system over the I/O partition of the network's
@@ -218,7 +231,6 @@ func New(eng *sim.Engine, net *network.Network, nodePar ionode.Params) (*FS, err
 		fs.nodeGlobal = append(fs.nodeGlobal, topo.IONode(i))
 	}
 	fs.nextFree = make([]int64, len(fs.nodes))
-	fs.asyncOK = nodePar.CacheBytes == 0 || nodePar.CacheCopyByteTime > 0
 	return fs, nil
 }
 
@@ -297,10 +309,17 @@ func (fs *FS) Lookup(name string) (*File, error) {
 
 // SetResilience enables client-side timeout/retry handling for all
 // subsequent transfers and registers the pfs.retries / pfs.timeouts /
-// pfs.aborted_ops counters.
+// pfs.aborted_ops counters. From then on a run torn down with transfers in
+// flight — the fail-stop of an exhausted policy, a failed write-behind
+// drain — ends each of them there, recording its pfs.xfer_time up to the
+// teardown.
+
 func (fs *FS) SetResilience(r Resilience) {
 	if r.TimeoutSec < 0 || r.Retries < 0 || r.BackoffSec < 0 {
 		panic(fmt.Sprintf("pfs: invalid resilience %+v", r))
+	}
+	if fs.resil == nil {
+		fs.eng.AtTeardown(fs.endInFlight)
 	}
 	fs.resil = &r
 	reg := fs.eng.Metrics()
@@ -308,9 +327,6 @@ func (fs *FS) SetResilience(r Resilience) {
 	fs.mTimeouts = reg.Counter("pfs.timeouts")
 	fs.mAborted = reg.Counter("pfs.aborted_ops")
 }
-
-// Resilience returns the active policy, or nil when fail-stop.
-func (fs *FS) Resilience() *Resilience { return fs.resil }
 
 // nodeShare returns the node-local bytes needed to hold a file of total
 // bytes under this layout.
@@ -388,7 +404,7 @@ func (f *File) MapRange(off, size int64) []Chunk {
 }
 
 // mapRange appends the chunks of [off, off+size) to dst — the scratch-reusing
-// form behind MapRange and Transfer.
+// form behind MapRange and BeginTransfer.
 func (f *File) mapRange(dst []Chunk, off, size int64) []Chunk {
 	if off < 0 || size < 0 {
 		panic(fmt.Sprintf("pfs: bad range off=%d size=%d", off, size))
@@ -424,40 +440,15 @@ func (f *File) mapRange(dst []Chunk, off, size int64) []Chunk {
 // Transfer moves [off, off+size) between the memory of the compute node
 // with topology index clientNode and the file, blocking p until all chunks
 // complete. Chunks for distinct I/O nodes proceed in parallel; chunks for
-// one node are issued in file order.
-//
-// When the FS is Chained the transfer is BeginTransfer, one Suspend and
-// EndTransfer: p is woken once. Otherwise (a resilience policy, or node
-// parameters with no statically known terminal event) each node's chunks
-// run on a blocked process.
+// one node are issued in file order. It is BeginTransfer, one Suspend and
+// EndTransfer: p is woken once, by the transfer's last event.
 func (f *File) Transfer(p *sim.Proc, clientNode int, off, size int64, write bool) {
 	if size == 0 {
 		return
 	}
-	fs := f.fs
-	if fs.Chained() {
-		x := f.BeginTransfer(clientNode, off, size, write, sim.Step{P: p})
-		p.Suspend() // the transfer's terminal event is our wake
-		f.EndTransfer(p, x)
-		return
-	}
-	x := f.prepare(off, size, write)
-	start := x.start // x returns to the pool before the deferred observation
-	defer func() { fs.mXferTime.Observe((p.Now() - start) * 1e6) }()
-	if len(x.order) == 1 {
-		f.serveNode(p, clientNode, x.lists[0], write)
-		fs.putXfer(x)
-		return
-	}
-	wg := sim.NewWaitGroup(p.Engine())
-	for i := range x.order {
-		list := x.lists[i]
-		wg.Go("pfs.xfer", func(c *sim.Proc) {
-			f.serveNode(c, clientNode, list, write)
-		})
-	}
-	wg.Wait(p)
-	fs.putXfer(x)
+	x := f.BeginTransfer(clientNode, off, size, write, sim.Step{P: p})
+	p.Suspend() // the transfer's terminal event is our wake
+	f.EndTransfer(x)
 }
 
 // prepare is the preamble every transfer shares: count it, map the range to
@@ -504,111 +495,3 @@ func (f *File) prepare(off, size int64, write bool) *Xfer {
 	x.order = order
 	return x
 }
-
-// serveNode performs an ordered chunk list against one I/O node. A chunk
-// that still fails after the resilience policy is exhausted fail-stops the
-// run with a structured IOError — never a panic.
-func (f *File) serveNode(p *sim.Proc, clientNode int, list []Chunk, write bool) {
-	for _, c := range list {
-		if err := f.chunkResilient(p, clientNode, c, write); err != nil {
-			p.Abort(err)
-		}
-	}
-}
-
-// doChunk performs one chunk end-to-end: request message, device access,
-// and (for reads) the data reply. It returns the device error, if any.
-func (f *File) doChunk(p *sim.Proc, clientNode int, c Chunk, write bool) error {
-	fs := f.fs
-	global := fs.nodeGlobal[c.Node]
-	nd := fs.nodes[c.Node]
-	if write {
-		// Data travels with the request to the I/O node.
-		fs.net.Send(p, clientNode, global, RequestMsgBytes+c.Len)
-		return nd.Access(p, c.Disk, c.DiskOff, c.Len, true)
-	}
-	fs.net.Send(p, clientNode, global, RequestMsgBytes)
-	if err := nd.Access(p, c.Disk, c.DiskOff, c.Len, false); err != nil {
-		return err
-	}
-	fs.net.Send(p, global, clientNode, c.Len)
-	return nil
-}
-
-// attemptChunk runs one attempt of a chunk under the per-request timeout.
-// The attempt executes in a child process racing a timer on a shared
-// signal: whichever settles first decides the outcome, and the loser sees
-// the settled flag and stands down. The attempt child is spawned before the
-// timer, so a tie resolves to success — deterministically, in virtual time.
-// An abandoned (timed-out) attempt keeps running: it still holds whatever
-// queue positions it reached, as a real straggler request would.
-func (f *File) attemptChunk(p *sim.Proc, clientNode int, c Chunk, write bool) error {
-	r := f.fs.resil
-	if r == nil || r.TimeoutSec <= 0 {
-		return f.doChunk(p, clientNode, c, write)
-	}
-	eng := p.Engine()
-	sig := sim.NewSignal(eng)
-	var (
-		settled  bool
-		timedOut bool
-		res      error
-	)
-	eng.Spawn("pfs.attempt", func(w *sim.Proc) {
-		err := f.doChunk(w, clientNode, c, write)
-		if !settled {
-			settled, res = true, err
-			sig.Fire()
-		}
-	})
-	eng.Spawn("pfs.timer", func(w *sim.Proc) {
-		w.Delay(r.TimeoutSec)
-		if !settled {
-			settled, timedOut = true, true
-			sig.Fire()
-		}
-	})
-	p.WaitSignal(sig)
-	if timedOut {
-		f.fs.mTimeouts.Inc()
-		return fmt.Errorf("%w after %gs (%s io%d)",
-			ErrRequestTimeout, r.TimeoutSec, opName(write), c.Node)
-	}
-	return res
-}
-
-// chunkResilient drives one chunk through the retry policy. Without a
-// policy it is a single fail-stop attempt. With one, each failure or
-// timeout is retried up to Retries times behind exponential backoff; only
-// exhaustion yields the structured IOError.
-func (f *File) chunkResilient(p *sim.Proc, clientNode int, c Chunk, write bool) error {
-	fs := f.fs
-	attempts := 1
-	if r := fs.resil; r != nil {
-		attempts = r.Retries + 1
-	}
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			fs.mRetries.Inc()
-			if back := fs.resil.BackoffSec * float64(int64(1)<<uint(i-1)); back > 0 {
-				p.Delay(back)
-			}
-		}
-		err := f.attemptChunk(p, clientNode, c, write)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-	}
-	if fs.mAborted == nil {
-		// Fail-stop without a policy: register the counter now, on the
-		// faulted path only, so healthy runs never list it.
-		fs.mAborted = fs.eng.Metrics().Counter("pfs.aborted_ops")
-	}
-	fs.mAborted.Inc()
-	return &IOError{Op: opName(write), Node: c.Node, Attempts: attempts, Time: p.Now(), Err: lastErr}
-}
-
-// TopologyIndexOf returns the global topology index of FS I/O node i.
-func (fs *FS) TopologyIndexOf(i int) int { return fs.nodeGlobal[i] }

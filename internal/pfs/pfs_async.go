@@ -1,70 +1,72 @@
-// Event-driven transfer path: the twin of the blocking serveNode/doChunk
-// pipeline.
+// The transfer path: every chunk of a transfer as a chain of engine events.
 //
 // BeginTransfer drives every chunk — request message, NIC contention, device
 // access, data reply — as engine events on a pooled continuation (chunkOp),
 // finishing with one terminal event: a wake of the issuing process, or a
 // callback when the issuer is itself an event chain (pio's prefetch). It
 // never blocks, so it can run inside a callback. EndTransfer is the epilogue
-// the terminal runs. Each event is placed at exactly the
-// (time, sequence) position where the blocking path parks and wakes a
-// process, so the two paths produce byte-identical simulation output; the
-// difference is purely mechanical — no process handoffs on the hot path,
-// which is where the kernel's wall-clock profile says the time goes.
+// the terminal runs. Transfer is the two around the issuer's Suspend.
 //
-// The equivalence argument, stage by stage:
-//   - Blocking chunks on one node run inline on one process; here they run
-//     inline on one chunkOp, scheduling the same delays in the same order.
-//   - A multi-node transfer spawns one process per node (one activation
-//     event each) and joins on a WaitGroup (one wake); here each node gets
-//     one kick-off event and the last chain to finish wakes the issuer.
+// The continuation rule: every stage but the last is a callback in the
+// (time, sequence) slot where a process paying the stages in turn would
+// wake; the last is the issuer's wake.
+//   - The chunks for one I/O node run in file order on one chunkOp.
+//   - A multi-node transfer runs one chain per node, each started by a
+//     zero-delay kick-off; the last chain to finish schedules the terminal
+//     as a zero-delay event.
 //   - The final timed event of a single-node transfer is the terminal
-//     itself, replacing the blocking path's last delay-wake one for one;
-//     EndTransfer then runs the epilogue (release/accounting calls the
-//     blocking path makes inline after that delay).
+//     itself; EndTransfer then runs the release and accounting calls the
+//     device layers leave to the woken issuer.
 //
-// The path is only taken when it cannot diverge (FS.Chained): no resilience
-// policy (the timeout/retry machinery is process-based) and parameters under
-// which the terminal event of every chunk is statically known (FS.asyncOK).
+// The client resilience policy is states of the same chain. A failed
+// attempt learns its error inline, where the device refused or failed it,
+// and goes straight on to the retry: after a backoff event, or inline when
+// the backoff is zero. Under a request timeout each attempt runs on its own
+// chunkOp racing a timer, both started by zero-delay kick-offs (the attempt
+// first, so a tie resolves to success); whichever finishes first settles the
+// race with one zero-delay continuation of the waiting chain, and the loser
+// stands down. An abandoned attempt keeps running: it still holds the queue
+// positions it reached, as a real straggler would, and releases them as it
+// finishes.
 package pfs
 
 import (
-	"errors"
+	"fmt"
 
-	"pario/internal/ionode"
 	"pario/internal/sim"
 )
 
 // chunkOp stages: what the next stepFn invocation does.
 const (
-	cStart           int8 = iota // kick-off event of a multi-node chain
+	cStart           int8 = iota // kick-off of a multi-node chain, or a backoff's end: attempt the chunk
+	cAttempt                     // kick-off of an attempt under a timeout: issue the chunk
 	cAtNIC                       // request setup paid: contend for the I/O-node NIC
 	cNICGranted                  // I/O-node NIC granted: start the bandwidth delay
 	cXferDone                    // request delivered: issue the device access
-	cAccessDone                  // device access finished (callback path)
+	cAccessDone                  // device access finished or failed (callback path)
 	cReplyAtNIC                  // reply setup paid: contend for the client NIC
 	cReplyNICGranted             // client NIC granted: start the reply bandwidth delay
 	cReplyDone                   // reply delivered: chunk complete
+	cSettled                     // an attempt under a timeout settled: go on, retry or abort
 )
 
-// Terminal-epilogue kinds of a single-node transfer: which release/accounting
-// calls EndTransfer must make, mirroring what the blocking path does inline
-// after its final delay.
+// Terminal-epilogue kinds of a single-node transfer: which release and
+// accounting calls EndTransfer makes.
 const (
-	kindNone      int8 = iota // nothing pending (local reply memcpy)
-	kindCacheCopy             // cached write: start the write-behind drain
-	kindDiskWrite             // uncached write: release the disk, close inflight
-	kindDiskRead              // local zero-cost reply: release disk, close inflight, account reply
+	kindNone      int8 = iota // nothing pending
+	kindNode                  // the device access was the last event: ionode EndAccess
+	kindLocalRead             // as kindNode, plus the zero-cost local reply's accounting
 	kindReplyNIC              // remote read: release the client NIC
 )
 
-// chunkOp drives an ordered chunk list against one I/O node. stepFn is bound
-// once at allocation and ops cycle through a per-FS free list, so a
-// steady-state transfer allocates only what the blocking path's shared
-// preamble does.
+// chunkOp drives an ordered chunk list against one I/O node — or, under a
+// request timeout, one attempt of one chunk. stepFn (and timerFn, on an
+// op's first attempt under a timeout) is bound once and ops cycle through a
+// per-FS free list, so a steady-state transfer allocates only what the
+// shared preamble does.
 type chunkOp struct {
 	f          *File
-	x          *Xfer
+	x          *Xfer // nil for an attempt
 	clientNode int
 	list       []Chunk
 	idx        int
@@ -76,6 +78,23 @@ type chunkOp struct {
 	kind       int8
 	stage      int8
 	stepFn     func()
+
+	// Resilience. tries counts the attempts made on list[idx]; timedOut
+	// marks err as the request timeout.
+	tries    int
+	timedOut bool
+
+	// An attempt under a timeout: owner is the chain it settles, nil once
+	// either leg has; legs counts the legs still running (the attempt and
+	// its timer); armed is set once the timer's delay is running. one holds
+	// the attempt's own copy of its chunk, which outlives the transfer when
+	// the attempt straggles.
+	owner   *chunkOp
+	legs    int8
+	armed   bool
+	timeout float64
+	one     [1]Chunk
+	timerFn func()
 }
 
 func (fs *FS) getChunkOp() *chunkOp {
@@ -94,113 +113,73 @@ func (fs *FS) putChunkOp(o *chunkOp) {
 	o.x = nil
 	o.list = nil
 	o.err = nil
+	o.owner = nil
+	o.legs, o.armed, o.timedOut = 0, false, false
 	fs.chunkOps = append(fs.chunkOps, o)
 }
 
-// Chained reports whether transfers run as event chains: BeginTransfer is
-// usable and Transfer wakes its caller once. It holds when no resilience
-// policy is set and the node parameters give every chunk a statically known
-// terminal event.
-func (fs *FS) Chained() bool { return fs.resil == nil && fs.asyncOK }
+// newChain returns a chain over list at its first chunk.
+func (fs *FS) newChain(f *File, x *Xfer, clientNode int, list []Chunk, write bool) *chunkOp {
+	o := fs.getChunkOp()
+	o.f, o.x, o.clientNode = f, x, clientNode
+	o.list, o.idx, o.write = list, 0, write
+	o.terminal = false
+	o.kind = kindNone
+	o.tries = 1
+	return o
+}
 
 // BeginTransfer starts moving [off, off+size) between the memory of the
 // compute node with topology index clientNode and the file, and returns at
-// once: it runs Transfer's preamble and starts the chunk chains, and never
-// blocks, so it may be called from an event callback. The transfer's last
-// event is term: a wake of a process parked in Suspend, or a callback. Either
-// must then call EndTransfer exactly once. size must be positive and the FS
-// Chained.
+// once: it runs the transfer's preamble and starts the chunk chains, and
+// never blocks, so it may be called from an event callback. The transfer's
+// last event is term: a wake of a process parked in Suspend, or a callback.
+// Either must then call EndTransfer exactly once. A chunk that still fails
+// once the resilience policy is exhausted fail-stops the run with an
+// IOError instead, and term never runs. size must be positive.
 func (f *File) BeginTransfer(clientNode int, off, size int64, write bool, term sim.Step) *Xfer {
-	fs := f.fs
-	if size <= 0 || !fs.Chained() {
-		panic("pfs: BeginTransfer needs a positive size on a chained FS")
+	if size <= 0 {
+		panic("pfs: BeginTransfer needs a positive size")
 	}
+	fs := f.fs
 	x := f.prepare(off, size, write)
 	x.term = term
 	if len(x.order) == 1 {
-		o := fs.getChunkOp()
-		o.f, o.x, o.clientNode = f, x, clientNode
-		o.list, o.idx, o.write = x.lists[0], 0, write
+		o := fs.newChain(f, x, clientNode, x.lists[0], write)
 		o.terminal = true
-		o.kind = kindNone
 		x.op = o
-		o.startChunk()
+		o.attempt()
 		return x
 	}
 	x.remaining = len(x.order)
 	for i := range x.order {
-		o := fs.getChunkOp()
-		o.f, o.x, o.clientNode = f, x, clientNode
-		o.list, o.idx, o.write = x.lists[i], 0, write
-		o.terminal = false
+		o := fs.newChain(f, x, clientNode, x.lists[i], write)
 		o.stage = cStart
-		// One kick-off event per node chain, where the blocking path
-		// schedules one process activation per node.
 		fs.eng.ScheduleStep(0, sim.Step{Fn: o.stepFn})
 	}
 	return x
 }
 
 // EndTransfer is the epilogue of a transfer started by BeginTransfer, run by
-// its terminal: the release and accounting calls the blocking path makes
-// inline after its final delay, then the pfs.xfer_time observation. A device
-// error fail-stops the run with the same structured IOError as the blocking
-// path: through p.Abort when the terminal woke process p, which does not
-// return, or through Engine.AbortRun when p is nil (a callback terminal), in
-// which case EndTransfer returns false.
-func (f *File) EndTransfer(p *sim.Proc, x *Xfer) bool {
+// its terminal: the release and accounting calls left to the issuer, then
+// the pfs.xfer_time observation.
+func (f *File) EndTransfer(x *Xfer) {
 	fs := f.fs
 	fs.mXferTime.Observe((fs.eng.Now() - x.start) * 1e6)
-	ok := true
-	if x.op != nil {
-		ok = f.finishTerminal(p, x.op)
+	if o := x.op; o != nil {
+		c := &o.list[len(o.list)-1]
+		switch o.kind {
+		case kindNode:
+			fs.nodes[c.Node].EndAccess(c.Disk, c.DiskOff, c.Len, o.write, nil)
+		case kindLocalRead:
+			fs.nodes[c.Node].EndAccess(c.Disk, c.DiskOff, c.Len, false, nil)
+			fs.net.AccountMsg(c.Len) // the reply is a zero-cost local copy
+		case kindReplyNIC:
+			fs.net.NIC(o.clientNode).Release()
+		}
+		fs.putChunkOp(o)
 	}
 	fs.putXfer(x)
-	return ok
-}
-
-// finishTerminal is the epilogue of a single-node chain, plus the
-// fail-stop that serveNode performs on a device error.
-func (f *File) finishTerminal(p *sim.Proc, o *chunkOp) bool {
-	fs := f.fs
-	c := &o.list[len(o.list)-1]
-	nd := fs.nodes[c.Node]
-	if o.err != nil {
-		if !errors.Is(o.err, ionode.ErrCrashed) {
-			// A device-level failure was accounted in flight at node entry;
-			// the blocking path closes that accounting inline on the error
-			// return. (A crashed node refused the request before accounting.)
-			nd.NoteComplete()
-		}
-		err := o.err
-		if fs.mAborted == nil {
-			fs.mAborted = fs.eng.Metrics().Counter("pfs.aborted_ops")
-		}
-		fs.mAborted.Inc()
-		ioerr := &IOError{Op: opName(o.write), Node: c.Node, Attempts: 1, Time: fs.eng.Now(), Err: err}
-		fs.putChunkOp(o)
-		if p != nil {
-			p.Abort(ioerr)
-		}
-		fs.eng.AbortRun(ioerr)
-		return false
-	}
-	switch o.kind {
-	case kindCacheCopy:
-		nd.StartDrain(c.Disk, c.DiskOff, c.Len)
-	case kindDiskWrite:
-		nd.Disk(c.Disk).FinishAccess()
-		nd.NoteComplete()
-	case kindDiskRead:
-		nd.Disk(c.Disk).FinishAccess()
-		nd.NoteComplete()
-		fs.net.AccountMsg(c.Len) // the reply is a zero-cost local copy
-	case kindReplyNIC:
-		fs.net.NIC(o.clientNode).Release()
-	case kindNone:
-	}
-	fs.putChunkOp(o)
-	return true
 }
 
 // step advances the continuation by one stage. It is the single callback the
@@ -208,6 +187,8 @@ func (f *File) finishTerminal(p *sim.Proc, o *chunkOp) bool {
 func (o *chunkOp) step() {
 	switch o.stage {
 	case cStart:
+		o.attempt()
+	case cAttempt:
 		o.startChunk()
 	case cAtNIC:
 		o.atNIC()
@@ -221,7 +202,7 @@ func (o *chunkOp) step() {
 		o.access()
 	case cAccessDone:
 		if o.err != nil {
-			o.fail()
+			o.accessFailed()
 			return
 		}
 		if o.write {
@@ -238,11 +219,145 @@ func (o *chunkOp) step() {
 			o.f.fs.net.NIC(o.clientNode).Release()
 		}
 		o.chunkDone()
+	case cSettled:
+		if o.timedOut {
+			o.timedOut = false
+			o.f.fs.mTimeouts.Inc()
+		}
+		if o.err != nil {
+			o.retry()
+			return
+		}
+		o.chunkDone()
 	}
 }
 
-// startChunk issues chunk list[idx]: account and send the request message
-// (data rides along for writes), exactly as the blocking doChunk's first Send.
+// attempt makes one attempt at chunk list[idx]. Without a request timeout
+// the chain issues it itself. With one, the attempt runs on its own chunkOp
+// racing a timer, and the chain waits for the race to settle.
+func (o *chunkOp) attempt() {
+	fs := o.f.fs
+	r := fs.resil
+	if r == nil || r.TimeoutSec <= 0 {
+		o.startChunk()
+		return
+	}
+	a := fs.getChunkOp()
+	a.f, a.x, a.clientNode, a.write = o.f, nil, o.clientNode, o.write
+	a.one[0] = o.list[o.idx]
+	a.list, a.idx = a.one[:], 0
+	a.terminal = false
+	a.owner, a.legs, a.timeout = o, 2, r.TimeoutSec
+	a.stage = cAttempt
+	if a.timerFn == nil {
+		a.timerFn = a.timer // bound on first use: most runs never race a timer
+	}
+	fs.eng.ScheduleStep(0, sim.Step{Fn: a.stepFn})
+	fs.eng.ScheduleStep(0, sim.Step{Fn: a.timerFn})
+}
+
+// timer is the timeout leg of an attempt: its kick-off starts the timeout
+// delay, whose end times the attempt out unless it has settled.
+func (a *chunkOp) timer() {
+	if !a.armed {
+		a.armed = true
+		a.f.fs.eng.ScheduleStep(a.timeout, sim.Step{Fn: a.timerFn})
+		return
+	}
+	if o := a.owner; o != nil {
+		a.owner = nil
+		o.timedOut = true
+		o.err = fmt.Errorf("%w after %gs (%s io%d)",
+			ErrRequestTimeout, a.timeout, opName(a.write), a.one[0].Node)
+		o.settle()
+	}
+	a.endLeg()
+}
+
+// attemptDone ends the attempt leg with its outcome, settling the race if
+// the timer has not.
+func (a *chunkOp) attemptDone(err error) {
+	if o := a.owner; o != nil {
+		a.owner = nil
+		o.err = err
+		o.settle()
+	}
+	a.endLeg()
+}
+
+func (a *chunkOp) endLeg() {
+	a.legs--
+	if a.legs == 0 {
+		a.f.fs.putChunkOp(a)
+	}
+}
+
+// settle continues the chain once a race has an outcome, with one
+// zero-delay event: the terminal itself when the last chunk of a
+// single-node transfer succeeded, otherwise the chain's cSettled stage.
+func (o *chunkOp) settle() {
+	eng := o.f.fs.eng
+	if o.err == nil && o.terminal && o.idx == len(o.list)-1 {
+		o.kind = kindNone // the attempt released everything it held
+		eng.ScheduleStep(0, o.x.term)
+		return
+	}
+	o.stage = cSettled
+	eng.ScheduleStep(0, sim.Step{Fn: o.stepFn})
+}
+
+// accessFailed handles a device error reported at the access: an attempt
+// settles its race with it; a chain closes the node accounting of a
+// terminal access and goes on to the retry.
+func (o *chunkOp) accessFailed() {
+	if o.legs > 0 {
+		o.attemptDone(o.err)
+		return
+	}
+	if o.kind != kindNone {
+		c := &o.list[o.idx]
+		o.f.fs.nodes[c.Node].EndAccess(c.Disk, c.DiskOff, c.Len, o.write, o.err)
+		o.kind = kindNone
+	}
+	o.retry()
+}
+
+// retry applies the resilience policy to the failed attempt at list[idx]:
+// another attempt after an exponential backoff (inline when the backoff is
+// zero), or, once the policy is exhausted — at once without one — the
+// fail-stop.
+func (o *chunkOp) retry() {
+	fs := o.f.fs
+	if r := fs.resil; r != nil && o.tries <= r.Retries {
+		fs.mRetries.Inc()
+		back := r.BackoffSec * float64(int64(1)<<uint(o.tries-1))
+		o.tries++
+		if back > 0 {
+			o.stage = cStart
+			fs.eng.ScheduleStep(back, sim.Step{Fn: o.stepFn})
+			return
+		}
+		o.attempt()
+		return
+	}
+	o.abort()
+}
+
+// abort fail-stops the run with the structured IOError.
+func (o *chunkOp) abort() {
+	c := &o.list[o.idx]
+	fs := o.f.fs
+	if fs.mAborted == nil {
+		// Fail-stop without a policy: register the counter now, on the
+		// faulted path only, so healthy runs never list it.
+		fs.mAborted = fs.eng.Metrics().Counter("pfs.aborted_ops")
+	}
+	fs.mAborted.Inc()
+	fs.eng.AbortRun(&IOError{Op: opName(o.write), Node: c.Node, Attempts: o.tries, Time: fs.eng.Now(), Err: o.err})
+}
+
+// startChunk issues chunk list[idx]: account and send the request message,
+// data riding along for writes.
 func (o *chunkOp) startChunk() {
 	c := &o.list[o.idx]
 	fs := o.f.fs
@@ -274,8 +389,8 @@ func (o *chunkOp) startChunk() {
 	o.atNIC()
 }
 
-// atNIC contends for the destination NIC, recording the stall the blocking
-// Send observes when the interface is busy.
+// atNIC contends for the destination NIC, recording a stall when the
+// interface is busy, as network.Send does.
 func (o *chunkOp) atNIC() {
 	fs := o.f.fs
 	nic := fs.net.NIC(fs.nodeGlobal[o.list[o.idx].Node])
@@ -295,41 +410,34 @@ func (o *chunkOp) nicGranted() {
 
 // access issues the device access. The last chunk of a terminal chain passes
 // the transfer's terminal down as the continuation: the device layer's final
-// timed event becomes the terminal, and finishTerminal runs the matching
-// epilogue.
+// timed event becomes the terminal, and EndTransfer runs the matching
+// epilogue. A failure continues at cAccessDone either way, inline.
 func (o *chunkOp) access() {
 	c := &o.list[o.idx]
 	fs := o.f.fs
 	nd := fs.nodes[c.Node]
 	o.err = nil
-	last := o.terminal && o.idx == len(o.list)-1
-	if o.write {
-		if last {
-			if nd.WriteBehind() {
-				o.kind = kindCacheCopy
-			} else {
-				o.kind = kindDiskWrite
-			}
-			nd.AccessAsync(c.Disk, c.DiskOff, c.Len, true, &o.err, o.x.term)
+	o.kind = kindNone
+	o.stage = cAccessDone
+	k := sim.Step{Fn: o.stepFn}
+	if o.terminal && o.idx == len(o.list)-1 {
+		switch {
+		case o.write:
+			o.kind = kindNode
+		case o.clientNode == fs.nodeGlobal[c.Node] && fs.net.Params().MemCopyByteTime == 0:
+			// The reply would be a zero-cost local copy: the disk's end of
+			// service is the chain's final timed event.
+			o.kind = kindLocalRead
+		}
+		if o.kind != kindNone {
+			nd.AccessAsync(c.Disk, c.DiskOff, c.Len, o.write, &o.err, o.x.term, k)
 			return
 		}
-		o.stage = cAccessDone
-		nd.AccessAsync(c.Disk, c.DiskOff, c.Len, true, &o.err, sim.Step{Fn: o.stepFn})
-		return
 	}
-	if last && o.clientNode == fs.nodeGlobal[c.Node] && fs.net.Params().MemCopyByteTime == 0 {
-		// The reply would be a zero-cost local copy: the disk's end of
-		// service is the chain's final timed event.
-		o.kind = kindDiskRead
-		nd.AccessAsync(c.Disk, c.DiskOff, c.Len, false, &o.err, o.x.term)
-		return
-	}
-	o.stage = cAccessDone
-	nd.AccessAsync(c.Disk, c.DiskOff, c.Len, false, &o.err, sim.Step{Fn: o.stepFn})
+	nd.AccessAsync(c.Disk, c.DiskOff, c.Len, o.write, &o.err, k, k)
 }
 
-// reply sends the read data back to the client, as the blocking doChunk's
-// second Send.
+// reply sends the read data back to the client.
 func (o *chunkOp) reply() {
 	c := &o.list[o.idx]
 	fs := o.f.fs
@@ -387,15 +495,21 @@ func (o *chunkOp) replyNICGranted() {
 	fs.eng.ScheduleStep(o.xfer, sim.Step{Fn: o.stepFn})
 }
 
-// chunkDone advances to the next chunk of the chain, or completes the chain.
+// chunkDone completes chunk list[idx]: an attempt settles its race; a chain
+// goes on to its next chunk, or completes.
 func (o *chunkOp) chunkDone() {
+	if o.legs > 0 {
+		o.attemptDone(nil)
+		return
+	}
 	o.idx++
 	if o.idx < len(o.list) {
-		o.startChunk()
+		o.tries = 1
+		o.attempt()
 		return
 	}
 	if o.terminal {
-		// The last chunk of a terminal chain completes via finishTerminal,
+		// The last chunk of a terminal chain completes in EndTransfer,
 		// never here.
 		panic("pfs: terminal chunk fell through")
 	}
@@ -406,18 +520,4 @@ func (o *chunkOp) chunkDone() {
 	if x.remaining == 0 {
 		fs.eng.ScheduleStep(0, x.term)
 	}
-}
-
-// fail fail-stops the run on a device error, as serveNode does without a
-// resilience policy: same structured IOError, same abort accounting.
-func (o *chunkOp) fail() {
-	c := &o.list[o.idx]
-	fs := o.f.fs
-	if fs.mAborted == nil {
-		fs.mAborted = fs.eng.Metrics().Counter("pfs.aborted_ops")
-	}
-	fs.mAborted.Inc()
-	ioerr := &IOError{Op: opName(o.write), Node: c.Node, Attempts: 1, Time: fs.eng.Now(), Err: o.err}
-	fs.putChunkOp(o)
-	fs.eng.AbortRun(ioerr)
 }

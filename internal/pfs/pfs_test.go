@@ -424,7 +424,7 @@ func TestDegradedIONodeStretchesStripedRead(t *testing.T) {
 	run := func(degrade bool) float64 {
 		e, fs := newFS(t, 4)
 		if degrade {
-			fs.IONode(2).Disk(0).Degrade(8)
+			fs.IONode(2).Disk(0).SetDegrade(8)
 		}
 		f, err := fs.Create("a", Layout{StripeUnit: 65536, StripeFactor: 4, FirstNode: 0}, 4<<20)
 		if err != nil {

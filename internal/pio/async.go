@@ -20,45 +20,30 @@ type AsyncRead struct {
 // prefetching versions ("we take into account the I/O, wait and copy
 // times").
 //
-// On a chained file system the read is a chain of engine callbacks — its
-// activation, the call overhead, the transfer — whose terminal callback
-// completes it; no process runs it. A resilience policy needs a blocked
-// process for its retries, so there the read runs on a spawned one.
+// The read is a chain of engine callbacks — its activation, the call
+// overhead, the transfer — whose terminal callback completes it; no process
+// runs it, under a resilience policy too: retries and request timeouts are
+// stages of the transfer's chain.
 func (h *Handle) ReadAsync(off, n int64) *AsyncRead {
 	eng := h.engine()
 	ar := &AsyncRead{h: h, off: off, n: n, done: sim.NewSignal(eng)}
 	o := h.c.getOp(h, off, n, false)
 	o.ar = ar
 	o.stage = opCall
-	o.chain = n > 0 && h.c.fs.Chained()
-	if h.c.fs.Chained() {
-		// The activation is a callback in the slot a spawned process's
-		// activation would take.
-		eng.ScheduleStep(0, sim.Step{Fn: o.stepFn})
-		return ar
-	}
-	eng.Spawn("pio.prefetch", func(bg *sim.Proc) {
-		o.p = bg
-		o.run(bg)
-		h.c.putOp(o)
-		ar.done.Fire()
-	})
+	eng.ScheduleStep(0, sim.Step{Fn: o.stepFn})
 	return ar
 }
 
-// finishPrefetch completes a chained prefetch in its terminal callback: the
-// transfer's epilogue, then the completion signal. A device error has
-// already fail-stopped the run, so the signal stays unfired.
+// finishPrefetch completes a prefetch in its terminal callback: the
+// transfer's epilogue, then the completion signal. A transfer that fails
+// fail-stops the run instead, so its prefetch never gets here.
 func (o *ioOp) finishPrefetch() {
-	ok := true
 	if o.x != nil {
-		ok = o.h.f.EndTransfer(nil, o.x)
+		o.h.f.EndTransfer(o.x)
 	}
 	ar := o.ar
 	o.h.c.putOp(o)
-	if ok {
-		ar.done.Fire()
-	}
+	ar.done.Fire()
 }
 
 // engine digs the simulation engine out of the client's resources.

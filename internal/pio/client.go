@@ -23,7 +23,9 @@
 // A data call's stages (positioning seek, call overhead, striped transfer)
 // run as one pooled continuation (see op.go): every stage but the last is an
 // engine callback and the last is the caller's single wake, so a call costs
-// one process resume however many stages it has.
+// one process resume however many stages it has — under a fault plan's
+// resilience policy too, whose retries and request timeouts are stages of
+// the transfer's chain in pfs.
 package pio
 
 import (

@@ -15,23 +15,21 @@ import (
 // as a process paying them one Delay at a time; only the number of process
 // resumes differs. The rule, the one pfs's chunk chains follow:
 //   - a stage with zero cost runs inline and schedules nothing, as a
-//     blocking caller skips a zero Delay;
+//     caller skips a zero Delay;
 //   - a delay that is not the call's last event is a callback (sim.Step Fn)
 //     that runs the next stage;
-//   - the last event is the issuer's wake (sim.Step P). When the transfer
-//     runs as an event chain (pfs.FS.Chained) that is the transfer's
-//     terminal and the woken issuer runs pfs.File.EndTransfer. Otherwise
-//     the last delay is the wake and the issuer calls the blocking Transfer.
+//   - the last event is the issuer's wake (sim.Step P): the transfer's
+//     terminal, after which the woken issuer runs pfs.File.EndTransfer, or,
+//     for a call of zero bytes, its last delay.
 //
-// A chained prefetch has no issuing process: every event is a callback and
-// the terminal callback completes the prefetch.
+// A prefetch has no issuing process: every event is a callback and the
+// transfer's terminal callback completes the prefetch.
 type ioOp struct {
 	h      *Handle
-	p      *sim.Proc  // issuer woken by the last event; nil for a chained prefetch
+	p      *sim.Proc  // issuer woken by the last event; nil for a prefetch
 	ar     *AsyncRead // the prefetch this op completes, or nil
 	off, n int64
 	write  bool
-	chain  bool // the transfer runs as an event chain
 	stage  int8
 	t0     float64 // start of the timed operation: the seek, then the data call
 	x      *pfs.Xfer
@@ -70,7 +68,6 @@ func (h *Handle) call(p *sim.Proc, off, n int64, write bool) {
 	c := h.c
 	o := c.getOp(h, off, n, write)
 	o.p = p
-	o.chain = n > 0 && c.fs.Chained()
 	o.stage = opSeek
 	o.run(p)
 	start := o.t0
@@ -90,15 +87,13 @@ func (o *ioOp) run(p *sim.Proc) {
 		p.Suspend()
 	}
 	if o.x != nil {
-		o.h.f.EndTransfer(p, o.x)
-		return
+		o.h.f.EndTransfer(o.x)
 	}
-	o.h.f.Transfer(p, o.h.c.node, o.off, o.n, o.write)
 }
 
-// step is the callback for every stage but the last. Only a chained
-// prefetch reaches its end here: for any other op the last event wakes the
-// issuer, which finishes in run.
+// step is the callback for every stage but the last. Only a prefetch
+// reaches its end here: for any other op the last event wakes the issuer,
+// which finishes in run.
 func (o *ioOp) step() {
 	if !o.advance() {
 		o.finishPrefetch()
@@ -120,7 +115,7 @@ func (o *ioOp) advance() bool {
 				o.t0 = now
 				o.stage = opSeekDone
 				if c.par.SeekSec > 0 {
-					o.after(c.par.SeekSec, o.callSec() == 0 && !o.chain)
+					o.after(c.par.SeekSec, o.callSec() == 0 && o.n == 0)
 					return true
 				}
 			}
@@ -135,12 +130,12 @@ func (o *ioOp) advance() bool {
 			o.t0 = now
 			o.stage = opCallDone
 			if d := o.callSec(); d > 0 {
-				o.after(d, !o.chain)
+				o.after(d, o.n == 0)
 				return true
 			}
 		case opCallDone:
 			o.stage = opDone
-			if o.chain {
+			if o.n > 0 {
 				term := sim.Step{P: o.p}
 				if o.p == nil {
 					term = sim.Step{Fn: o.stepFn}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -75,7 +76,7 @@ func TestAbortFirstCauseWins(t *testing.T) {
 }
 
 // TestAbortFromChildProc: an abort from a process spawned inside another
-// process (the pfs chunk-server shape) unwinds everything, including the
+// process unwinds everything, including the
 // blocked parent.
 func TestAbortFromChildProc(t *testing.T) {
 	eng := NewEngine()
@@ -99,5 +100,58 @@ func TestAbortNilCause(t *testing.T) {
 	eng.Spawn("p", func(p *Proc) { p.Abort(nil) })
 	if err := eng.Run(); err == nil {
 		t.Fatal("Run() = nil after Abort(nil)")
+	}
+}
+
+// TestAtTeardownRunsOnceBeforeUnwind: a teardown hook runs once when an
+// aborted run is torn down, at the abort's instant and before the blocked
+// processes unwind, and not at all on a run that drains.
+func TestAtTeardownRunsOnceBeforeUnwind(t *testing.T) {
+	eng := NewEngine()
+	var log []string
+	eng.AtTeardown(func() { log = append(log, "hook") })
+	eng.Spawn("blocked", func(p *Proc) {
+		defer func() { log = append(log, "unwind") }()
+		p.Suspend() // never woken
+	})
+	eng.After(2, func() {
+		eng.AtTeardown(func() { log = append(log, "hook2") })
+		eng.AbortRun(errors.New("fail-stop"))
+	})
+	if err := eng.Run(); !errors.Is(err, ErrAborted) {
+		t.Fatalf("Run() = %v, want ErrAborted", err)
+	}
+	eng.Stop() // a second teardown runs no hook again
+	if got := strings.Join(log, " "); got != "hook hook2 unwind" {
+		t.Fatalf("teardown order = %q, want %q", got, "hook hook2 unwind")
+	}
+
+	clean := NewEngine()
+	clean.AtTeardown(func() { t.Error("hook ran on a run that drained") })
+	clean.Spawn("p", func(p *Proc) { p.Delay(1) })
+	if err := clean.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestContinue: a callback continuation runs inline, a process one is
+// woken by a zero-delay event.
+func TestContinue(t *testing.T) {
+	eng := NewEngine()
+	inline := false
+	eng.Spawn("p", func(p *Proc) {
+		eng.Continue(Step{Fn: func() { inline = true }})
+		if !inline {
+			t.Error("Fn continuation did not run inline")
+		}
+		before := eng.Events()
+		eng.Continue(Step{P: p})
+		p.Suspend()
+		if got := eng.Events() - before; got != 1 {
+			t.Errorf("P continuation took %d events, want 1", got)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

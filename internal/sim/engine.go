@@ -71,6 +71,9 @@ type Engine struct {
 	// down. Nil on every healthy run.
 	abortErr error
 
+	// teardown holds the AtTeardown hooks, run once by the first killAll.
+	teardown []func()
+
 	metrics *stats.Registry
 	wallSec float64 // real time spent inside Run
 }
@@ -264,6 +267,16 @@ func (e *Engine) AbortRun(err error) {
 	if e.abortErr == nil {
 		e.abortErr = err
 	}
+}
+
+// AtTeardown registers fn to run when the simulation is torn down with its
+// processes killed — after an abort, an interrupt, a deadlock, a panic or
+// Stop — just before the blocked processes unwind. It is the unwind of
+// work that runs as event chains rather than on a process: an operation
+// still in flight can close its accounting there, as a process would in a
+// deferred call. Each hook runs once, in registration order.
+func (e *Engine) AtTeardown(fn func()) {
+	e.teardown = append(e.teardown, fn)
 }
 
 // next removes and returns the earliest event across the ring and the heap,
@@ -500,6 +513,11 @@ func (e *Engine) liveInSpawnOrder(exclude *Proc) []*Proc {
 // defer) spawned new processes. A panic in a victim's unwind is trapped for
 // Run and reaping continues, so one bad defer strands no other process.
 func (e *Engine) killAll() {
+	hooks := e.teardown
+	e.teardown = nil
+	for _, fn := range hooks {
+		fn()
+	}
 	caller := e.current
 	for {
 		victims := e.liveInSpawnOrder(caller)

@@ -33,3 +33,15 @@ func (e *Engine) ScheduleStep(d float64, k Step) {
 	}
 	e.schedule(e.now+d, k.Fn, k.P)
 }
+
+// Continue runs k at the current instant: Fn inline, P by a zero-delay wake.
+// It is how an operation hands on an outcome it learned without waiting,
+// such as a refused request: a callback chain goes on with no event of its
+// own, while a parked process still needs its wake.
+func (e *Engine) Continue(k Step) {
+	if k.Fn != nil {
+		k.Fn()
+		return
+	}
+	e.ScheduleStep(0, k)
+}
