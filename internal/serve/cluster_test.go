@@ -18,11 +18,16 @@ import (
 
 // clusterPair boots two in-process servers wired into one two-node ring.
 // httptest assigns the addresses, so the ring is installed after the fact
-// via SetCluster — the same late-binding seam pariod uses.
-func clusterPair(t *testing.T) (srvs [2]*Server, tss [2]*httptest.Server, rings [2]*cluster.Ring) {
+// via SetCluster — the same late-binding seam pariod uses. An optional
+// Options replaces node 0's default ones.
+func clusterPair(t *testing.T, node0 ...Options) (srvs [2]*Server, tss [2]*httptest.Server, rings [2]*cluster.Ring) {
 	t.Helper()
 	for i := range srvs {
-		srvs[i] = New(Options{Workers: 2, QueueDepth: 8})
+		opts := Options{Workers: 2, QueueDepth: 8}
+		if i == 0 && len(node0) > 0 {
+			opts = node0[0]
+		}
+		srvs[i] = New(opts)
 		tss[i] = httptest.NewServer(srvs[i].Handler())
 		t.Cleanup(tss[i].Close)
 		s := srvs[i]
