@@ -56,9 +56,6 @@ var defaultCapture atomic.Bool
 // and is only wanted when a trace is being emitted.
 func SetDefaultCapture(on bool) { defaultCapture.Store(on) }
 
-// DefaultCapture returns the process-wide capture default.
-func DefaultCapture() bool { return defaultCapture.Load() }
-
 // NewSystem builds a machine with procs application ranks.
 func NewSystem(cfg *machine.Config, procs int) (*System, error) {
 	if err := cfg.Validate(); err != nil {

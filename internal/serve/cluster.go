@@ -63,24 +63,7 @@ var errPeerUnavailable = errors.New("serve: peer unavailable")
 // SetCluster installs (or replaces) the peer ring. Call before serving
 // traffic, or from tests that learn their listen addresses late; nil
 // reverts to single-node operation.
-func (s *Server) SetCluster(ring *cluster.Ring) {
-	if ring == nil {
-		s.ring.Store((*clusterRing)(nil))
-		return
-	}
-	s.ring.Store(&clusterRing{ring})
-}
-
-// clusterRing wraps cluster.Ring so atomic.Pointer has a concrete local
-// type; a nil *clusterRing (or nil inner ring) means single-node.
-type clusterRing struct{ *cluster.Ring }
-
-func (s *Server) clusterOf() *cluster.Ring {
-	if cr := s.ring.Load(); cr != nil && cr.Ring != nil {
-		return cr.Ring
-	}
-	return nil
-}
+func (s *Server) SetCluster(ring *cluster.Ring) { s.ring.Store(ring) }
 
 // fetchFromOwner posts canon to owner's /run with the loop-guard header,
 // the effective timeout, and the admission lane. The caller owns the
@@ -107,7 +90,7 @@ func (s *Server) fetchFromOwner(ctx context.Context, owner cluster.Node, canon R
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardedByHeader, s.clusterOf().Self().URL)
+	req.Header.Set(forwardedByHeader, s.ring.Load().Self().URL)
 	client := http.Client{Transport: s.peerTransport}
 	if ln == LaneBatch {
 		// A proxied sweep point may wait in the owner's batch queue for
@@ -131,60 +114,62 @@ func (s *Server) fetchFromOwner(ctx context.Context, owner cluster.Node, canon R
 	return resp, nil
 }
 
-// proxyRun forwards an interactive /run to the key's owner and relays the
-// answer — status, contract headers and body bytes — end to end. An
-// unavailable owner falls back to running the key locally: the body is
-// byte-identical wherever it is computed.
-func (s *Server) proxyRun(w http.ResponseWriter, r *http.Request, canon Request, key string, timeout time.Duration) {
-	ring := s.clusterOf()
-	owner := ring.Owner(key)
-	resp, err := s.fetchFromOwner(r.Context(), owner, canon, timeout, LaneInteractive)
-	if err != nil {
-		if r.Context().Err() != nil {
-			// The client is gone; nobody is owed a fallback simulation.
-			s.canceled.Add(1)
-			http.Error(w, r.Context().Err().Error(), http.StatusGatewayTimeout)
-			return
-		}
-		s.peerLocalFallback.Add(1)
-		s.localRun(w, r, canon, key, timeout, LaneInteractive)
-		return
+// ownerError is an owner's non-200 answer that does not justify a local
+// fallback: a timeout, a failure, a refusal. /run relays it verbatim — a
+// proxied timeout returns the owner's 504, a proxied failure its
+// structured 500 — and a sweep line reads it as the failure the local
+// path would have produced: a 504 is canceled, a structured body carries
+// its class, anything else is internal.
+type ownerError struct {
+	status int
+	header http.Header
+	body   []byte
+	err    error // classified, for core.ErrorClass and the sweep line
+}
+
+func newOwnerError(owner string, resp *http.Response, raw []byte) *ownerError {
+	msg := string(bytes.TrimSpace(raw))
+	var eb errorBody
+	structured := json.Unmarshal(raw, &eb) == nil && eb.Class != ""
+	if structured {
+		msg = eb.Error
+	} else if resp.StatusCode != http.StatusGatewayTimeout {
+		msg = fmt.Sprintf("status %d: %s", resp.StatusCode, msg)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		// The exchange died mid-body; no bytes are committed yet, so the
-		// local fallback still produces a clean response.
-		s.peerProxyErr.Add(1)
-		s.peerLocalFallback.Add(1)
-		s.localRun(w, r, canon, key, timeout, LaneInteractive)
-		return
+	err := fmt.Errorf("peer %s: %s", owner, msg)
+	switch {
+	case resp.StatusCode == http.StatusGatewayTimeout:
+		err = core.Classify("canceled", err)
+	case structured:
+		err = core.Classify(eb.Class, err)
 	}
-	s.peerProxied.Add(1)
-	if resp.StatusCode == http.StatusOK {
-		// Bank the proxied body: determinism makes replication sound, so
-		// the next identical request on this node is a local (L1/L2) hit.
-		s.cachePut(key, body)
-	}
+	return &ownerError{status: resp.StatusCode, header: resp.Header, body: raw, err: err}
+}
+
+func (e *ownerError) Error() string { return e.err.Error() }
+func (e *ownerError) Unwrap() error { return e.err }
+
+// relay writes the owner's answer: status, contract headers and body bytes.
+func (e *ownerError) relay(w http.ResponseWriter) {
 	h := w.Header()
 	for _, name := range []string{"Content-Type", "X-Pario-Cache", "X-Pario-Key", "Retry-After", ownerHeader} {
-		if v := resp.Header.Get(name); v != "" {
+		if v := e.header.Get(name); v != "" {
 			h.Set(name, v)
 		}
 	}
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(body)
+	h.Set("Content-Length", strconv.Itoa(len(e.body)))
+	w.WriteHeader(e.status)
+	_, _ = w.Write(e.body)
 }
 
-// peerPoint serves one sweep point whose key another node owns: fetch from
-// the owner on its batch lane, bank the body locally, and translate
-// failure answers into the same classified errors the local path yields.
-// errPeerUnavailable asks the caller to fall back to local execution.
-func (s *Server) peerPoint(ctx context.Context, p SweepPoint, timeout time.Duration) (body []byte, source string, err error) {
-	ring := s.clusterOf()
-	owner := ring.Owner(p.Key)
-	resp, err := s.fetchFromOwner(ctx, owner, p.Req, timeout, LaneBatch)
+// fromOwner is point's owner step: fetch key from owner on lane ln. A 200
+// banks the body in both cache tiers — determinism makes replication
+// sound, so the next identical request here is a local hit — and returns
+// the owner's X-Pario-Cache as the source. Any other answer comes back as
+// an *ownerError; an unreachable owner or a body that dies mid-read as
+// errPeerUnavailable.
+func (s *Server) fromOwner(ctx context.Context, owner cluster.Node, req Request, key string, timeout time.Duration, ln Lane) ([]byte, string, error) {
+	resp, err := s.fetchFromOwner(ctx, owner, req, timeout, ln)
 	if err != nil {
 		return nil, "", err
 	}
@@ -195,22 +180,9 @@ func (s *Server) peerPoint(ctx context.Context, p SweepPoint, timeout time.Durat
 		return nil, "", fmt.Errorf("%w: %s: %v", errPeerUnavailable, owner.URL, err)
 	}
 	s.peerProxied.Add(1)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		s.cachePut(p.Key, raw)
-		return raw, resp.Header.Get("X-Pario-Cache"), nil
-	case http.StatusGatewayTimeout:
-		// The owner's run timed out: the same outcome class the local
-		// path's context deadline produces.
-		return nil, "", core.Classify("canceled",
-			fmt.Errorf("peer %s: %s", owner.URL, bytes.TrimSpace(raw)))
-	default:
-		// Structured owner failures carry {error, class}; relay the class
-		// so the sweep line is indistinguishable from a local failure.
-		var eb errorBody
-		if jsonErr := json.Unmarshal(raw, &eb); jsonErr == nil && eb.Class != "" {
-			return nil, "", core.Classify(eb.Class, fmt.Errorf("peer %s: %s", owner.URL, eb.Error))
-		}
-		return nil, "", fmt.Errorf("peer %s: status %d: %s", owner.URL, resp.StatusCode, bytes.TrimSpace(raw))
+	if resp.StatusCode != http.StatusOK {
+		return nil, "", newOwnerError(owner.URL, resp, raw)
 	}
+	s.cachePut(key, raw)
+	return raw, resp.Header.Get("X-Pario-Cache"), nil
 }

@@ -224,9 +224,8 @@ func TestPointPathsAgree(t *testing.T) {
 		deltas [2]map[string]int64
 	}
 	const (
-		jsonCT  = "application/json"
-		ndjson  = "application/x-ndjson"
-		plainCT = "text/plain; charset=utf-8"
+		jsonCT = "application/json"
+		ndjson = "application/x-ndjson"
 	)
 	fwd := func(e *pointEnv, lane string) map[string]string {
 		h := map[string]string{forwardedByHeader: e.tss[1].URL}
@@ -297,12 +296,7 @@ func TestPointPathsAgree(t *testing.T) {
 			},
 		},
 		{
-			name: "run/hit", seam: seamOK,
-			setup: func(t *testing.T, e *pointEnv) {
-				if resp, b := e.post(t, 0, "", e.fftJSON(), nil); resp.StatusCode != 200 {
-					t.Fatalf("warm-up: %d %s", resp.StatusCode, b)
-				}
-			},
+			name: "run/hit", seam: seamOK, setup: warmOwner,
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{200, e.body, runHdr("hit", "{key}", "", jsonCT), [2]map[string]int64{
@@ -324,6 +318,27 @@ func TestPointPathsAgree(t *testing.T) {
 				return want{200, sweepStream(SweepLine{Key: e.key, Cache: "miss", Body: e.body}, okSum), sweepHdr, [2]map[string]int64{
 					c("requests_total", 1, "cache_misses", 1, "peer_served_total", 1, "runs_total", 1, "batch_done_total", 1, "cache_entries", 1),
 					c("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxied_total", 1, "cache_entries", 1)}}
+			},
+		},
+		{
+			// The owner answers from its cache: a hit there, not a served
+			// forward; the proxy relays the owner's X-Pario-Cache.
+			name: "run/proxied-owner-hit", seam: seamOK, setup: warmOwner,
+			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
+			want: func(e *pointEnv) want {
+				return want{200, e.body, runHdr("hit", "{key}", "", jsonCT), [2]map[string]int64{
+					c("requests_total", 1, "cache_hits", 1),
+					c("requests_total", 1, "peer_proxied_total", 1, "cache_entries", 1)}}
+			},
+		},
+		{
+			name: "sweep/proxied-owner-hit", seam: seamOK, setup: warmOwner,
+			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.fftQuery()) },
+			want: func(e *pointEnv) want {
+				return want{200, sweepStream(SweepLine{Key: e.key, Cache: "hit", Body: e.body}, SweepSummary{Done: true, Points: 1, OK: 1, CacheHits: 1}), sweepHdr, [2]map[string]int64{
+					c("requests_total", 1, "cache_hits", 1),
+					c("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxied_total", 1,
+						"sweep_points_cached_total", 1, "cache_entries", 1)}}
 			},
 		},
 		{
@@ -354,7 +369,7 @@ func TestPointPathsAgree(t *testing.T) {
 				return e.post(t, 0, "?timeout_sec=0.05", e.fftJSON(), nil)
 			},
 			want: func(e *pointEnv) want {
-				return want{504, deadline + "\n", runHdr("", "", "", plainCT), [2]map[string]int64{
+				return want{504, `{"error":"` + deadline + `","class":"canceled"}` + "\n", runHdr("", "", "", jsonCT), [2]map[string]int64{
 					c("requests_total", 1, "canceled_total", 1, "runs_total", 1, "done_total", 1), {}}}
 			},
 		},
@@ -364,7 +379,7 @@ func TestPointPathsAgree(t *testing.T) {
 				return e.post(t, 1, "?timeout_sec=0.05", e.fftJSON(), nil)
 			},
 			want: func(e *pointEnv) want {
-				return want{504, deadline + "\n", runHdr("", "", "", plainCT), [2]map[string]int64{
+				return want{504, `{"error":"` + deadline + `","class":"canceled"}` + "\n", runHdr("", "", "", jsonCT), [2]map[string]int64{
 					c("requests_total", 1, "peer_served_total", 1, "canceled_total", 1, "runs_total", 1, "done_total", 1),
 					c("requests_total", 1, "peer_proxied_total", 1)}}
 			},
@@ -475,7 +490,7 @@ func TestPointPathsAgree(t *testing.T) {
 			setup: fillOwner,
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
-				return want{429, "queue full, retry later\n", runHdr("", "", "1", plainCT), [2]map[string]int64{
+				return want{429, `{"error":"queue full, retry later","class":"busy"}` + "\n", runHdr("", "", "1", jsonCT), [2]map[string]int64{
 					c("requests_total", 1, "rejected_total", 1), {}}}
 			},
 		},
@@ -484,7 +499,7 @@ func TestPointPathsAgree(t *testing.T) {
 			setup: fillOwner,
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
-				return want{429, "queue full, retry later\n", runHdr("", "", "1", plainCT), [2]map[string]int64{
+				return want{429, `{"error":"queue full, retry later","class":"busy"}` + "\n", runHdr("", "", "1", jsonCT), [2]map[string]int64{
 					c("requests_total", 1, "peer_served_total", 1, "rejected_total", 1),
 					c("requests_total", 1, "peer_proxied_total", 1)}}
 			},
@@ -545,6 +560,13 @@ func TestPointClientGone(t *testing.T) {
 		c("requests_total", 1, "peer_served_total", 1, "canceled_total", 1, "runs_total", 1, "batch_done_total", 1),
 		c("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxy_errors_total", 1, "sweep_canceled_total", 1),
 	})
+}
+
+// warmOwner caches the row key on node 0.
+func warmOwner(t *testing.T, e *pointEnv) {
+	if resp, b := e.post(t, 0, "", e.fftJSON(), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up: %d %s", resp.StatusCode, b)
+	}
 }
 
 // fillOwner occupies node 0's one worker and its one interactive queue

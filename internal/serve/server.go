@@ -112,9 +112,9 @@ type Server struct {
 	sched  *Scheduler
 	mux    *http.ServeMux
 
-	// ring is the cluster peer map (nil wrapper contents = single-node);
-	// peerTransport is shared by every proxy exchange.
-	ring          atomic.Pointer[clusterRing]
+	// ring is the cluster peer map (nil = single-node); peerTransport is
+	// shared by every proxy exchange.
+	ring          atomic.Pointer[cluster.Ring]
 	peerTransport *http.Transport
 
 	// run is the execution seam: Execute in production, replaceable in
@@ -125,8 +125,12 @@ type Server struct {
 	started  time.Time
 	draining atomic.Bool
 
-	// Response-outcome counters (each finished request increments exactly
-	// one of hit/miss/shared/rejected/badReq/canceled/failed).
+	// Response-outcome counters. requests counts every /run, /sweep and
+	// /trace request, badReq every one refused as malformed. A /run whose
+	// point this node answered moves exactly one of hit/miss/shared/
+	// rejected/canceled/failed (none on a 503 while draining); one relayed
+	// from the key's owner moves only peerProxied, since the owner counted
+	// its outcome; an estimate moves the estimate counters instead.
 	requests atomic.Int64
 	hit      atomic.Int64
 	miss     atomic.Int64
@@ -375,15 +379,18 @@ func decodeRequest(r *http.Request) (Request, time.Duration, error) {
 		req.Class = q.Get("class")
 		req.Faults = q.Get("faults")
 		req.Trace = q.Get("trace")
-		for name, dst := range map[string]*int{
-			"procs": &req.Procs, "ionodes": &req.IONodes, "cached_pct": &req.CachedPct,
-		} {
-			if v := q.Get(name); v != "" {
+		// A fixed order, so a query with several bad parameters is always
+		// refused naming the same one.
+		for _, p := range []struct {
+			name string
+			dst  *int
+		}{{"procs", &req.Procs}, {"ionodes", &req.IONodes}, {"cached_pct", &req.CachedPct}} {
+			if v := q.Get(p.name); v != "" {
 				n, err := strconv.Atoi(v)
 				if err != nil {
-					return Request{}, 0, fmt.Errorf("parameter %s: %w", name, err)
+					return Request{}, 0, fmt.Errorf("parameter %s: %w", p.name, err)
 				}
-				*dst = n
+				*p.dst = n
 			}
 		}
 		if v := q.Get("opt"); v != "" {
@@ -406,30 +413,19 @@ func decodeRequest(r *http.Request) (Request, time.Duration, error) {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	req, timeout, err := decodeRequest(r)
-	if err != nil {
-		s.badReq.Add(1)
-		status := http.StatusBadRequest
-		if r.Method != http.MethodPost && r.Method != http.MethodGet {
-			status = http.StatusMethodNotAllowed
-		}
-		http.Error(w, err.Error(), status)
-		return
+	estimate := false
+	if err == nil {
+		estimate, err = parseMode(r.URL.Query().Get("mode"))
 	}
-	estimate, err := parseMode(r.URL.Query().Get("mode"))
-	if err != nil {
-		s.badReq.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	if err == nil {
+		err = s.registerInlineTrace(&req)
 	}
-	if err := s.registerInlineTrace(&req); err != nil {
-		s.badReq.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	var canon Request
+	if err == nil {
+		canon, err = Canonicalize(req)
 	}
-	canon, err := Canonicalize(req)
 	if err != nil {
-		s.badReq.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.badRequest(w, r, err)
 		return
 	}
 	if estimate {
@@ -438,107 +434,57 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	key := canon.Key()
 
-	ring := s.clusterOf()
+	ring := s.ring.Load()
+	// A forwarded request is served locally no matter what our own ring
+	// says — the loop guard. Disagreeing peer lists degrade to extra local
+	// work (counted), never to a forwarding cycle.
+	forwarded := ring != nil && r.Header.Get(forwardedByHeader) != ""
+	ln := LaneInteractive
+	if forwarded && r.Header.Get(laneHeader) == "batch" {
+		ln = LaneBatch
+	}
 	if ring != nil {
 		// Name the key's owner on every cluster-mode response — even cache
 		// hits and errors — so clients and smoke tests can observe the
 		// sharding without consulting the ring themselves.
 		w.Header().Set(ownerHeader, ring.Owner(key).URL)
 	}
-
-	if body, source, ok := s.cacheGet(key); ok {
-		s.hit.Add(1)
-		s.respond(w, key, source, body)
-		return
-	}
-
 	if timeout <= 0 || timeout > s.opts.Timeout {
 		timeout = s.opts.Timeout
 	}
 
-	ln := LaneInteractive
-	if ring != nil {
-		if fwd := r.Header.Get(forwardedByHeader); fwd != "" {
-			// A forwarded request is served locally no matter what our own
-			// ring says — the loop guard. Disagreeing peer lists degrade to
-			// extra local work (counted), never to a forwarding cycle.
-			s.peerServed.Add(1)
-			if !ring.IsOwner(key) {
-				s.peerLoopGuard.Add(1)
-			}
-			if r.Header.Get(laneHeader) == "batch" {
-				ln = LaneBatch
-			}
-		} else if !ring.IsOwner(key) {
-			s.proxyRun(w, r, canon, key, timeout)
-			return
+	body, source, relayed, err := s.point(r.Context(), canon, key, timeout, ln, forwarded)
+	if forwarded && (err != nil || !cached(source)) {
+		s.peerServed.Add(1)
+		if !ring.IsOwner(key) {
+			s.peerLoopGuard.Add(1)
 		}
 	}
-
-	s.localRun(w, r, canon, key, timeout, ln)
-}
-
-// localRun executes a cache-missed /run on this node: singleflight onto the
-// scheduler, then respond. The interactive lane sheds on a full queue (429);
-// the batch lane — forwarded sweep points — blocks for admission exactly as
-// local sweep points do, with the timeout clocked from simulation start.
-func (s *Server) localRun(w http.ResponseWriter, r *http.Request, canon Request, key string, timeout time.Duration, ln Lane) {
-	// Resolve a trace replay's workload before admission: a hash this node
-	// has never seen is a guaranteed failure, and answering it up front
-	// keeps the 404 off the scheduler and out of the run accounting.
-	// executeRun re-resolves under the same store, backstopping the rare
-	// evicted-between-check-and-run race.
-	if canon.App == "trace" {
-		if _, ok := s.traces.Get(canon.Trace); !ok {
-			s.traceUnknown.Add(1)
-			s.failed.Add(1)
-			s.countErrClass("trace_unknown")
-			writeErrJSON(w, http.StatusNotFound, "trace_unknown",
-				fmt.Errorf("serve: trace %s has not been uploaded to this node", canon.Trace))
-			return
-		}
-	}
-	ctx := r.Context()
-	untrack := s.trackPending()
-	var body []byte
-	var err error
-	var leader bool
-	if ln == LaneBatch {
-		body, err, leader = s.flight.Do(ctx, key, func() ([]byte, error) {
-			return s.sched.SubmitWait(ctx, LaneBatch, func(jctx context.Context) ([]byte, error) {
-				pctx, cancel := context.WithTimeout(jctx, timeout)
-				defer cancel()
-				return s.runJob(pctx, canon, key)
-			})
-		})
-	} else {
-		rctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
-		body, err, leader = s.flight.Do(rctx, key, func() ([]byte, error) {
-			return s.sched.Submit(rctx, LaneInteractive, func(jctx context.Context) ([]byte, error) {
-				return s.runJob(jctx, canon, key)
-			})
-		})
-	}
-	untrack()
+	var owner *ownerError
 	switch {
 	case err == nil:
-		if leader {
+		switch {
+		case relayed: // the owner counted it
+		case cached(source):
+			s.hit.Add(1)
+		case source == "miss":
 			s.miss.Add(1)
-			s.respond(w, key, "miss", body)
-		} else {
+		default:
 			s.sharedOK.Add(1)
-			s.respond(w, key, "shared", body)
 		}
+		s.respond(w, key, source, body)
+	case errors.As(err, &owner):
+		// The owner's own answer, relayed verbatim; the owner counted it.
+		owner.relay(w)
 	case errors.Is(err, ErrBusy):
 		s.rejected.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSec(ln)))
-		http.Error(w, "queue full, retry later", http.StatusTooManyRequests)
+		writeErrJSON(w, http.StatusTooManyRequests, "busy", errors.New("queue full, retry later"))
 	case errors.Is(err, ErrDraining):
-		http.Error(w, "server draining", http.StatusServiceUnavailable)
+		writeErrJSON(w, http.StatusServiceUnavailable, "draining", errors.New("server draining"))
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		s.canceled.Add(1)
-		http.Error(w, err.Error(), http.StatusGatewayTimeout)
+		writeErrJSON(w, http.StatusGatewayTimeout, "canceled", err)
 	default:
 		s.failed.Add(1)
 		class := core.ErrorClass(err)
@@ -550,6 +496,73 @@ func (s *Server) localRun(w http.ResponseWriter, r *http.Request, canon Request,
 			status = http.StatusNotFound
 		}
 		writeErrJSON(w, status, class, err)
+	}
+}
+
+// cached reports whether a point's source names a cache tier.
+func cached(source string) bool { return source == "hit" || source == "l2" }
+
+// point is the one path every exact-mode point takes — /run, a forwarded
+// /run and each /sweep point: the cache tiers, then (in cluster mode, unless
+// forwarded) the key's owner, then the unknown-trace check, then
+// singleflight onto lane ln and runJob. source is hit or l2 (a cache tier),
+// miss (this call simulated), shared (a concurrent call did), or the
+// owner's X-Pario-Cache when relayed reports the body came from the owner;
+// a non-200 owner answer comes back as an *ownerError. The interactive
+// deadline covers singleflight, queue wait and the run; the batch lane
+// blocks for admission — its queue bound is the sweep's flow control — and
+// starts the deadline with the simulation.
+func (s *Server) point(ctx context.Context, req Request, key string, timeout time.Duration, ln Lane, forwarded bool) (body []byte, source string, relayed bool, err error) {
+	if body, source, ok := s.cacheGet(key); ok {
+		return body, source, false, nil
+	}
+	if ring := s.ring.Load(); ring != nil && !forwarded && !ring.IsOwner(key) {
+		body, source, err := s.fromOwner(ctx, ring.Owner(key), req, key, timeout, ln)
+		if !errors.Is(err, errPeerUnavailable) {
+			return body, source, true, err
+		}
+		if ctx.Err() != nil {
+			// The caller is gone; nobody is owed a fallback simulation.
+			return nil, "", false, ctx.Err()
+		}
+		// Owner down: run the key here — determinism makes the body
+		// identical wherever it is computed.
+		s.peerLocalFallback.Add(1)
+	}
+	// A replay of a hash this node has never seen is a guaranteed failure:
+	// answering it before admission keeps it off the scheduler and out of
+	// the run accounting. executeRun re-resolves under the same store,
+	// backstopping the rare evicted-between-check-and-run race.
+	if req.App == "trace" {
+		if _, ok := s.traces.Get(req.Trace); !ok {
+			s.traceUnknown.Add(1)
+			return nil, "", false, core.Classify("trace_unknown",
+				fmt.Errorf("serve: trace %s has not been uploaded to this node", req.Trace))
+		}
+	}
+	untrack := s.trackPending()
+	defer untrack()
+	submit := s.sched.SubmitWait
+	if ln == LaneInteractive {
+		submit = s.sched.Submit
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	body, err, leader := s.flight.Do(ctx, key, func() ([]byte, error) {
+		return submit(ctx, ln, func(jctx context.Context) ([]byte, error) {
+			jctx, cancel := context.WithTimeout(jctx, timeout)
+			defer cancel()
+			return s.runJob(jctx, req, key)
+		})
+	})
+	switch {
+	case err != nil:
+		return nil, "", false, err
+	case leader:
+		return body, "miss", false, nil
+	default:
+		return body, "shared", false, nil
 	}
 }
 
@@ -637,22 +650,33 @@ func (s *Server) countErrClass(class string) {
 	s.errClasses.mu.Unlock()
 }
 
-// errorBody is the structured failure response: the error text plus its
-// stable taxonomy class, mirrored in /metrics' error_classes.
+// errorBody is the structured body of every non-200 /run and /sweep
+// answer: the error text plus its stable taxonomy class. Failed runs'
+// classes are mirrored in /metrics' error_classes; the request-level
+// classes are bad_request (400, 405), busy (429), draining (503) and
+// canceled (504).
 type errorBody struct {
 	Error string `json:"error"`
 	Class string `json:"class"`
 }
 
 func writeErrJSON(w http.ResponseWriter, status int, class string, err error) {
-	b, mErr := json.Marshal(errorBody{Error: err.Error(), Class: class})
-	if mErr != nil {
-		http.Error(w, err.Error(), status)
-		return
-	}
+	// Marshal cannot fail on a struct of two strings.
+	b, _ := json.Marshal(errorBody{Error: err.Error(), Class: class})
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(append(b, '\n'))
+}
+
+// badRequest answers a /run or /sweep that cannot be parsed: 405 for a
+// method other than GET or POST, 400 for anything else.
+func (s *Server) badRequest(w http.ResponseWriter, r *http.Request, err error) {
+	s.badReq.Add(1)
+	status := http.StatusBadRequest
+	if r.Method != http.MethodPost && r.Method != http.MethodGet {
+		status = http.StatusMethodNotAllowed
+	}
+	writeErrJSON(w, status, "bad_request", err)
 }
 
 // respond writes a run result body. source is hit (in-memory cache), l2
@@ -863,7 +887,7 @@ func (s *Server) MetricsSnapshot() Metrics {
 		m.L2Hits, m.L2Misses, m.L2Puts, m.L2Evictions, m.L2QuarantinedTotal = s.l2.Counters()
 		m.L2PutErrorsTotal = s.l2PutErrs.Load()
 	}
-	if ring := s.clusterOf(); ring != nil {
+	if ring := s.ring.Load(); ring != nil {
 		m.ClusterEnabled = true
 		m.ClusterNodeID = ring.Self().ID
 		m.ClusterSelf = ring.Self().URL

@@ -379,6 +379,55 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestNamesFirstBadParameter: a query with several bad int
+// parameters is refused naming the same one every time — procs, the first
+// in the fixed parse order.
+func TestDecodeRequestNamesFirstBadParameter(t *testing.T) {
+	r := httptest.NewRequest(http.MethodGet, "/run?app=fft&procs=x&ionodes=y&cached_pct=z", nil)
+	_, _, first := decodeRequest(r)
+	if first == nil || !strings.HasPrefix(first.Error(), "parameter procs:") {
+		t.Fatalf("error %v, want one naming parameter procs", first)
+	}
+	for i := 0; i < 200; i++ {
+		if _, _, err := decodeRequest(r); err == nil || err.Error() != first.Error() {
+			t.Fatalf("decode %d: error %v, want %v", i, err, first)
+		}
+	}
+}
+
+// TestErrorsCarryClass: every non-200 /run and /sweep answer is a
+// structured body naming its taxonomy class (429 and 504 are pinned by
+// TestPointPathsAgree and TestSweepConcurrencyShed).
+func TestErrorsCarryClass(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.sched.Close()
+	check := func(name, method, path, body string, status int, class string) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, b := do(t, req)
+		var eb errorBody
+		if resp.StatusCode != status || resp.Header.Get("Content-Type") != "application/json" ||
+			json.Unmarshal(b, &eb) != nil || eb.Class != class || eb.Error == "" {
+			t.Errorf("%s: %d %s %q, want %d with class %s", name, resp.StatusCode, resp.Header.Get("Content-Type"), b, status, class)
+		}
+	}
+	check("run bad json", http.MethodPost, "/run", "not json", 400, "bad_request")
+	check("run bad mode", http.MethodGet, "/run?app=fft&mode=guess", "", 400, "bad_request")
+	check("run bad app", http.MethodGet, "/run?app=warp", "", 400, "bad_request")
+	check("run bad method", http.MethodPut, "/run", "", 405, "bad_request")
+	check("sweep bad range", http.MethodGet, "/sweep?app=fft&procs=8..2", "", 400, "bad_request")
+	check("sweep bad method", http.MethodDelete, "/sweep", "", 405, "bad_request")
+	s.draining.Store(true)
+	check("sweep draining", http.MethodGet, "/sweep?app=fft", "", 503, "draining")
+	s.sched.Close()
+	check("run draining", http.MethodGet, "/run?app=fft", "", 503, "draining")
+}
+
 // TestServerGracefulShutdownDrains starts a slow request over a real
 // listener, shuts the server down mid-flight, and verifies the in-flight
 // response arrives complete before Shutdown returns.

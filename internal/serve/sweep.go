@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -323,23 +322,17 @@ func decodeSweep(r *http.Request) (spec SweepSpec, timeout time.Duration, sse, e
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	if s.draining.Load() {
-		http.Error(w, "server draining", http.StatusServiceUnavailable)
+		writeErrJSON(w, http.StatusServiceUnavailable, "draining", errors.New("server draining"))
 		return
 	}
 	spec, timeout, sse, estimate, err := decodeSweep(r)
-	if err != nil {
-		s.badReq.Add(1)
-		status := http.StatusBadRequest
-		if r.Method != http.MethodPost && r.Method != http.MethodGet {
-			status = http.StatusMethodNotAllowed
-		}
-		http.Error(w, err.Error(), status)
-		return
+	var points []SweepPoint
+	var skipped, deduped int
+	if err == nil {
+		points, skipped, deduped, err = ExpandSweep(spec, s.opts.MaxSweepPoints)
 	}
-	points, skipped, deduped, err := ExpandSweep(spec, s.opts.MaxSweepPoints)
 	if err != nil {
-		s.badReq.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.badRequest(w, r, err)
 		return
 	}
 	if timeout <= 0 || timeout > s.opts.Timeout {
@@ -353,7 +346,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.sweepsActive.Add(-1)
 		s.sweepsRejected.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSec(LaneBatch)))
-		http.Error(w, "too many concurrent sweeps, retry later", http.StatusTooManyRequests)
+		writeErrJSON(w, http.StatusTooManyRequests, "busy", errors.New("too many concurrent sweeps, retry later"))
 		return
 	}
 	defer s.sweepsActive.Add(-1)
@@ -411,11 +404,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(p SweepPoint) {
 			defer wg.Done()
-			body, source, err := s.sweepPoint(ctx, p, timeout)
+			body, source, _, err := s.point(ctx, p.Req, p.Key, timeout, LaneBatch, false)
 			switch {
 			case err == nil:
 				okCount.Add(1)
-				if source == "hit" || source == "l2" {
+				if cached(source) {
 					hits.Add(1)
 					s.sweepCachedTotal.Add(1)
 				}
@@ -472,40 +465,4 @@ func (s *Server) sweepEstimate(points []SweepPoint, skipped, deduped int, emit f
 		Done: true, Points: len(points), OK: okCount,
 		Failed: failed, CacheHits: hits, Deduped: deduped, Skipped: skipped,
 	})
-}
-
-// sweepPoint serves one grid point: cache first, then — in cluster mode —
-// the key's owner, then singleflight onto the batch lane with blocking
-// admission. The batch queue bound is the sweep's flow control, and the
-// per-point timeout starts when the simulation does, not while the point
-// waits its turn.
-func (s *Server) sweepPoint(ctx context.Context, p SweepPoint, timeout time.Duration) ([]byte, string, error) {
-	if body, source, ok := s.cacheGet(p.Key); ok {
-		return body, source, nil
-	}
-	if ring := s.clusterOf(); ring != nil && !ring.IsOwner(p.Key) {
-		body, source, err := s.peerPoint(ctx, p, timeout)
-		if err == nil || !errors.Is(err, errPeerUnavailable) {
-			return body, source, err
-		}
-		// Owner down: fall through and run the point locally — determinism
-		// makes the body identical wherever it is computed.
-		s.peerLocalFallback.Add(1)
-	}
-	untrack := s.trackPending()
-	defer untrack()
-	body, err, leader := s.flight.Do(ctx, p.Key, func() ([]byte, error) {
-		return s.sched.SubmitWait(ctx, LaneBatch, func(jctx context.Context) ([]byte, error) {
-			pctx, cancel := context.WithTimeout(jctx, timeout)
-			defer cancel()
-			return s.runJob(pctx, p.Req, p.Key)
-		})
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	if leader {
-		return body, "miss", nil
-	}
-	return body, "shared", nil
 }

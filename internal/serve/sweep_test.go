@@ -419,9 +419,14 @@ func TestSweepConcurrencyShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var eb errorBody
+	err = json.NewDecoder(resp.Body).Decode(&eb)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second sweep: status %d, want 429", resp.StatusCode)
+	}
+	if err != nil || eb.Class != "busy" {
+		t.Fatalf("second sweep: body %+v (%v), want class busy", eb, err)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("sweep 429 without Retry-After")
