@@ -413,17 +413,20 @@ func decodeRequest(r *http.Request) (Request, time.Duration, error) {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	req, timeout, err := decodeRequest(r)
-	estimate := false
-	if err == nil {
-		estimate, err = parseMode(r.URL.Query().Get("mode"))
+	if err != nil {
+		s.badRequest(w, r, err)
+		return
 	}
-	if err == nil {
-		err = s.registerInlineTrace(&req)
+	estimate, err := parseMode(r.URL.Query().Get("mode"))
+	if err != nil {
+		s.badRequest(w, r, err)
+		return
 	}
-	var canon Request
-	if err == nil {
-		canon, err = Canonicalize(req)
+	if err := s.registerInlineTrace(&req); err != nil {
+		s.badRequest(w, r, err)
+		return
 	}
+	canon, err := Canonicalize(req)
 	if err != nil {
 		s.badRequest(w, r, err)
 		return
@@ -449,11 +452,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// sharding without consulting the ring themselves.
 		w.Header().Set(ownerHeader, ring.Owner(key).URL)
 	}
-	if timeout <= 0 || timeout > s.opts.Timeout {
-		timeout = s.opts.Timeout
-	}
 
 	body, source, relayed, err := s.point(r.Context(), canon, key, timeout, ln, forwarded)
+	// A forwarded request answered from this node's cache counts as a hit
+	// only; every other one was served here as the owner.
 	if forwarded && (err != nil || !cached(source)) {
 		s.peerServed.Add(1)
 		if !ring.IsOwner(key) {
@@ -505,16 +507,20 @@ func cached(source string) bool { return source == "hit" || source == "l2" }
 // point is the one path every exact-mode point takes — /run, a forwarded
 // /run and each /sweep point: the cache tiers, then (in cluster mode, unless
 // forwarded) the key's owner, then the unknown-trace check, then
-// singleflight onto lane ln and runJob. source is hit or l2 (a cache tier),
-// miss (this call simulated), shared (a concurrent call did), or the
-// owner's X-Pario-Cache when relayed reports the body came from the owner;
-// a non-200 owner answer comes back as an *ownerError. The interactive
-// deadline covers singleflight, queue wait and the run; the batch lane
-// blocks for admission — its queue bound is the sweep's flow control — and
-// starts the deadline with the simulation.
+// singleflight onto lane ln and runJob. timeout is the caller's request,
+// capped at (and defaulting to) Options.Timeout. source is hit or l2 (a
+// cache tier), miss (this call simulated), shared (a concurrent call did),
+// or the owner's X-Pario-Cache when relayed reports the body came from the
+// owner; a non-200 owner answer comes back as an *ownerError. The
+// interactive deadline covers singleflight, queue wait and the run; the
+// batch lane blocks for admission — its queue bound is the sweep's flow
+// control — and starts the deadline with the simulation.
 func (s *Server) point(ctx context.Context, req Request, key string, timeout time.Duration, ln Lane, forwarded bool) (body []byte, source string, relayed bool, err error) {
 	if body, source, ok := s.cacheGet(key); ok {
 		return body, source, false, nil
+	}
+	if timeout <= 0 || timeout > s.opts.Timeout {
+		timeout = s.opts.Timeout
 	}
 	if ring := s.ring.Load(); ring != nil && !forwarded && !ring.IsOwner(key) {
 		body, source, err := s.fromOwner(ctx, ring.Owner(key), req, key, timeout, ln)
@@ -551,6 +557,8 @@ func (s *Server) point(ctx context.Context, req Request, key string, timeout tim
 	}
 	body, err, leader := s.flight.Do(ctx, key, func() ([]byte, error) {
 		return submit(ctx, ln, func(jctx context.Context) ([]byte, error) {
+			// The batch lane's deadline; an interactive jctx already
+			// carries an earlier one.
 			jctx, cancel := context.WithTimeout(jctx, timeout)
 			defer cancel()
 			return s.runJob(jctx, req, key)

@@ -326,19 +326,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec, timeout, sse, estimate, err := decodeSweep(r)
-	var points []SweepPoint
-	var skipped, deduped int
-	if err == nil {
-		points, skipped, deduped, err = ExpandSweep(spec, s.opts.MaxSweepPoints)
-	}
 	if err != nil {
 		s.badRequest(w, r, err)
 		return
 	}
-	if timeout <= 0 || timeout > s.opts.Timeout {
-		timeout = s.opts.Timeout
+	points, skipped, deduped, err := ExpandSweep(spec, s.opts.MaxSweepPoints)
+	if err != nil {
+		s.badRequest(w, r, err)
+		return
 	}
-
 	// Sweep admission is bounded separately from the interactive queue:
 	// excess sweeps shed with a Retry-After sized from the batch lane's
 	// own backlog, and interactive /run traffic never sees either bound.
