@@ -200,8 +200,8 @@ func fmtDelta(d map[string]int64) string {
 	return strings.TrimSpace(b.String())
 }
 
-// c is shorthand for a counter delta: alternating name, value pairs.
-func c(kv ...any) map[string]int64 {
+// moved is shorthand for a counter delta: alternating name, value pairs.
+func moved(kv ...any) map[string]int64 {
 	m := map[string]int64{}
 	for i := 0; i < len(kv); i += 2 {
 		m[kv[i].(string)] = int64(kv[i+1].(int))
@@ -263,7 +263,7 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{200, e.body, runHdr("miss", "{key}", "", jsonCT), [2]map[string]int64{
-					c("requests_total", 1, "cache_misses", 1, "runs_total", 1, "done_total", 1, "cache_entries", 1), {}}}
+					moved("requests_total", 1, "cache_misses", 1, "runs_total", 1, "done_total", 1, "cache_entries", 1), {}}}
 			},
 		},
 		{
@@ -271,8 +271,8 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{200, e.body, runHdr("miss", "{key}", "", jsonCT), [2]map[string]int64{
-					c("requests_total", 1, "cache_misses", 1, "peer_served_total", 1, "runs_total", 1, "done_total", 1, "cache_entries", 1),
-					c("requests_total", 1, "peer_proxied_total", 1, "cache_entries", 1)}}
+					moved("requests_total", 1, "cache_misses", 1, "peer_served_total", 1, "runs_total", 1, "done_total", 1, "cache_entries", 1),
+					moved("requests_total", 1, "peer_proxied_total", 1, "cache_entries", 1)}}
 			},
 		},
 		{
@@ -282,7 +282,7 @@ func TestPointPathsAgree(t *testing.T) {
 			},
 			want: func(e *pointEnv) want {
 				return want{200, e.body, runHdr("miss", "{key}", "", jsonCT), [2]map[string]int64{
-					c("requests_total", 1, "cache_misses", 1, "peer_served_total", 1, "runs_total", 1, "done_total", 1, "cache_entries", 1), {}}}
+					moved("requests_total", 1, "cache_misses", 1, "peer_served_total", 1, "runs_total", 1, "done_total", 1, "cache_entries", 1), {}}}
 			},
 		},
 		{
@@ -292,7 +292,7 @@ func TestPointPathsAgree(t *testing.T) {
 			},
 			want: func(e *pointEnv) want {
 				return want{200, e.body, runHdr("miss", "{key}", "", jsonCT), [2]map[string]int64{
-					c("requests_total", 1, "cache_misses", 1, "peer_served_total", 1, "runs_total", 1, "batch_done_total", 1, "cache_entries", 1), {}}}
+					moved("requests_total", 1, "cache_misses", 1, "peer_served_total", 1, "runs_total", 1, "batch_done_total", 1, "cache_entries", 1), {}}}
 			},
 		},
 		{
@@ -300,7 +300,7 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{200, e.body, runHdr("hit", "{key}", "", jsonCT), [2]map[string]int64{
-					c("requests_total", 1, "cache_hits", 1), {}}}
+					moved("requests_total", 1, "cache_hits", 1), {}}}
 			},
 		},
 		{
@@ -308,7 +308,7 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 0, e.fftQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.key, Cache: "miss", Body: e.body}, okSum), sweepHdr, [2]map[string]int64{
-					c("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "runs_total", 1, "batch_done_total", 1, "cache_entries", 1), {}}}
+					moved("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "runs_total", 1, "batch_done_total", 1, "cache_entries", 1), {}}}
 			},
 		},
 		{
@@ -316,8 +316,8 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.fftQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.key, Cache: "miss", Body: e.body}, okSum), sweepHdr, [2]map[string]int64{
-					c("requests_total", 1, "cache_misses", 1, "peer_served_total", 1, "runs_total", 1, "batch_done_total", 1, "cache_entries", 1),
-					c("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxied_total", 1, "cache_entries", 1)}}
+					moved("requests_total", 1, "cache_misses", 1, "peer_served_total", 1, "runs_total", 1, "batch_done_total", 1, "cache_entries", 1),
+					moved("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxied_total", 1, "cache_entries", 1)}}
 			},
 		},
 		{
@@ -327,8 +327,8 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{200, e.body, runHdr("hit", "{key}", "", jsonCT), [2]map[string]int64{
-					c("requests_total", 1, "cache_hits", 1),
-					c("requests_total", 1, "peer_proxied_total", 1, "cache_entries", 1)}}
+					moved("requests_total", 1, "cache_hits", 1),
+					moved("requests_total", 1, "peer_proxied_total", 1, "cache_entries", 1)}}
 			},
 		},
 		{
@@ -336,8 +336,8 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.fftQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.key, Cache: "hit", Body: e.body}, SweepSummary{Done: true, Points: 1, OK: 1, CacheHits: 1}), sweepHdr, [2]map[string]int64{
-					c("requests_total", 1, "cache_hits", 1),
-					c("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxied_total", 1,
+					moved("requests_total", 1, "cache_hits", 1),
+					moved("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxied_total", 1,
 						"sweep_points_cached_total", 1, "cache_entries", 1)}}
 			},
 		},
@@ -347,7 +347,7 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{200, e.body, runHdr("miss", "{key}", "", jsonCT), [2]map[string]int64{{},
-					c("requests_total", 1, "cache_misses", 1, "peer_proxy_errors_total", 1, "peer_local_fallback_total", 1,
+					moved("requests_total", 1, "cache_misses", 1, "peer_proxy_errors_total", 1, "peer_local_fallback_total", 1,
 						"runs_total", 1, "done_total", 1, "cache_entries", 1)}}
 			},
 		},
@@ -357,7 +357,7 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.fftQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.key, Cache: "miss", Body: e.body}, okSum), sweepHdr, [2]map[string]int64{{},
-					c("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxy_errors_total", 1,
+					moved("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxy_errors_total", 1,
 						"peer_local_fallback_total", 1, "runs_total", 1, "batch_done_total", 1, "cache_entries", 1)}}
 			},
 		},
@@ -370,7 +370,7 @@ func TestPointPathsAgree(t *testing.T) {
 			},
 			want: func(e *pointEnv) want {
 				return want{504, `{"error":"` + deadline + `","class":"canceled"}` + "\n", runHdr("", "", "", jsonCT), [2]map[string]int64{
-					c("requests_total", 1, "canceled_total", 1, "runs_total", 1, "done_total", 1), {}}}
+					moved("requests_total", 1, "canceled_total", 1, "runs_total", 1, "done_total", 1), {}}}
 			},
 		},
 		{
@@ -380,8 +380,8 @@ func TestPointPathsAgree(t *testing.T) {
 			},
 			want: func(e *pointEnv) want {
 				return want{504, `{"error":"` + deadline + `","class":"canceled"}` + "\n", runHdr("", "", "", jsonCT), [2]map[string]int64{
-					c("requests_total", 1, "peer_served_total", 1, "canceled_total", 1, "runs_total", 1, "done_total", 1),
-					c("requests_total", 1, "peer_proxied_total", 1)}}
+					moved("requests_total", 1, "peer_served_total", 1, "canceled_total", 1, "runs_total", 1, "done_total", 1),
+					moved("requests_total", 1, "peer_proxied_total", 1)}}
 			},
 		},
 		{
@@ -391,7 +391,7 @@ func TestPointPathsAgree(t *testing.T) {
 			},
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.key, Error: jobExpired, Class: "canceled"}, canceledSum), sweepHdr, [2]map[string]int64{
-					c("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "sweep_canceled_total", 1, "runs_total", 1, "batch_done_total", 1), {}}}
+					moved("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "sweep_canceled_total", 1, "runs_total", 1, "batch_done_total", 1), {}}}
 			},
 		},
 		{
@@ -401,8 +401,8 @@ func TestPointPathsAgree(t *testing.T) {
 			},
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.key, Error: "peer {owner}: " + jobExpired, Class: "canceled"}, canceledSum), sweepHdr, [2]map[string]int64{
-					c("requests_total", 1, "peer_served_total", 1, "canceled_total", 1, "runs_total", 1, "batch_done_total", 1),
-					c("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxied_total", 1, "sweep_canceled_total", 1)}}
+					moved("requests_total", 1, "peer_served_total", 1, "canceled_total", 1, "runs_total", 1, "batch_done_total", 1),
+					moved("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxied_total", 1, "sweep_canceled_total", 1)}}
 			},
 		},
 
@@ -412,7 +412,7 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{500, `{"error":"` + failMsg + `","class":"disk_failed"}` + "\n", runHdr("", "", "", jsonCT), [2]map[string]int64{
-					c("requests_total", 1, "error_total", 1, "error_classes.disk_failed", 1, "runs_total", 1, "done_total", 1), {}}}
+					moved("requests_total", 1, "error_total", 1, "error_classes.disk_failed", 1, "runs_total", 1, "done_total", 1), {}}}
 			},
 		},
 		{
@@ -420,8 +420,8 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{500, `{"error":"` + failMsg + `","class":"disk_failed"}` + "\n", runHdr("", "", "", jsonCT), [2]map[string]int64{
-					c("requests_total", 1, "peer_served_total", 1, "error_total", 1, "error_classes.disk_failed", 1, "runs_total", 1, "done_total", 1),
-					c("requests_total", 1, "peer_proxied_total", 1)}}
+					moved("requests_total", 1, "peer_served_total", 1, "error_total", 1, "error_classes.disk_failed", 1, "runs_total", 1, "done_total", 1),
+					moved("requests_total", 1, "peer_proxied_total", 1)}}
 			},
 		},
 		{
@@ -429,7 +429,7 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 0, e.fftQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.key, Error: failMsg, Class: "disk_failed"}, failSum), sweepHdr, [2]map[string]int64{
-					c("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "sweep_points_failed_total", 1,
+					moved("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "sweep_points_failed_total", 1,
 						"error_classes.disk_failed", 1, "runs_total", 1, "batch_done_total", 1), {}}}
 			},
 		},
@@ -438,8 +438,8 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.fftQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.key, Error: "peer {owner}: " + failMsg, Class: "disk_failed"}, failSum), sweepHdr, [2]map[string]int64{
-					c("requests_total", 1, "peer_served_total", 1, "error_total", 1, "error_classes.disk_failed", 1, "runs_total", 1, "batch_done_total", 1),
-					c("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxied_total", 1,
+					moved("requests_total", 1, "peer_served_total", 1, "error_total", 1, "error_classes.disk_failed", 1, "runs_total", 1, "batch_done_total", 1),
+					moved("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxied_total", 1,
 						"sweep_points_failed_total", 1, "error_classes.disk_failed", 1)}}
 			},
 		},
@@ -451,7 +451,7 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.traceJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{404, `{"error":"` + unknownMsg + `","class":"trace_unknown"}` + "\n", runHdr("", "", "", jsonCT), [2]map[string]int64{
-					c("requests_total", 1, "error_total", 1, "error_classes.trace_unknown", 1, "trace_unknown_total", 1), {}}}
+					moved("requests_total", 1, "error_total", 1, "error_classes.trace_unknown", 1, "trace_unknown_total", 1), {}}}
 			},
 		},
 		{
@@ -459,8 +459,8 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.traceJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{404, `{"error":"` + unknownMsg + `","class":"trace_unknown"}` + "\n", runHdr("", "", "", jsonCT), [2]map[string]int64{
-					c("requests_total", 1, "peer_served_total", 1, "error_total", 1, "error_classes.trace_unknown", 1, "trace_unknown_total", 1),
-					c("requests_total", 1, "peer_proxied_total", 1)}}
+					moved("requests_total", 1, "peer_served_total", 1, "error_total", 1, "error_classes.trace_unknown", 1, "trace_unknown_total", 1),
+					moved("requests_total", 1, "peer_proxied_total", 1)}}
 			},
 		},
 		{
@@ -469,7 +469,7 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 0, e.traceQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.tkey, Error: unknownMsg, Class: "trace_unknown"}, failSum), sweepHdr, [2]map[string]int64{
-					c("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "sweep_points_failed_total", 1,
+					moved("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "sweep_points_failed_total", 1,
 						"error_classes.trace_unknown", 1, "trace_unknown_total", 1), {}}}
 			},
 		},
@@ -478,8 +478,8 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.traceQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.tkey, Error: "peer {owner}: " + unknownMsg, Class: "trace_unknown"}, failSum), sweepHdr, [2]map[string]int64{
-					c("requests_total", 1, "peer_served_total", 1, "error_total", 1, "error_classes.trace_unknown", 1, "trace_unknown_total", 1),
-					c("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxied_total", 1,
+					moved("requests_total", 1, "peer_served_total", 1, "error_total", 1, "error_classes.trace_unknown", 1, "trace_unknown_total", 1),
+					moved("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxied_total", 1,
 						"sweep_points_failed_total", 1, "error_classes.trace_unknown", 1)}}
 			},
 		},
@@ -491,7 +491,7 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{429, `{"error":"queue full, retry later","class":"busy"}` + "\n", runHdr("", "", "1", jsonCT), [2]map[string]int64{
-					c("requests_total", 1, "rejected_total", 1), {}}}
+					moved("requests_total", 1, "rejected_total", 1), {}}}
 			},
 		},
 		{
@@ -500,8 +500,8 @@ func TestPointPathsAgree(t *testing.T) {
 			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{429, `{"error":"queue full, retry later","class":"busy"}` + "\n", runHdr("", "", "1", jsonCT), [2]map[string]int64{
-					c("requests_total", 1, "peer_served_total", 1, "rejected_total", 1),
-					c("requests_total", 1, "peer_proxied_total", 1)}}
+					moved("requests_total", 1, "peer_served_total", 1, "rejected_total", 1),
+					moved("requests_total", 1, "peer_proxied_total", 1)}}
 			},
 		},
 	}
@@ -557,8 +557,8 @@ func TestPointClientGone(t *testing.T) {
 	cancel()
 	<-done
 	checkDeltas(t, e, before, [2]map[string]int64{
-		c("requests_total", 1, "peer_served_total", 1, "canceled_total", 1, "runs_total", 1, "batch_done_total", 1),
-		c("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxy_errors_total", 1, "sweep_canceled_total", 1),
+		moved("requests_total", 1, "peer_served_total", 1, "canceled_total", 1, "runs_total", 1, "batch_done_total", 1),
+		moved("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxy_errors_total", 1, "sweep_canceled_total", 1),
 	})
 }
 
