@@ -214,8 +214,8 @@ func moved(kv ...any) map[string]int64 {
 // proxied sweep points, and the owner-down fallback, each on the success
 // path and on every error path. A row pins the status, the body bytes, the
 // contract headers and the delta of every /metrics counter on both nodes.
-// In a row's expectations {owner} and {proxy} stand for node 0's and node
-// 1's URLs, {key} for the row key and {tkey} for the trace-replay key.
+// In a row's expectations {owner} stands for node 0's URL, {key} for the
+// row key and {trace} for the unknown trace's hash.
 func TestPointPathsAgree(t *testing.T) {
 	type want struct {
 		status int
@@ -515,8 +515,7 @@ func TestPointPathsAgree(t *testing.T) {
 			before := [2]map[string]int64{counters(t, e.srvs[0]), counters(t, e.srvs[1])}
 			resp, body := row.issue(t, e)
 			w := row.want(e)
-			sub := strings.NewReplacer("{owner}", e.tss[0].URL, "{proxy}", e.tss[1].URL,
-				"{key}", e.key, "{tkey}", e.tkey, "{trace}", e.trace)
+			sub := strings.NewReplacer("{owner}", e.tss[0].URL, "{key}", e.key, "{trace}", e.trace)
 			if resp.StatusCode != w.status {
 				t.Errorf("status %d, want %d (body %q)", resp.StatusCode, w.status, body)
 			}
