@@ -79,7 +79,7 @@ func newPointEnv(t *testing.T, run func(context.Context, Request) (core.Report, 
 	return e
 }
 
-// post issues POST /run with the given JSON body to node n, with extra
+// post sends POST /run with the given JSON body to node n, with extra
 // headers and query.
 func (e *pointEnv) post(t *testing.T, n int, query, body string, hdr map[string]string) (*http.Response, []byte) {
 	t.Helper()
@@ -254,13 +254,13 @@ func TestPointPathsAgree(t *testing.T) {
 		opts []Options
 		// setup runs before the "before" counter snapshot.
 		setup func(t *testing.T, e *pointEnv)
-		// issue sends the row's request and returns what the client saw.
-		issue func(t *testing.T, e *pointEnv) (*http.Response, []byte)
-		want  func(e *pointEnv) want
+		// send sends the row's request and returns what the client saw.
+		send func(t *testing.T, e *pointEnv) (*http.Response, []byte)
+		want func(e *pointEnv) want
 	}{
 		{
 			name: "run/local", seam: seamOK,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.fftJSON(), nil) },
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{200, e.body, runHdr("miss", "{key}", "", jsonCT), [2]map[string]int64{
 					moved("requests_total", 1, "cache_misses", 1, "runs_total", 1, "done_total", 1, "cache_entries", 1), {}}}
@@ -268,7 +268,7 @@ func TestPointPathsAgree(t *testing.T) {
 		},
 		{
 			name: "run/proxied", seam: seamOK,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{200, e.body, runHdr("miss", "{key}", "", jsonCT), [2]map[string]int64{
 					moved("requests_total", 1, "cache_misses", 1, "peer_served_total", 1, "runs_total", 1, "done_total", 1, "cache_entries", 1),
@@ -277,7 +277,7 @@ func TestPointPathsAgree(t *testing.T) {
 		},
 		{
 			name: "run/forwarded-interactive", seam: seamOK,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) {
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) {
 				return e.post(t, 0, "", e.fftJSON(), fwd(e, ""))
 			},
 			want: func(e *pointEnv) want {
@@ -287,7 +287,7 @@ func TestPointPathsAgree(t *testing.T) {
 		},
 		{
 			name: "run/forwarded-batch", seam: seamOK,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) {
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) {
 				return e.post(t, 0, "", e.fftJSON(), fwd(e, "batch"))
 			},
 			want: func(e *pointEnv) want {
@@ -297,7 +297,7 @@ func TestPointPathsAgree(t *testing.T) {
 		},
 		{
 			name: "run/hit", seam: seamOK, setup: warmOwner,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.fftJSON(), nil) },
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{200, e.body, runHdr("hit", "{key}", "", jsonCT), [2]map[string]int64{
 					moved("requests_total", 1, "cache_hits", 1), {}}}
@@ -305,7 +305,7 @@ func TestPointPathsAgree(t *testing.T) {
 		},
 		{
 			name: "sweep/local", seam: seamOK,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 0, e.fftQuery()) },
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 0, e.fftQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.key, Cache: "miss", Body: e.body}, okSum), sweepHdr, [2]map[string]int64{
 					moved("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "runs_total", 1, "batch_done_total", 1, "cache_entries", 1), {}}}
@@ -313,7 +313,7 @@ func TestPointPathsAgree(t *testing.T) {
 		},
 		{
 			name: "sweep/proxied", seam: seamOK,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.fftQuery()) },
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.fftQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.key, Cache: "miss", Body: e.body}, okSum), sweepHdr, [2]map[string]int64{
 					moved("requests_total", 1, "cache_misses", 1, "peer_served_total", 1, "runs_total", 1, "batch_done_total", 1, "cache_entries", 1),
@@ -324,7 +324,7 @@ func TestPointPathsAgree(t *testing.T) {
 			// The owner answers from its cache: a hit there, not a served
 			// forward; the proxy relays the owner's X-Pario-Cache.
 			name: "run/proxied-owner-hit", seam: seamOK, setup: warmOwner,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{200, e.body, runHdr("hit", "{key}", "", jsonCT), [2]map[string]int64{
 					moved("requests_total", 1, "cache_hits", 1),
@@ -333,7 +333,7 @@ func TestPointPathsAgree(t *testing.T) {
 		},
 		{
 			name: "sweep/proxied-owner-hit", seam: seamOK, setup: warmOwner,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.fftQuery()) },
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.fftQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.key, Cache: "hit", Body: e.body}, SweepSummary{Done: true, Points: 1, OK: 1, CacheHits: 1}), sweepHdr, [2]map[string]int64{
 					moved("requests_total", 1, "cache_hits", 1),
@@ -344,7 +344,7 @@ func TestPointPathsAgree(t *testing.T) {
 		{
 			name: "run/owner-down-fallback", seam: seamOK,
 			setup: func(t *testing.T, e *pointEnv) { e.tss[0].Close() },
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
+			send:  func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{200, e.body, runHdr("miss", "{key}", "", jsonCT), [2]map[string]int64{{},
 					moved("requests_total", 1, "cache_misses", 1, "peer_proxy_errors_total", 1, "peer_local_fallback_total", 1,
@@ -354,7 +354,7 @@ func TestPointPathsAgree(t *testing.T) {
 		{
 			name: "sweep/owner-down-fallback", seam: seamOK,
 			setup: func(t *testing.T, e *pointEnv) { e.tss[0].Close() },
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.fftQuery()) },
+			send:  func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.fftQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.key, Cache: "miss", Body: e.body}, okSum), sweepHdr, [2]map[string]int64{{},
 					moved("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "peer_proxy_errors_total", 1,
@@ -365,7 +365,7 @@ func TestPointPathsAgree(t *testing.T) {
 		// Run timeouts: 504 on /run, a canceled line on /sweep.
 		{
 			name: "run/local-timeout", seam: seamBlock,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) {
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) {
 				return e.post(t, 0, "?timeout_sec=0.05", e.fftJSON(), nil)
 			},
 			want: func(e *pointEnv) want {
@@ -375,7 +375,7 @@ func TestPointPathsAgree(t *testing.T) {
 		},
 		{
 			name: "run/proxied-timeout", seam: seamBlock,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) {
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) {
 				return e.post(t, 1, "?timeout_sec=0.05", e.fftJSON(), nil)
 			},
 			want: func(e *pointEnv) want {
@@ -386,7 +386,7 @@ func TestPointPathsAgree(t *testing.T) {
 		},
 		{
 			name: "sweep/local-timeout", seam: seamBlock,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) {
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) {
 				return e.sweep(t, 0, e.fftQuery()+"&timeout_sec=0.05")
 			},
 			want: func(e *pointEnv) want {
@@ -396,7 +396,7 @@ func TestPointPathsAgree(t *testing.T) {
 		},
 		{
 			name: "sweep/proxied-timeout", seam: seamBlock,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) {
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) {
 				return e.sweep(t, 1, e.fftQuery()+"&timeout_sec=0.05")
 			},
 			want: func(e *pointEnv) want {
@@ -409,7 +409,7 @@ func TestPointPathsAgree(t *testing.T) {
 		// A classified simulation failure: a structured 500 carrying the class.
 		{
 			name: "run/local-failure", seam: seamFail,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.fftJSON(), nil) },
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{500, `{"error":"` + failMsg + `","class":"disk_failed"}` + "\n", runHdr("", "", "", jsonCT), [2]map[string]int64{
 					moved("requests_total", 1, "error_total", 1, "error_classes.disk_failed", 1, "runs_total", 1, "done_total", 1), {}}}
@@ -417,7 +417,7 @@ func TestPointPathsAgree(t *testing.T) {
 		},
 		{
 			name: "run/proxied-failure", seam: seamFail,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{500, `{"error":"` + failMsg + `","class":"disk_failed"}` + "\n", runHdr("", "", "", jsonCT), [2]map[string]int64{
 					moved("requests_total", 1, "peer_served_total", 1, "error_total", 1, "error_classes.disk_failed", 1, "runs_total", 1, "done_total", 1),
@@ -426,7 +426,7 @@ func TestPointPathsAgree(t *testing.T) {
 		},
 		{
 			name: "sweep/local-failure", seam: seamFail,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 0, e.fftQuery()) },
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 0, e.fftQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.key, Error: failMsg, Class: "disk_failed"}, failSum), sweepHdr, [2]map[string]int64{
 					moved("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "sweep_points_failed_total", 1,
@@ -435,7 +435,7 @@ func TestPointPathsAgree(t *testing.T) {
 		},
 		{
 			name: "sweep/proxied-failure", seam: seamFail,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.fftQuery()) },
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.fftQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.key, Error: "peer {owner}: " + failMsg, Class: "disk_failed"}, failSum), sweepHdr, [2]map[string]int64{
 					moved("requests_total", 1, "peer_served_total", 1, "error_total", 1, "error_classes.disk_failed", 1, "runs_total", 1, "batch_done_total", 1),
@@ -447,16 +447,16 @@ func TestPointPathsAgree(t *testing.T) {
 		// A replay of a trace no node holds: 404 trace_unknown, answered
 		// before admission.
 		{
-			name:  "run/local-unknown-trace",
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.traceJSON(), nil) },
+			name: "run/local-unknown-trace",
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.traceJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{404, `{"error":"` + unknownMsg + `","class":"trace_unknown"}` + "\n", runHdr("", "", "", jsonCT), [2]map[string]int64{
 					moved("requests_total", 1, "error_total", 1, "error_classes.trace_unknown", 1, "trace_unknown_total", 1), {}}}
 			},
 		},
 		{
-			name:  "run/proxied-unknown-trace",
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.traceJSON(), nil) },
+			name: "run/proxied-unknown-trace",
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.traceJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{404, `{"error":"` + unknownMsg + `","class":"trace_unknown"}` + "\n", runHdr("", "", "", jsonCT), [2]map[string]int64{
 					moved("requests_total", 1, "peer_served_total", 1, "error_total", 1, "error_classes.trace_unknown", 1, "trace_unknown_total", 1),
@@ -465,8 +465,8 @@ func TestPointPathsAgree(t *testing.T) {
 		},
 		{
 			// Takes no batch slot and leaves runs_total unmoved, as on /run.
-			name:  "sweep/local-unknown-trace",
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 0, e.traceQuery()) },
+			name: "sweep/local-unknown-trace",
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 0, e.traceQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.tkey, Error: unknownMsg, Class: "trace_unknown"}, failSum), sweepHdr, [2]map[string]int64{
 					moved("requests_total", 1, "sweeps_total", 1, "sweep_points_total", 1, "sweep_points_failed_total", 1,
@@ -474,8 +474,8 @@ func TestPointPathsAgree(t *testing.T) {
 			},
 		},
 		{
-			name:  "sweep/proxied-unknown-trace",
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.traceQuery()) },
+			name: "sweep/proxied-unknown-trace",
+			send: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.sweep(t, 1, e.traceQuery()) },
 			want: func(e *pointEnv) want {
 				return want{200, sweepStream(SweepLine{Key: e.tkey, Error: "peer {owner}: " + unknownMsg, Class: "trace_unknown"}, failSum), sweepHdr, [2]map[string]int64{
 					moved("requests_total", 1, "peer_served_total", 1, "error_total", 1, "error_classes.trace_unknown", 1, "trace_unknown_total", 1),
@@ -488,7 +488,7 @@ func TestPointPathsAgree(t *testing.T) {
 		{
 			name: "run/local-busy", seam: seamBlock, opts: []Options{{Workers: 1, QueueDepth: 1}},
 			setup: fillOwner,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.fftJSON(), nil) },
+			send:  func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 0, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{429, `{"error":"queue full, retry later","class":"busy"}` + "\n", runHdr("", "", "1", jsonCT), [2]map[string]int64{
 					moved("requests_total", 1, "rejected_total", 1), {}}}
@@ -497,7 +497,7 @@ func TestPointPathsAgree(t *testing.T) {
 		{
 			name: "run/proxied-busy", seam: seamBlock, opts: []Options{{Workers: 1, QueueDepth: 1}},
 			setup: fillOwner,
-			issue: func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
+			send:  func(t *testing.T, e *pointEnv) (*http.Response, []byte) { return e.post(t, 1, "", e.fftJSON(), nil) },
 			want: func(e *pointEnv) want {
 				return want{429, `{"error":"queue full, retry later","class":"busy"}` + "\n", runHdr("", "", "1", jsonCT), [2]map[string]int64{
 					moved("requests_total", 1, "peer_served_total", 1, "rejected_total", 1),
@@ -513,7 +513,7 @@ func TestPointPathsAgree(t *testing.T) {
 				row.setup(t, e)
 			}
 			before := [2]map[string]int64{counters(t, e.srvs[0]), counters(t, e.srvs[1])}
-			resp, body := row.issue(t, e)
+			resp, body := row.send(t, e)
 			w := row.want(e)
 			sub := strings.NewReplacer("{owner}", e.tss[0].URL, "{key}", e.key, "{trace}", e.trace)
 			if resp.StatusCode != w.status {
