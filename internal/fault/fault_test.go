@@ -168,6 +168,9 @@ func TestInstallWindows(t *testing.T) {
 		crashed bool
 		slow    float64
 	}
+	// The wire factor shows as a remote message's uncontended time against
+	// the healthy one.
+	healthy := net.TransferTime(0, 1, 4096)
 	at := map[float64]sample{}
 	for _, tm := range []float64{0.5, 1.5, 2.5, 3.5, 4.5} {
 		tm := tm
@@ -176,7 +179,7 @@ func TestInstallWindows(t *testing.T) {
 				degrade: nodes[0].Disk(0).DegradeFactor(),
 				failed:  nodes[1].Disk(0).Failed(),
 				crashed: nodes[1].Crashed(),
-				slow:    net.Slowdown(),
+				slow:    net.TransferTime(0, 1, 4096) / healthy,
 			}
 		})
 	}

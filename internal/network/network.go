@@ -6,6 +6,11 @@
 // senders targeting one node — the situation at an I/O node, or at the
 // funnel node of a Chameleon-style library — queue up and contend, which is
 // the central architectural effect the paper studies.
+//
+// Every simulated message goes through one event-driven send, SendAsync:
+// mp's messages by way of the blocking Send, and both legs of a file-system
+// request (pfs's request and its data reply) directly, so exchange traffic
+// and file-system traffic are priced by one model.
 package network
 
 import (
@@ -48,16 +53,13 @@ type Network struct {
 	// touches at most its compute and I/O nodes, a small share of a large
 	// mesh.
 	nics []*sim.Resource
-	// sendOps is the free list of Send continuations.
-	sendOps []*sendOp
+	// msgs is the free list of Send's messages.
+	msgs []*Msg
 
 	// slow scales every wire cost (latency, hop, byte time) — link
 	// degradation injected by a fault plan. 1 = healthy. Node-local memory
 	// copies are unaffected: a slow interconnect does not slow memcpy.
 	slow float64
-
-	msgs      int64
-	bytesSent int64
 
 	mMsgs   *stats.Counter
 	mBytes  *stats.Counter
@@ -85,121 +87,156 @@ func (n *Network) Topology() *topology.Topology { return n.topo }
 // Params returns the cost model.
 func (n *Network) Params() Params { return n.par }
 
-// Send blocks p for the time to move size bytes from node src to node dst.
-// The latency and routing portions are uncontended; the bandwidth portion
-// holds dst's NIC, so concurrent senders to one destination serialize.
-// A node-local send is a memory copy and touches no NIC.
-//
-// p is resumed once per message. The setup delay and a queued NIC grant run
-// as engine callbacks (a sendOp) at exactly the slots where a process
-// delaying and acquiring in turn would wake; the bandwidth delay is p's
-// wake, after which p releases the NIC.
+// Send blocks p for the time to move size bytes from node src to node dst:
+// SendAsync with p's wake as the delivery, p's Suspend, and the message's
+// End. p is resumed once per message.
 func (n *Network) Send(p *sim.Proc, src, dst int, size int64) {
-	n.AccountMsg(size)
-	setup, xfer := n.SendCosts(src, dst, size)
-	if src == dst {
-		if xfer > 0 {
-			p.Delay(xfer)
-		}
-		return
+	m := n.getMsg()
+	if !n.SendAsync(m, src, dst, size, m.step, sim.Step{P: p}) {
+		p.Suspend() // the message's delivery is our wake
+		m.End()
 	}
-	o := n.getSendOp()
-	o.p, o.nic, o.xfer, o.granted = p, n.NIC(dst), xfer, false
-	if setup > 0 {
-		n.eng.ScheduleStep(setup, sim.Step{Fn: o.stepFn})
-	} else {
-		o.step()
-	}
-	p.Suspend() // the bandwidth delay ends with our wake
-	nic := o.nic
-	n.putSendOp(o)
-	nic.Release()
+	n.msgs = append(n.msgs, m)
 }
 
-// sendOp is the continuation of one remote Send between its issue and the
-// sender's wake. stepFn is bound once at allocation and ops cycle through
-// the network's free list, so a steady-state Send allocates nothing.
-type sendOp struct {
+// getMsg returns a message for Send from the network's free list. Send is
+// its message's only sender, so the step is the message's own Advance,
+// bound once at allocation: a steady-state Send allocates nothing.
+func (n *Network) getMsg() *Msg {
+	if k := len(n.msgs); k > 0 {
+		m := n.msgs[k-1]
+		n.msgs = n.msgs[:k-1]
+		return m
+	}
+	m := &Msg{}
+	m.step = func() { m.Advance() }
+	return m
+}
+
+// Msg is one message in flight, from SendAsync until it is delivered and
+// ended. Its state lives in the sender, which embeds it; a Msg carries one
+// message at a time, and its zero value is ready for the first.
+type Msg struct {
 	n       *Network
-	p       *sim.Proc
-	nic     *sim.Resource
-	xfer    float64
-	granted bool // the destination NIC is held: start the bandwidth delay
-	stepFn  func()
+	nic     *sim.Resource // destination NIC, held from its grant until End
+	xfer    float64       // bandwidth delay, sampled at send time
+	step    func()        // the sender's callback for intermediate events
+	deliver sim.Step
+	state   int8
 }
 
-func (n *Network) getSendOp() *sendOp {
-	if k := len(n.sendOps); k > 0 {
-		o := n.sendOps[k-1]
-		n.sendOps = n.sendOps[:k-1]
-		return o
-	}
-	o := &sendOp{n: n}
-	o.stepFn = o.step
-	return o
-}
+// Msg states: what the message's next intermediate event does.
+const (
+	msgIdle  int8 = iota // no event pending: the sender's own
+	msgSetup             // setup paid: contend for the destination NIC
+	msgGrant             // NIC granted after queueing: start the bandwidth delay
+	msgWire              // bandwidth delay paid: release the NIC, then deliver
+)
 
-func (n *Network) putSendOp(o *sendOp) {
-	o.p, o.nic = nil, nil
-	n.sendOps = append(n.sendOps, o)
-}
-
-// step runs when the setup delay ends (contend for the NIC) and again when
-// a queued claim is granted; once the NIC is held it schedules the
-// bandwidth delay as the sender's wake.
-func (o *sendOp) step() {
-	if !o.granted {
-		o.granted = true
-		// A busy destination NIC means this transfer will queue behind
-		// another sender — the link-contention stall the paper's I/O-node
-		// analysis is about.
-		if o.nic.InUse() >= o.nic.Cap() {
-			o.n.mStalls.Inc()
-		}
-		if !o.nic.AcquireFn(o.stepFn) {
-			return // granted later: step runs again then
-		}
-	}
-	o.n.eng.ScheduleStep(o.xfer, sim.Step{P: o.p})
-}
-
-// AccountMsg records one message of size bytes in the traffic statistics —
-// the bookkeeping half of Send, for event-driven senders that drive the
-// delays and NIC occupancy themselves (via SendCosts and NIC). It must be
-// called once per message, at send time, like Send does.
-func (n *Network) AccountMsg(size int64) {
+// SendAsync sends size bytes from node src to node dst as engine events and
+// returns at once, so it may be called from an event callback. It is the one
+// model of a message: Send and every file-system request and reply go
+// through it.
+//
+// The latency and routing portions are uncontended; the bandwidth portion
+// holds dst's NIC, so concurrent senders to one destination serialize, and
+// a sender that finds the NIC busy counts a net.stalls. A node-local send
+// is a memory copy and touches no NIC.
+//
+// The message's intermediate events — the end of the setup delay, a queued
+// NIC grant, the end of a callback delivery's bandwidth delay — run step,
+// which must call m.Advance before anything else. The last event is deliver:
+//   - a process delivery (deliver.P) is the wake; the woken process ends the
+//     message with End, which releases the NIC;
+//   - a callback delivery (deliver.Fn) runs in Advance, after the message
+//     has released the NIC, in the same event.
+//
+// A zero-cost local copy schedules nothing: SendAsync reports true, the
+// message is delivered inline, and deliver does not run.
+func (n *Network) SendAsync(m *Msg, src, dst int, size int64, step func(), deliver sim.Step) (inline bool) {
 	if size < 0 {
 		panic("network: negative message size")
 	}
-	n.msgs++
-	n.bytesSent += size
 	n.mMsgs.Inc()
 	n.mBytes.Add(size)
-}
-
-// SendCosts returns the two timed portions of a send as Send would pay them:
-// setup (latency + routing, uncontended) and xfer (the bandwidth portion,
-// which must hold dst's NIC). For a node-local message setup is zero and xfer
-// is the memory-copy time, which touches no NIC. The current slowdown factor
-// is applied, so callers must sample the costs at send time, like Send does.
-func (n *Network) SendCosts(src, dst int, size int64) (setup, xfer float64) {
 	if src == dst {
-		return 0, float64(size) * n.par.MemCopyByteTime
+		xfer := float64(size) * n.par.MemCopyByteTime
+		if xfer == 0 {
+			return true
+		}
+		n.eng.ScheduleStep(xfer, deliver)
+		return false
 	}
 	hops := n.topo.Hops(src, dst)
-	setup = n.par.Latency + float64(hops)*n.par.HopTime
-	xfer = float64(size) * n.par.ByteTime
+	setup := n.par.Latency + float64(hops)*n.par.HopTime
+	xfer := float64(size) * n.par.ByteTime
 	if n.slow != 1 {
 		setup *= n.slow
 		xfer *= n.slow
 	}
-	return setup, xfer
+	m.n, m.nic, m.xfer, m.step, m.deliver = n, n.NIC(dst), xfer, step, deliver
+	if setup > 0 {
+		m.state = msgSetup
+		n.eng.ScheduleStep(setup, sim.Step{Fn: step})
+		return false
+	}
+	m.contend()
+	return false
 }
 
-// NoteStall records one NIC-contention stall, for event-driven senders that
-// observe a busy destination NIC before queueing on it (the check Send does
-// inline).
-func (n *Network) NoteStall() { n.mStalls.Inc() }
+// Advance runs the message's part of an event of the sender's step callback
+// and reports whether there was one; false means the event is the sender's
+// own.
+func (m *Msg) Advance() bool {
+	switch m.state {
+	case msgSetup:
+		m.contend()
+	case msgGrant:
+		m.transmit()
+	case msgWire:
+		m.state = msgIdle
+		m.End()
+		m.deliver.Fn()
+	default:
+		return false
+	}
+	return true
+}
+
+// contend claims the destination NIC. A busy NIC means this transfer will
+// queue behind another sender — the link-contention stall the paper's
+// I/O-node analysis is about.
+func (m *Msg) contend() {
+	if m.nic.InUse() >= m.nic.Cap() {
+		m.n.mStalls.Inc()
+	}
+	m.state = msgGrant
+	if m.nic.AcquireFn(m.step) {
+		m.transmit()
+	}
+}
+
+// transmit starts the bandwidth delay on the held NIC. Its end is the
+// process delivery itself, or one more step event for a callback delivery.
+func (m *Msg) transmit() {
+	if m.deliver.P != nil {
+		m.state = msgIdle
+		m.n.eng.ScheduleStep(m.xfer, m.deliver)
+		return
+	}
+	m.state = msgWire
+	m.n.eng.ScheduleStep(m.xfer, sim.Step{Fn: m.step})
+}
+
+// End ends a delivered message, releasing the NIC it still holds: the
+// epilogue of a process delivery. Ending a message that holds no NIC — a
+// local copy, a callback delivery, one already ended — does nothing.
+func (m *Msg) End() {
+	if nic := m.nic; nic != nil {
+		m.nic = nil
+		nic.Release()
+	}
+}
 
 // SetSlowdown sets the absolute wire-cost multiplier — fault injection for
 // a congested or flapping interconnect. 1 restores full speed. Transfers
@@ -211,9 +248,6 @@ func (n *Network) SetSlowdown(factor float64) {
 	}
 	n.slow = factor
 }
-
-// Slowdown returns the current wire-cost multiplier (1 = healthy).
-func (n *Network) Slowdown() float64 { return n.slow }
 
 // TransferTime returns the uncontended time for a message, for analytic
 // estimates and tests.
@@ -240,8 +274,8 @@ func (n *Network) NIC(node int) *sim.Resource {
 	return r
 }
 
-// Messages returns the number of Send calls so far.
-func (n *Network) Messages() int64 { return n.msgs }
+// Messages returns the number of messages sent so far (net.msgs).
+func (n *Network) Messages() int64 { return n.mMsgs.Value() }
 
-// BytesSent returns the total payload bytes moved so far.
-func (n *Network) BytesSent() int64 { return n.bytesSent }
+// BytesSent returns the total payload bytes moved so far (net.bytes).
+func (n *Network) BytesSent() int64 { return n.mBytes.Value() }

@@ -14,16 +14,7 @@ func testParams() Params {
 
 func newNet(t *testing.T) (*sim.Engine, *Network) {
 	t.Helper()
-	e := sim.NewEngine()
-	topo, err := topology.NewMesh2D(4, 4, 12, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := New(e, topo, testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e, n
+	return netWith(t, testParams())
 }
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }

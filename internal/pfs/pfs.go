@@ -313,7 +313,6 @@ func (fs *FS) Lookup(name string) (*File, error) {
 // flight — the fail-stop of an exhausted policy, a failed write-behind
 // drain — ends each of them there, recording its pfs.xfer_time up to the
 // teardown.
-
 func (fs *FS) SetResilience(r Resilience) {
 	if r.TimeoutSec < 0 || r.Retries < 0 || r.BackoffSec < 0 {
 		panic(fmt.Sprintf("pfs: invalid resilience %+v", r))

@@ -1,11 +1,16 @@
 // The transfer path: every chunk of a transfer as a chain of engine events.
 //
-// BeginTransfer drives every chunk — request message, NIC contention, device
-// access, data reply — as engine events on a pooled continuation (chunkOp),
-// finishing with one terminal event: a wake of the issuing process, or a
-// callback when the issuer is itself an event chain (pio's prefetch). It
-// never blocks, so it can run inside a callback. EndTransfer is the epilogue
-// the terminal runs. Transfer is the two around the issuer's Suspend.
+// BeginTransfer drives every chunk — request message, device access, data
+// reply — as engine events on a pooled continuation (chunkOp), finishing
+// with one terminal event: a wake of the issuing process, or a callback when
+// the issuer is itself an event chain (pio's prefetch). It never blocks, so
+// it can run inside a callback. EndTransfer is the epilogue the terminal
+// runs. Transfer is the two around the issuer's Suspend.
+//
+// Both messages of a chunk are network.SendAsync sends, the one model of a
+// message that mp's traffic pays too: the chunkOp embeds the network.Msg,
+// and the message's intermediate events run the chain's step at cRequest or
+// cReply.
 //
 // The continuation rule: every stage but the last is a callback in the
 // (time, sequence) slot where a process paying the stages in turn would
@@ -33,21 +38,18 @@ package pfs
 import (
 	"fmt"
 
+	"pario/internal/network"
 	"pario/internal/sim"
 )
 
 // chunkOp stages: what the next stepFn invocation does.
 const (
-	cStart           int8 = iota // kick-off of a multi-node chain, or a backoff's end: attempt the chunk
-	cAttempt                     // kick-off of an attempt under a timeout: issue the chunk
-	cAtNIC                       // request setup paid: contend for the I/O-node NIC
-	cNICGranted                  // I/O-node NIC granted: start the bandwidth delay
-	cXferDone                    // request delivered: issue the device access
-	cAccessDone                  // device access finished or failed (callback path)
-	cReplyAtNIC                  // reply setup paid: contend for the client NIC
-	cReplyNICGranted             // client NIC granted: start the reply bandwidth delay
-	cReplyDone                   // reply delivered: chunk complete
-	cSettled                     // an attempt under a timeout settled: go on, retry or abort
+	cStart      int8 = iota // kick-off of a multi-node chain, or a backoff's end: attempt the chunk
+	cAttempt                // kick-off of an attempt under a timeout: issue the chunk
+	cRequest                // request message in flight; once delivered, issue the device access
+	cAccessDone             // device access finished or failed (callback path)
+	cReply                  // reply message in flight; once delivered, the chunk is complete
+	cSettled                // an attempt under a timeout settled: go on, retry or abort
 )
 
 // Terminal-epilogue kinds of a single-node transfer: which release and
@@ -55,8 +57,7 @@ const (
 const (
 	kindNone      int8 = iota // nothing pending
 	kindNode                  // the device access was the last event: ionode EndAccess
-	kindLocalRead             // as kindNode, plus the zero-cost local reply's accounting
-	kindReplyNIC              // remote read: release the client NIC
+	kindLocalRead             // as kindNode, plus the zero-cost local reply
 )
 
 // chunkOp drives an ordered chunk list against one I/O node — or, under a
@@ -71,9 +72,8 @@ type chunkOp struct {
 	list       []Chunk
 	idx        int
 	write      bool
-	terminal   bool    // single-node transfer: the last chunk ends with x.term
-	xfer       float64 // bandwidth cost of the in-flight message, sampled at send time
-	onNIC      bool    // the in-flight message occupies a NIC (remote)
+	terminal   bool        // single-node transfer: the last chunk ends with x.term
+	msg        network.Msg // the chunk's request or reply in flight
 	err        error
 	kind       int8
 	stage      int8
@@ -168,15 +168,14 @@ func (f *File) EndTransfer(x *Xfer) {
 	fs.mXferTime.Observe((fs.eng.Now() - x.start) * 1e6)
 	if o := x.op; o != nil {
 		c := &o.list[len(o.list)-1]
-		switch o.kind {
-		case kindNode:
+		if o.kind != kindNone {
 			fs.nodes[c.Node].EndAccess(c.Disk, c.DiskOff, c.Len, o.write, nil)
-		case kindLocalRead:
-			fs.nodes[c.Node].EndAccess(c.Disk, c.DiskOff, c.Len, false, nil)
-			fs.net.AccountMsg(c.Len) // the reply is a zero-cost local copy
-		case kindReplyNIC:
-			fs.net.NIC(o.clientNode).Release()
 		}
+		if o.kind == kindLocalRead {
+			// The reply is a zero-cost local copy: delivered inline.
+			fs.net.SendAsync(&o.msg, fs.nodeGlobal[c.Node], o.clientNode, c.Len, nil, sim.Step{})
+		}
+		o.msg.End() // a remote reply woke the issuer holding the client NIC
 		fs.putChunkOp(o)
 	}
 	fs.putXfer(x)
@@ -190,16 +189,10 @@ func (o *chunkOp) step() {
 		o.attempt()
 	case cAttempt:
 		o.startChunk()
-	case cAtNIC:
-		o.atNIC()
-	case cNICGranted:
-		o.nicGranted()
-	case cXferDone:
-		if o.onNIC {
-			fs := o.f.fs
-			fs.net.NIC(fs.nodeGlobal[o.list[o.idx].Node]).Release()
+	case cRequest:
+		if !o.msg.Advance() {
+			o.access()
 		}
-		o.access()
 	case cAccessDone:
 		if o.err != nil {
 			o.accessFailed()
@@ -210,15 +203,10 @@ func (o *chunkOp) step() {
 			return
 		}
 		o.reply()
-	case cReplyAtNIC:
-		o.replyAtNIC()
-	case cReplyNICGranted:
-		o.replyNICGranted()
-	case cReplyDone:
-		if o.onNIC {
-			o.f.fs.net.NIC(o.clientNode).Release()
+	case cReply:
+		if !o.msg.Advance() {
+			o.chunkDone()
 		}
-		o.chunkDone()
 	case cSettled:
 		if o.timedOut {
 			o.timedOut = false
@@ -356,56 +344,19 @@ func (o *chunkOp) abort() {
 	fs.eng.AbortRun(&IOError{Op: opName(o.write), Node: c.Node, Attempts: o.tries, Time: fs.eng.Now(), Err: o.err})
 }
 
-// startChunk issues chunk list[idx]: account and send the request message,
-// data riding along for writes.
+// startChunk issues chunk list[idx]: send the request message, data riding
+// along for writes. Its delivery is a step at cRequest.
 func (o *chunkOp) startChunk() {
 	c := &o.list[o.idx]
 	fs := o.f.fs
-	global := fs.nodeGlobal[c.Node]
 	msg := int64(RequestMsgBytes)
 	if o.write {
 		msg += c.Len
 	}
-	fs.net.AccountMsg(msg)
-	setup, xfer := fs.net.SendCosts(o.clientNode, global, msg)
-	if o.clientNode == global {
-		// Node-local: a memory copy, no NIC.
-		o.onNIC = false
-		if xfer > 0 {
-			o.stage = cXferDone
-			fs.eng.ScheduleStep(xfer, sim.Step{Fn: o.stepFn})
-			return
-		}
+	o.stage = cRequest
+	if fs.net.SendAsync(&o.msg, o.clientNode, fs.nodeGlobal[c.Node], msg, o.stepFn, sim.Step{Fn: o.stepFn}) {
 		o.access()
-		return
 	}
-	o.onNIC = true
-	o.xfer = xfer
-	if setup > 0 {
-		o.stage = cAtNIC
-		fs.eng.ScheduleStep(setup, sim.Step{Fn: o.stepFn})
-		return
-	}
-	o.atNIC()
-}
-
-// atNIC contends for the destination NIC, recording a stall when the
-// interface is busy, as network.Send does.
-func (o *chunkOp) atNIC() {
-	fs := o.f.fs
-	nic := fs.net.NIC(fs.nodeGlobal[o.list[o.idx].Node])
-	if nic.InUse() >= nic.Cap() {
-		fs.net.NoteStall()
-	}
-	o.stage = cNICGranted
-	if nic.AcquireFn(o.stepFn) {
-		o.nicGranted()
-	}
-}
-
-func (o *chunkOp) nicGranted() {
-	o.stage = cXferDone
-	o.f.fs.eng.ScheduleStep(o.xfer, sim.Step{Fn: o.stepFn})
 }
 
 // access issues the device access. The last chunk of a terminal chain passes
@@ -437,62 +388,21 @@ func (o *chunkOp) access() {
 	nd.AccessAsync(c.Disk, c.DiskOff, c.Len, o.write, &o.err, k, k)
 }
 
-// reply sends the read data back to the client.
+// reply sends the read data back to the client. Its delivery is a step at
+// cReply, or, on the last chunk of a terminal chain, the transfer's terminal
+// itself: a woken issuer then holds the client NIC until EndTransfer ends the
+// message; a callback terminal runs with it released.
 func (o *chunkOp) reply() {
 	c := &o.list[o.idx]
 	fs := o.f.fs
-	global := fs.nodeGlobal[c.Node]
-	fs.net.AccountMsg(c.Len)
-	setup, xfer := fs.net.SendCosts(global, o.clientNode, c.Len)
-	last := o.terminal && o.idx == len(o.list)-1
-	if global == o.clientNode {
-		o.onNIC = false
-		if xfer > 0 {
-			if last {
-				o.kind = kindNone
-				fs.eng.ScheduleStep(xfer, o.x.term)
-				return
-			}
-			o.stage = cReplyDone
-			fs.eng.ScheduleStep(xfer, sim.Step{Fn: o.stepFn})
-			return
-		}
-		o.chunkDone() // zero-cost local reply on a non-terminal chunk
-		return
-	}
-	o.onNIC = true
-	o.xfer = xfer
-	if setup > 0 {
-		o.stage = cReplyAtNIC
-		fs.eng.ScheduleStep(setup, sim.Step{Fn: o.stepFn})
-		return
-	}
-	o.replyAtNIC()
-}
-
-func (o *chunkOp) replyAtNIC() {
-	fs := o.f.fs
-	nic := fs.net.NIC(o.clientNode)
-	if nic.InUse() >= nic.Cap() {
-		fs.net.NoteStall()
-	}
-	o.stage = cReplyNICGranted
-	if nic.AcquireFn(o.stepFn) {
-		o.replyNICGranted()
-	}
-}
-
-func (o *chunkOp) replyNICGranted() {
-	fs := o.f.fs
+	deliver := sim.Step{Fn: o.stepFn}
 	if o.terminal && o.idx == len(o.list)-1 {
-		// The reply transfer is the chain's final timed event; EndTransfer
-		// releases the client NIC (kindReplyNIC).
-		o.kind = kindReplyNIC
-		fs.eng.ScheduleStep(o.xfer, o.x.term)
-		return
+		deliver = o.x.term
 	}
-	o.stage = cReplyDone
-	fs.eng.ScheduleStep(o.xfer, sim.Step{Fn: o.stepFn})
+	o.stage = cReply
+	if fs.net.SendAsync(&o.msg, fs.nodeGlobal[c.Node], o.clientNode, c.Len, o.stepFn, deliver) {
+		o.chunkDone() // zero-cost local reply on a non-terminal chunk
+	}
 }
 
 // chunkDone completes chunk list[idx]: an attempt settles its race; a chain

@@ -26,7 +26,7 @@ func nodeParams() ionode.Params {
 	}
 }
 
-func newFS(t *testing.T, nio int) (*sim.Engine, *FS) {
+func newFS(t testing.TB, nio int) (*sim.Engine, *FS) {
 	t.Helper()
 	e := sim.NewEngine()
 	topo, err := topology.NewMesh2D(8, 8, 16, nio, 1)
