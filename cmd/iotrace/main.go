@@ -5,31 +5,33 @@
 // Usage:
 //
 //	iotrace -app scf11 -procs 4 -input LARGE -version passion
+//	iotrace -app scf11 -opt          # -opt selects the prefetch version
 //	iotrace -app btio -procs 16 -opt
 //	iotrace -app fft -procs 4 -capture fft.ptrt
+//
+// The run is resolved and simulated through the same path as iosim and
+// pariod (serve.Canonicalize, serve.Execute), with every app's paper
+// defaults for the parameters iotrace has no flag for.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"pario/internal/apps/btio"
-	"pario/internal/apps/fft"
-	"pario/internal/apps/scf"
 	"pario/internal/core"
-	"pario/internal/machine"
+	"pario/internal/serve"
 	"pario/internal/trace"
 )
 
 func main() {
 	var (
-		app     = flag.String("app", "scf11", "scf11 | fft | btio")
+		app     = flag.String("app", "scf11", "scf11 | scf30 | fft | btio | ast")
 		procs   = flag.Int("procs", 4, "compute processes")
 		input   = flag.String("input", "MEDIUM", "scf input: SMALL | MEDIUM | LARGE")
 		version = flag.String("version", "original", "scf11: original | passion | prefetch")
-		opt     = flag.Bool("opt", false, "apply the application's optimization")
+		opt     = flag.Bool("opt", false, "apply the application's optimization (scf11: the prefetch version)")
 		capture = flag.String("capture", "", "also write the run's captured I/O trace to FILE")
 	)
 	flag.Parse()
@@ -37,13 +39,13 @@ func main() {
 	if *capture != "" {
 		core.SetDefaultCapture(true)
 	}
-	rep, err := runApp(*app, *procs, *input, *version, *opt)
+	req, rep, err := run(serve.Request{App: *app, Procs: *procs, Input: *input, Version: *version, Opt: *opt})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iotrace: %v\n", err)
 		os.Exit(1)
 	}
 	if *capture != "" {
-		t := trace.FromCaptured(rep.Captured, captureIface(*app, *version), strings.ToLower(*app))
+		t := trace.FromCaptured(rep.Captured, captureIface(req), req.App)
 		if err := t.Validate(); err != nil {
 			fmt.Fprintf(os.Stderr, "iotrace: captured trace: %v\n", err)
 			os.Exit(1)
@@ -70,49 +72,26 @@ func main() {
 }
 
 // captureIface picks the trace's replay-interface hint from the app's own
-// interface: SCF's original deck is Fortran-style, its optimized versions
-// PASSION-style; everything else maps onto the native client.
-func captureIface(app, version string) string {
-	if strings.ToLower(app) == "scf11" {
-		switch strings.ToLower(version) {
-		case "passion", "prefetch":
-			return "passion"
-		default:
-			return "fortran"
-		}
+// interface: SCF 1.1's original version is Fortran-style, its optimized
+// versions and SCF 3.0 PASSION-style; everything else maps onto the native
+// client.
+func captureIface(req serve.Request) string {
+	switch {
+	case req.App == "scf11" && req.Version == "original":
+		return "fortran"
+	case req.App == "scf11" || req.App == "scf30":
+		return "passion"
 	}
 	return "native"
 }
 
-func runApp(app string, procs int, input, version string, opt bool) (core.Report, error) {
-	switch strings.ToLower(app) {
-	case "scf11":
-		m, err := machine.ParagonLarge(12)
-		if err != nil {
-			return core.Report{}, err
-		}
-		ins := map[string]scf.Input{"SMALL": scf.Small, "MEDIUM": scf.Medium, "LARGE": scf.Large}
-		in, ok := ins[strings.ToUpper(input)]
-		if !ok {
-			return core.Report{}, fmt.Errorf("unknown input %q", input)
-		}
-		v := map[string]scf.Version{
-			"original": scf.Original, "passion": scf.Passion, "prefetch": scf.PassionPrefetch,
-		}[strings.ToLower(version)]
-		return scf.Run11(scf.Config11{Machine: m, Input: in, Procs: procs, Version: v})
-	case "fft":
-		m, err := machine.ParagonSmall(2)
-		if err != nil {
-			return core.Report{}, err
-		}
-		return fft.Run(fft.Config{Machine: m, Procs: procs, OptimizedLayout: opt})
-	case "btio":
-		m, err := machine.SP2()
-		if err != nil {
-			return core.Report{}, err
-		}
-		return btio.Run(btio.Config{Machine: m, Procs: procs, Class: btio.ClassA, Collective: opt})
-	default:
-		return core.Report{}, fmt.Errorf("unknown app %q", app)
+// run canonicalizes req and simulates it through the service's shared
+// path, returning the canonical request with the report.
+func run(req serve.Request) (serve.Request, core.Report, error) {
+	c, err := serve.Canonicalize(req)
+	if err != nil {
+		return serve.Request{}, core.Report{}, err
 	}
+	rep, err := serve.Execute(context.Background(), c)
+	return c, rep, err
 }

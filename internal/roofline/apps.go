@@ -16,18 +16,6 @@ import (
 // app packages themselves (apps/*/counts.go), so a recalibration there
 // moves both the kernel and the estimate.
 
-func scfInputOf(name string) (scf.Input, error) {
-	switch name {
-	case "SMALL":
-		return scf.Small, nil
-	case "LARGE":
-		return scf.Large, nil
-	case "MEDIUM":
-		return scf.Medium, nil
-	}
-	return scf.Input{}, fmt.Errorf("roofline: unknown scf input %q", name)
-}
-
 // dataCall folds the interface's per-call software cost with its explicit
 // seek, matching pio.Handle's positioning rule for sequential access.
 func dataCall(sec, seekSec float64, explicit bool) float64 {
@@ -38,10 +26,7 @@ func dataCall(sec, seekSec float64, explicit bool) float64 {
 }
 
 func (m *Model) scf11(in Input) ([]Phase, int64, int64, int64, error) {
-	scfIn, err := scfInputOf(in.Input)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
+	scfIn := in.Input
 	P := float64(in.Procs)
 	total := float64(scf.StoredBytes(scfIn))
 	perProc := total / P
@@ -49,7 +34,7 @@ func (m *Model) scf11(in Input) ([]Phase, int64, int64, int64, error) {
 	nChunks := math.Ceil(perProc / chunk)
 
 	par := m.Interface("fortran")
-	if in.Version != "original" {
+	if in.Version != scf.Original {
 		par = m.Interface("passion")
 	}
 	callW := dataCall(par.WriteCallSec, par.SeekSec, par.ExplicitSeeks)
@@ -75,7 +60,7 @@ func (m *Model) scf11(in Input) ([]Phase, int64, int64, int64, error) {
 	// The original version seeks at index-block boundaries and rewinds
 	// once per iteration; every version flushes on most iterations.
 	var seekSW float64
-	if in.Version == "original" {
+	if in.Version == scf.Original {
 		blockLen := math.Ceil(perProc / scf.RecordBlockCount)
 		if blockLen > chunk {
 			seekSW = scf.RecordBlockCount * par.SeekSec
@@ -91,7 +76,7 @@ func (m *Model) scf11(in Input) ([]Phase, int64, int64, int64, error) {
 		diskReqs:     iters * m.diskRequests(total, chunk),
 		linkBytes:    iters * (total + pfs.RequestMsgBytes*nChunks*P),
 		nicBytes:     iters * total / float64(m.IONodes),
-		overlap:      in.Version == "prefetch",
+		overlap:      in.Version == scf.PassionPrefetch,
 		computeSec:   iters * m.computeSec(perProc*fockFlopsPerByte),
 		collective:   iters * m.allreduceSec(in.Procs, int64(8*scfIn.N)),
 	})
@@ -102,10 +87,7 @@ func (m *Model) scf11(in Input) ([]Phase, int64, int64, int64, error) {
 }
 
 func (m *Model) scf30(in Input) ([]Phase, int64, int64, int64, error) {
-	scfIn, err := scfInputOf(in.Input)
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
+	scfIn := in.Input
 	P := float64(in.Procs)
 	cached := float64(in.CachedPct) / 100
 	total := float64(scf.StoredBytes(scfIn)) * cached
@@ -225,10 +207,7 @@ func (m *Model) btio(in Input) ([]Phase, int64, int64, int64, error) {
 	if q*q != in.Procs {
 		return nil, 0, 0, 0, fmt.Errorf("roofline: btio needs a square process count, not %d", in.Procs)
 	}
-	cls := btio.ClassA
-	if in.Class == "B" {
-		cls = btio.ClassB
-	}
+	cls := in.Class
 	n := float64(cls.N)
 	dumps := float64(cls.Dumps)
 	P := float64(in.Procs)

@@ -72,14 +72,6 @@ func loadCrossval(t *testing.T) cvFile {
 	return f
 }
 
-func rooflineInput(r serve.Request) roofline.Input {
-	return roofline.Input{
-		App: r.App, Procs: r.Procs, IONodes: r.IONodes, Opt: r.Opt,
-		Input: r.Input, Version: r.Version, CachedPct: r.CachedPct,
-		Class: r.Class, Faults: r.Faults,
-	}
-}
-
 // runAll estimates and simulates every point on a bounded worker pool.
 func runAll(t *testing.T, points []cvPoint) []cvResult {
 	t.Helper()
@@ -99,7 +91,7 @@ func runAll(t *testing.T, points []cvPoint) []cvResult {
 				results[i] = res
 				return
 			}
-			res.est, err = roofline.EstimateRequest(rooflineInput(canon))
+			res.est, err = serve.EstimateFor(canon)
 			if err != nil {
 				res.err = fmt.Errorf("estimate: %w", err)
 				results[i] = res

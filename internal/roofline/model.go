@@ -1,7 +1,6 @@
 package roofline
 
 import (
-	"fmt"
 	"math"
 
 	"pario/internal/machine"
@@ -66,29 +65,6 @@ func NewModel(cfg *machine.Config) *Model {
 		StripeUnit:          cfg.DefaultStripeUnit,
 		cfg:                 cfg,
 	}
-}
-
-// modelFor resolves the machine for a canonical request exactly as the
-// execution path (serve.Execute) does, then derives its model.
-func modelFor(in Input) (*Model, error) {
-	var (
-		cfg *machine.Config
-		err error
-	)
-	switch in.App {
-	case "scf11", "scf30", "ast":
-		cfg, err = machine.ParagonLarge(in.IONodes)
-	case "fft":
-		cfg, err = machine.ParagonSmall(in.IONodes)
-	case "btio":
-		cfg, err = machine.SP2()
-	default:
-		return nil, fmt.Errorf("roofline: unknown app %q", in.App)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return NewModel(cfg), nil
 }
 
 // Interface resolves a client interface by name on the underlying machine.

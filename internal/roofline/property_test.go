@@ -12,6 +12,7 @@ import (
 	"sort"
 	"testing"
 
+	"pario/internal/apps/scf"
 	"pario/internal/machine"
 	"pario/internal/roofline"
 	"pario/internal/serve"
@@ -35,7 +36,7 @@ func validPoints(t *testing.T, spec serve.SweepSpec) []serve.Request {
 
 func estimateOf(t *testing.T, r serve.Request) *roofline.Estimate {
 	t.Helper()
-	est, err := roofline.EstimateRequest(rooflineInput(r))
+	est, err := serve.EstimateFor(r)
 	if err != nil {
 		t.Fatalf("estimate %+v: %v", r, err)
 	}
@@ -88,11 +89,11 @@ func TestMonotoneInSpindles(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := []roofline.Input{
-		{App: "scf11", Procs: 16, IONodes: 16, Input: "LARGE", Version: "original"},
-		{App: "scf11", Procs: 16, IONodes: 16, Input: "LARGE", Version: "prefetch"},
-		{App: "scf30", Procs: 32, IONodes: 16, Input: "MEDIUM", CachedPct: 90},
-		{App: "ast", Procs: 64, IONodes: 16},
-		{App: "ast", Procs: 64, IONodes: 16, Opt: true},
+		{App: "scf11", Procs: 16, Input: scf.Large, Version: scf.Original},
+		{App: "scf11", Procs: 16, Input: scf.Large, Version: scf.PassionPrefetch},
+		{App: "scf30", Procs: 32, Input: scf.Medium, CachedPct: 90},
+		{App: "ast", Procs: 64},
+		{App: "ast", Procs: 64, Opt: true},
 	}
 	for _, in := range inputs {
 		prev := -1.0

@@ -26,6 +26,9 @@ package roofline
 import (
 	"errors"
 	"fmt"
+
+	"pario/internal/apps/btio"
+	"pario/internal/apps/scf"
 )
 
 // ErrUnsupported marks requests outside the analytic model's domain. The
@@ -46,20 +49,18 @@ const (
 	OverheadBound Bottleneck = "overhead_bound"
 )
 
-// Input is the canonical request the estimator prices. Fields mirror
-// serve.Request after canonicalization (per-app defaults resolved,
-// irrelevant fields cleared); roofline keeps its own copy of the shape so
-// the serving layer can depend on this package without a cycle.
+// Input is the resolved request the estimator prices: the app parameters
+// serve resolves a canonical request to (per-app defaults applied, the deck,
+// version and class resolved to the app packages' own values, irrelevant
+// fields zero). The machine is resolved alongside it and handed to NewModel.
 type Input struct {
 	App       string
 	Procs     int
-	IONodes   int
 	Opt       bool
-	Input     string
-	Version   string
+	Input     scf.Input
+	Version   scf.Version
 	CachedPct int
-	Class     string
-	Faults    string
+	Class     btio.Class
 }
 
 // Phase is one priced application phase.
@@ -111,27 +112,10 @@ type Estimate struct {
 	Phases       []Phase `json:"phases"`
 }
 
-// Estimate prices a canonical request. It resolves the machine exactly as
-// the execution path does, builds the analytic model and dispatches on the
-// app. Requests with fault plans return ErrUnsupported.
-func EstimateRequest(in Input) (*Estimate, error) {
-	if in.Faults != "" {
-		return nil, ErrUnsupported
-	}
-	m, err := modelFor(in)
-	if err != nil {
-		return nil, err
-	}
-	return m.Estimate(in)
-}
-
-// Estimate prices a canonical request against this model. The model's
-// machine must match the request (EstimateRequest guarantees that; tests
-// may deliberately mismatch to probe scaling).
+// Estimate prices a resolved request against this model. The model's
+// machine must be the one the request resolves to (serve.EstimateFor
+// guarantees that; tests may deliberately mismatch to probe scaling).
 func (m *Model) Estimate(in Input) (*Estimate, error) {
-	if in.Faults != "" {
-		return nil, ErrUnsupported
-	}
 	if in.Procs < 1 {
 		return nil, fmt.Errorf("roofline: procs %d out of range", in.Procs)
 	}

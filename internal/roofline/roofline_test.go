@@ -1,10 +1,10 @@
 package roofline
 
 import (
-	"errors"
 	"math"
 	"testing"
 
+	"pario/internal/apps/scf"
 	"pario/internal/machine"
 )
 
@@ -17,47 +17,15 @@ func paragonModel(t *testing.T) *Model {
 	return NewModel(cfg)
 }
 
-// TestEstimateRequestErrors walks the estimator's refusal surface: fault
-// plans, unknown apps, invalid partitions and out-of-domain shapes all
-// return errors rather than fabricated numbers.
-func TestEstimateRequestErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		in   Input
-	}{
-		{"faults", Input{App: "scf11", Procs: 4, IONodes: 12, Input: "SMALL", Version: "original", Faults: "disk:0:fail@t=1s"}},
-		{"unknown-app", Input{App: "lu", Procs: 4}},
-		{"bad-partition", Input{App: "scf11", Procs: 4, IONodes: 7, Input: "SMALL", Version: "original"}},
-		{"bad-input", Input{App: "scf11", Procs: 4, IONodes: 12, Input: "TINY", Version: "original"}},
-		{"fft-too-many-procs", Input{App: "fft", Procs: 8192, IONodes: 2}},
-		{"btio-non-square", Input{App: "btio", Procs: 3, Class: "A"}},
-		{"ast-too-many-procs", Input{App: "ast", Procs: 4096, IONodes: 16}},
-		{"scf30-bad-input", Input{App: "scf30", Procs: 4, IONodes: 16, Input: "HUGE", CachedPct: 90}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := EstimateRequest(tc.in); err == nil {
-				t.Fatalf("EstimateRequest(%+v) succeeded, want error", tc.in)
-			}
-		})
-	}
-	if _, err := EstimateRequest(Input{App: "ast", Procs: 4, IONodes: 16, Faults: "x"}); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("fault plan error = %v, want ErrUnsupported", err)
-	}
-}
-
 // TestModelEstimateGuards pins Model.Estimate's own validation, which tests
 // hit directly when probing scaling with a hand-built model.
 func TestModelEstimateGuards(t *testing.T) {
 	m := paragonModel(t)
-	if _, err := m.Estimate(Input{App: "scf11", Procs: 0, Input: "SMALL", Version: "original"}); err == nil {
+	if _, err := m.Estimate(Input{App: "scf11", Procs: 0, Input: scf.Small}); err == nil {
 		t.Fatal("procs=0 accepted")
 	}
 	if _, err := m.Estimate(Input{App: "nope", Procs: 4}); err == nil {
 		t.Fatal("unknown app accepted")
-	}
-	if _, err := m.Estimate(Input{App: "scf11", Procs: 4, Faults: "x"}); !errors.Is(err, ErrUnsupported) {
-		t.Fatal("fault plan accepted by Model.Estimate")
 	}
 }
 
@@ -148,36 +116,5 @@ func TestHelperEdgeCases(t *testing.T) {
 	}
 	if m.Interface("passion").WriteCallSec >= m.Interface("").WriteCallSec {
 		t.Error("PASSION write call should be cheaper than the Fortran default")
-	}
-}
-
-// TestEstimateAccounting asserts the cross-phase bookkeeping: elapsed is
-// the sum of phases, IO is the non-compute remainder, bandwidth follows
-// client bytes.
-func TestEstimateAccounting(t *testing.T) {
-	for _, in := range []Input{
-		{App: "scf11", Procs: 4, IONodes: 12, Input: "SMALL", Version: "original"},
-		{App: "scf30", Procs: 8, IONodes: 16, Input: "SMALL", CachedPct: 50},
-		{App: "fft", Procs: 4, IONodes: 2, Opt: true},
-		{App: "btio", Procs: 4, Class: "A"},
-		{App: "ast", Procs: 4, IONodes: 16, Opt: true},
-	} {
-		est, err := EstimateRequest(in)
-		if err != nil {
-			t.Fatalf("%s: %v", in.App, err)
-		}
-		var sum float64
-		for _, ph := range est.Phases {
-			sum += ph.ElapsedSec
-		}
-		if math.Abs(sum-est.ElapsedSec) > 1e-9*sum {
-			t.Errorf("%s: elapsed %.6f != phase sum %.6f", in.App, est.ElapsedSec, sum)
-		}
-		if est.IOSec < 0 || est.ClientBytes <= 0 || est.BandwidthMBs <= 0 {
-			t.Errorf("%s: implausible accounting: %+v", in.App, est)
-		}
-		if est.Bottleneck == "" {
-			t.Errorf("%s: no bottleneck classified", in.App)
-		}
 	}
 }

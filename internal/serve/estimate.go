@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -21,19 +20,10 @@ import (
 // content address, disjoint from the exact keys, so each mode's bodies
 // stay byte-identical and neither mode can alias the other.
 
-// rooflineInput projects a canonical request into the estimator's input
-// shape (roofline keeps its own copy of the struct to avoid a cycle).
-func rooflineInput(r Request) roofline.Input {
-	return roofline.Input{
-		App: r.App, Procs: r.Procs, IONodes: r.IONodes, Opt: r.Opt,
-		Input: r.Input, Version: r.Version, CachedPct: r.CachedPct,
-		Class: r.Class, Faults: r.Faults,
-	}
-}
-
-// EstimateFor prices a canonical request analytically. Requests carrying
-// fault plans are outside the model's domain and are refused with an error
-// classified estimate_unsupported (HTTP 422 at the handler).
+// EstimateFor prices a canonical request analytically against the machine
+// the request resolves to — the one its exact run simulates. Requests
+// carrying fault plans are outside the model's domain and are refused with
+// an error classified estimate_unsupported (HTTP 422 at the handler).
 func EstimateFor(canon Request) (*roofline.Estimate, error) {
 	if canon.App == "trace" {
 		// A trace replay's cost lives in the event log, not in closed-form
@@ -41,14 +31,14 @@ func EstimateFor(canon Request) (*roofline.Estimate, error) {
 		return nil, core.Classify("estimate_unsupported",
 			fmt.Errorf("serve: estimate mode does not model trace replays"))
 	}
-	est, err := roofline.EstimateRequest(rooflineInput(canon))
+	_, b, err := resolve(canon)
 	if err != nil {
-		if errors.Is(err, roofline.ErrUnsupported) {
-			return nil, core.Classify("estimate_unsupported", err)
-		}
 		return nil, err
 	}
-	return est, nil
+	if b.plan != nil {
+		return nil, core.Classify("estimate_unsupported", roofline.ErrUnsupported)
+	}
+	return roofline.NewModel(b.m).Estimate(b.est)
 }
 
 // estimateKey is the estimate-mode content address: the hex SHA-256 of the

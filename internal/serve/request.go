@@ -13,14 +13,21 @@
 package serve
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strings"
 
+	"pario/internal/apps/ast"
+	"pario/internal/apps/btio"
+	"pario/internal/apps/fft"
+	"pario/internal/apps/scf"
+	"pario/internal/core"
 	"pario/internal/fault"
 	"pario/internal/machine"
+	"pario/internal/roofline"
 )
 
 // Request names one simulation run: the iosim parameter space. The zero
@@ -28,7 +35,7 @@ import (
 // cmd/iosim's flag defaults do; Canonicalize resolves them so that
 // equivalent requests share one cache key.
 type Request struct {
-	// App is one of scf11, scf30, fft, btio, ast (case-insensitive).
+	// App is one of scf11, scf30, fft, btio, ast, trace (case-insensitive).
 	App string `json:"app"`
 	// Procs is the number of compute processes (default 4).
 	Procs int `json:"procs,omitempty"`
@@ -85,11 +92,28 @@ func isTraceHash(s string) bool {
 	return true
 }
 
+// scfDecks is the scf input-deck vocabulary.
+var scfDecks = map[string]scf.Input{"SMALL": scf.Small, "MEDIUM": scf.Medium, "LARGE": scf.Large}
+
 // scf11Versions is the request-level version vocabulary. Opt folds into
 // prefetch during canonicalization, mirroring iosim's -opt.
-var scf11Versions = map[string]bool{"original": true, "passion": true, "prefetch": true}
+var scf11Versions = map[string]scf.Version{
+	"original": scf.Original, "passion": scf.Passion, "prefetch": scf.PassionPrefetch,
+}
 
-var scfInputs = map[string]bool{"SMALL": true, "MEDIUM": true, "LARGE": true}
+// binding is what a canonical request names, resolved once by resolve: the
+// machine it runs on, its parsed fault plan, the app's run and the app
+// parameters both the simulation and the roofline estimator read.
+type binding struct {
+	m    *machine.Config
+	plan *fault.Plan
+	// run simulates the request; nil for app "trace", whose workload is
+	// named only by hash (see ExecuteTrace).
+	run func(ctx context.Context, b binding) (core.Report, error)
+	// est holds the resolved app parameters (deck, version, class); unused
+	// for app "trace".
+	est roofline.Input
+}
 
 // Canonicalize validates req and resolves every default, returning the
 // canonical form that keys the result cache: fields an app ignores are
@@ -97,13 +121,23 @@ var scfInputs = map[string]bool{"SMALL": true, "MEDIUM": true, "LARGE": true}
 // the prefetch version) is applied. Two requests that would simulate the
 // same configuration canonicalize to identical values.
 func Canonicalize(req Request) (Request, error) {
-	c := Request{App: strings.ToLower(strings.TrimSpace(req.App))}
+	c, _, err := resolve(req)
+	return c, err
+}
+
+// resolve is the one per-app rule of what a request names. It returns the
+// canonical form Canonicalize answers, bound to the machine, fault plan,
+// run and estimator input that form names; Execute, ExecuteTrace and
+// EstimateFor all resolve through it, so they can never disagree about a
+// request.
+func resolve(req Request) (c Request, b binding, err error) {
+	c = Request{App: strings.ToLower(strings.TrimSpace(req.App))}
 	c.Procs = req.Procs
 	if c.Procs == 0 {
 		c.Procs = 4
 	}
 	if c.Procs < 1 {
-		return Request{}, fmt.Errorf("serve: %d procs", c.Procs)
+		return Request{}, binding{}, fmt.Errorf("serve: %d procs", c.Procs)
 	}
 
 	nio := func(def int) int {
@@ -120,31 +154,39 @@ func Canonicalize(req Request) (Request, error) {
 	switch c.App {
 	case "scf11":
 		c.IONodes = nio(12)
-		if _, err := machine.ParagonLarge(c.IONodes); err != nil {
-			return Request{}, err
+		if b.m, err = machine.ParagonLarge(c.IONodes); err != nil {
+			return Request{}, binding{}, err
 		}
-		if !scfInputs[input] {
-			return Request{}, fmt.Errorf("serve: unknown input %q", req.Input)
+		var ok bool
+		if b.est.Input, ok = scfDecks[input]; !ok {
+			return Request{}, binding{}, fmt.Errorf("serve: unknown input %q", req.Input)
 		}
 		c.Input = input
 		v := strings.ToLower(strings.TrimSpace(req.Version))
 		if v == "" {
 			v = "original"
 		}
-		if !scf11Versions[v] {
-			return Request{}, fmt.Errorf("serve: unknown version %q", req.Version)
+		if b.est.Version, ok = scf11Versions[v]; !ok {
+			return Request{}, binding{}, fmt.Errorf("serve: unknown version %q", req.Version)
 		}
 		if req.Opt {
-			v = "prefetch" // iosim -opt selects PASSION+prefetch
+			// iosim -opt selects PASSION+prefetch
+			v, b.est.Version = "prefetch", scf.PassionPrefetch
 		}
 		c.Version = v
+		b.run = func(ctx context.Context, b binding) (core.Report, error) {
+			return scf.Run11(scf.Config11{
+				Ctx: ctx, Faults: b.plan, Machine: b.m, Input: b.est.Input, Procs: b.est.Procs, Version: b.est.Version,
+			})
+		}
 	case "scf30":
 		c.IONodes = nio(16)
-		if _, err := machine.ParagonLarge(c.IONodes); err != nil {
-			return Request{}, err
+		if b.m, err = machine.ParagonLarge(c.IONodes); err != nil {
+			return Request{}, binding{}, err
 		}
-		if !scfInputs[input] {
-			return Request{}, fmt.Errorf("serve: unknown input %q", req.Input)
+		var ok bool
+		if b.est.Input, ok = scfDecks[input]; !ok {
+			return Request{}, binding{}, fmt.Errorf("serve: unknown input %q", req.Input)
 		}
 		c.Input = input
 		c.CachedPct = req.CachedPct
@@ -152,46 +194,66 @@ func Canonicalize(req Request) (Request, error) {
 			c.CachedPct = 90
 		}
 		if c.CachedPct < 0 || c.CachedPct > 100 {
-			return Request{}, fmt.Errorf("serve: cached_pct %d out of range", req.CachedPct)
+			return Request{}, binding{}, fmt.Errorf("serve: cached_pct %d out of range", req.CachedPct)
+		}
+		b.run = func(ctx context.Context, b binding) (core.Report, error) {
+			return scf.Run30(scf.Config30{
+				Ctx: ctx, Faults: b.plan, Machine: b.m, Input: b.est.Input, Procs: b.est.Procs,
+				CachedPct: b.est.CachedPct, Balance: true,
+			})
 		}
 	case "fft":
 		c.IONodes = nio(2)
-		if _, err := machine.ParagonSmall(c.IONodes); err != nil {
-			return Request{}, err
+		if b.m, err = machine.ParagonSmall(c.IONodes); err != nil {
+			return Request{}, binding{}, err
 		}
 		c.Opt = req.Opt
+		b.run = func(ctx context.Context, b binding) (core.Report, error) {
+			return fft.Run(fft.Config{Ctx: ctx, Faults: b.plan, Machine: b.m, Procs: b.est.Procs, OptimizedLayout: b.est.Opt})
+		}
 	case "btio":
 		// The SP2 partition is fixed; IONodes stays 0 in canonical form.
 		if sq := isqrt(c.Procs); sq*sq != c.Procs {
-			return Request{}, fmt.Errorf("serve: btio needs a square process count, got %d", c.Procs)
+			return Request{}, binding{}, fmt.Errorf("serve: btio needs a square process count, got %d", c.Procs)
 		}
 		cls := strings.ToUpper(strings.TrimSpace(req.Class))
-		if cls == "" {
-			cls = "A"
-		}
-		if cls != "A" && cls != "B" {
-			return Request{}, fmt.Errorf("serve: unknown btio class %q", req.Class)
+		switch cls {
+		case "", "A":
+			cls, b.est.Class = "A", btio.ClassA
+		case "B":
+			b.est.Class = btio.ClassB
+		default:
+			return Request{}, binding{}, fmt.Errorf("serve: unknown btio class %q", req.Class)
 		}
 		c.Class = cls
 		c.Opt = req.Opt
+		if b.m, err = machine.SP2(); err != nil {
+			return Request{}, binding{}, err
+		}
+		b.run = func(ctx context.Context, b binding) (core.Report, error) {
+			return btio.Run(btio.Config{Ctx: ctx, Faults: b.plan, Machine: b.m, Procs: b.est.Procs, Class: b.est.Class, Collective: b.est.Opt})
+		}
 	case "ast":
 		c.IONodes = nio(16)
-		if _, err := machine.ParagonLarge(c.IONodes); err != nil {
-			return Request{}, err
+		if b.m, err = machine.ParagonLarge(c.IONodes); err != nil {
+			return Request{}, binding{}, err
 		}
 		c.Opt = req.Opt
+		b.run = func(ctx context.Context, b binding) (core.Report, error) {
+			return ast.Run(ast.Config{Ctx: ctx, Faults: b.plan, Machine: b.m, Procs: b.est.Procs, Optimized: b.est.Opt})
+		}
 	case "trace":
 		// The trace itself fixes the rank count; Procs is cleared so
 		// every spelling of a replay shares one key. TraceData is
 		// transport (see the field) and never reaches the canonical form.
 		c.Procs = 0
 		c.IONodes = nio(12)
-		if _, err := machine.ParagonLarge(c.IONodes); err != nil {
-			return Request{}, err
+		if b.m, err = machine.ParagonLarge(c.IONodes); err != nil {
+			return Request{}, binding{}, err
 		}
 		h := strings.ToLower(strings.TrimSpace(req.Trace))
 		if !isTraceHash(h) {
-			return Request{}, fmt.Errorf("serve: app trace needs trace=<sha256> (64 hex chars), got %q", req.Trace)
+			return Request{}, binding{}, fmt.Errorf("serve: app trace needs trace=<sha256> (64 hex chars), got %q", req.Trace)
 		}
 		c.Trace = h
 		v := strings.ToLower(strings.TrimSpace(req.Version))
@@ -199,24 +261,24 @@ func Canonicalize(req Request) (Request, error) {
 			v = "native"
 		}
 		if !traceIfaces[v] {
-			return Request{}, fmt.Errorf("serve: unknown trace interface %q (fortran|passion|native)", req.Version)
+			return Request{}, binding{}, fmt.Errorf("serve: unknown trace interface %q (fortran|passion|native)", req.Version)
 		}
 		c.Version = v
 		c.Opt = req.Opt
 	default:
-		return Request{}, fmt.Errorf("serve: unknown app %q (scf11|scf30|fft|btio|ast|trace)", req.App)
+		return Request{}, binding{}, fmt.Errorf("serve: unknown app %q (scf11|scf30|fft|btio|ast|trace)", req.App)
 	}
 	if req.Faults != "" {
-		pl, err := fault.Parse(req.Faults)
-		if err != nil {
-			return Request{}, err
+		if b.plan, err = fault.Parse(req.Faults); err != nil {
+			return Request{}, binding{}, err
 		}
 		// The canonical DSL rendering keys the cache: "200ms" and "0.2s"
 		// fold onto one entry, while any injection at all keeps the key
 		// distinct from the healthy run's.
-		c.Faults = pl.String()
+		c.Faults = b.plan.String()
 	}
-	return c, nil
+	b.est.App, b.est.Procs, b.est.Opt, b.est.CachedPct = c.App, c.Procs, c.Opt, c.CachedPct
+	return c, b, nil
 }
 
 func isqrt(n int) int {
