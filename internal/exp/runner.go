@@ -44,17 +44,6 @@ func Workers() int {
 	return workers
 }
 
-// Point is the measurement of one completed sweep point.
-type Point struct {
-	// Index is the job's position in the input slice.
-	Index int
-	// Wall is the real time the point took to simulate.
-	Wall time.Duration
-	// Events is the number of simulation events the point's engine
-	// executed, when the job result exposes it (see EventCounter).
-	Events uint64
-}
-
 // Stats aggregates the points of one or more sweeps.
 type Stats struct {
 	// Sweeps is the number of Map calls aggregated.
@@ -65,8 +54,6 @@ type Stats struct {
 	Events uint64
 	// WallSum is the summed per-point wall clock — the sequential cost.
 	WallSum time.Duration
-	// WallMax is the slowest single point.
-	WallMax time.Duration
 	// Elapsed is the real time the sweeps took end to end.
 	Elapsed time.Duration
 }
@@ -77,9 +64,6 @@ func (s *Stats) Add(o Stats) {
 	s.Points += o.Points
 	s.Events += o.Events
 	s.WallSum += o.WallSum
-	if o.WallMax > s.WallMax {
-		s.WallMax = o.WallMax
-	}
 	s.Elapsed += o.Elapsed
 }
 
@@ -146,22 +130,12 @@ type SnapshotProvider interface {
 	StatsSnapshot() *sstats.Snapshot
 }
 
-// Progress is called after each sweep point completes. done is the number
-// of finished points, total the job count. Calls are serialized by the
-// runner but arrive in completion order, not input order.
-type Progress func(done, total int, last Point)
-
 // Map runs fn over jobs on a pool of workers goroutines and returns the
 // results in input order, plus the sweep's stats. Each job should build
 // and run its own independent simulation; nothing may be shared mutably
 // across jobs. If any job fails, Map returns the error of the
 // lowest-indexed failing job; jobs not yet started are skipped.
 func Map[J, R any](jobs []J, workers int, fn func(J) (R, error)) ([]R, Stats, error) {
-	return MapProgress(jobs, workers, fn, nil)
-}
-
-// MapProgress is Map with a progress callback (nil is allowed).
-func MapProgress[J, R any](jobs []J, workers int, fn func(J) (R, error), progress Progress) ([]R, Stats, error) {
 	start := time.Now()
 	if workers < 1 {
 		workers = 1
@@ -174,9 +148,8 @@ func MapProgress[J, R any](jobs []J, workers int, fn func(J) (R, error), progres
 	stats := Stats{Sweeps: 1}
 	if len(jobs) > 0 {
 		var (
-			mu     sync.Mutex // guards next, done, stats, progress calls
+			mu     sync.Mutex // guards next, failed, stats
 			next   int
-			done   int
 			failed bool
 			wg     sync.WaitGroup
 		)
@@ -196,9 +169,10 @@ func MapProgress[J, R any](jobs []J, workers int, fn func(J) (R, error), progres
 
 					t0 := time.Now()
 					res, err := fn(jobs[i])
-					pt := Point{Index: i, Wall: time.Since(t0)}
+					wall := time.Since(t0)
+					var events uint64
 					if ec, ok := any(res).(EventCounter); ok && err == nil {
-						pt.Events = ec.EventCount()
+						events = ec.EventCount()
 					}
 
 					mu.Lock()
@@ -206,16 +180,9 @@ func MapProgress[J, R any](jobs []J, workers int, fn func(J) (R, error), progres
 					if err != nil {
 						failed = true
 					}
-					done++
 					stats.Points++
-					stats.Events += pt.Events
-					stats.WallSum += pt.Wall
-					if pt.Wall > stats.WallMax {
-						stats.WallMax = pt.Wall
-					}
-					if progress != nil {
-						progress(done, len(jobs), pt)
-					}
+					stats.Events += events
+					stats.WallSum += wall
 					mu.Unlock()
 				}
 			}()

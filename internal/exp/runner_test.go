@@ -64,29 +64,6 @@ func TestMapErrorStopsScheduling(t *testing.T) {
 	}
 }
 
-func TestMapProgressReachesTotal(t *testing.T) {
-	jobs := []int{1, 2, 3, 4, 5}
-	var calls atomic.Int64
-	var sawFinal atomic.Bool
-	_, _, err := MapProgress(jobs, 3, func(j int) (int, error) { return j, nil },
-		func(done, total int, last Point) {
-			calls.Add(1)
-			if done == total {
-				sawFinal.Store(true)
-			}
-			if last.Index < 0 || last.Index >= total {
-				t.Errorf("point index %d out of range", last.Index)
-			}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != int64(len(jobs)) || !sawFinal.Load() {
-		t.Fatalf("progress called %d times (final seen: %v), want %d",
-			calls.Load(), sawFinal.Load(), len(jobs))
-	}
-}
-
 func TestMapEmptyJobs(t *testing.T) {
 	res, st, err := Map(nil, 4, func(int) (int, error) { return 0, nil })
 	if err != nil || len(res) != 0 || st.Points != 0 {
