@@ -166,14 +166,13 @@ func resolve(req Request) (c Request, b binding, err error) {
 		if v == "" {
 			v = "original"
 		}
-		if b.est.Version, ok = scf11Versions[v]; !ok {
+		if _, ok = scf11Versions[v]; !ok {
 			return Request{}, binding{}, fmt.Errorf("serve: unknown version %q", req.Version)
 		}
 		if req.Opt {
-			// iosim -opt selects PASSION+prefetch
-			v, b.est.Version = "prefetch", scf.PassionPrefetch
+			v = "prefetch" // iosim -opt selects PASSION+prefetch
 		}
-		c.Version = v
+		c.Version, b.est.Version = v, scf11Versions[v]
 		b.run = func(ctx context.Context, b binding) (core.Report, error) {
 			return scf.Run11(scf.Config11{
 				Ctx: ctx, Faults: b.plan, Machine: b.m, Input: b.est.Input, Procs: b.est.Procs, Version: b.est.Version,

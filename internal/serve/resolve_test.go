@@ -221,6 +221,28 @@ func TestResolveDifferential(t *testing.T) {
 	}
 }
 
+// TestResolveBindsCanonicalForm checks that a raw request and its
+// canonical form bind the same machine, fault plan and app parameters, so
+// resolving before or after Canonicalize can never run a different
+// configuration.
+func TestResolveBindsCanonicalForm(t *testing.T) {
+	for _, tc := range resolveCases(testTrace().Hash()) {
+		c, raw, err := resolve(tc.req)
+		if err != nil {
+			continue
+		}
+		_, canon, err := resolve(c)
+		if err != nil {
+			t.Fatalf("%s: canonical form does not resolve: %v", tc.name, err)
+		}
+		if raw.m.Name != canon.m.Name || raw.plan.String() != canon.plan.String() ||
+			raw.est != canon.est || (raw.run == nil) != (canon.run == nil) {
+			t.Errorf("%s: raw and canonical bindings differ:\n  raw   %s %q %+v\n  canon %s %q %+v", tc.name,
+				raw.m.Name, raw.plan.String(), raw.est, canon.m.Name, canon.plan.String(), canon.est)
+		}
+	}
+}
+
 // benchRequests is one raw request per app, as a client would send it.
 func benchRequests() []Request {
 	return []Request{
