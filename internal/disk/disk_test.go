@@ -318,3 +318,24 @@ func TestFailedDiskErrorsUntilRestored(t *testing.T) {
 		t.Fatal("Failed() still true after SetFailed(false)")
 	}
 }
+
+// BenchmarkAccess measures one Disk.Access, a 64 KB read at a strided
+// offset so that every request seeks: the call perfbench's disk.access_ns
+// probe times.
+func BenchmarkAccess(b *testing.B) {
+	e := sim.NewEngine()
+	d, err := New(e, "d0", testParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.Spawn("u", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			_ = d.Access(p, int64((i*7919)%4096)*(64<<10), 64<<10, false)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

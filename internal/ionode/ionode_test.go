@@ -335,3 +335,35 @@ func TestWriteBehindDrainFailureAborts(t *testing.T) {
 		t.Fatalf("run error %v does not wrap disk.ErrFailed", err)
 	}
 }
+
+// BenchmarkAccess measures one Node.Access, a 64 KB write at a strided
+// offset, with the write-behind cache (wb) and without (nowb): the calls
+// perfbench's ionode.access_wb_ns and ionode.access_ns probes time.
+func BenchmarkAccess(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		cache int64
+	}{{"wb", 8 << 20}, {"nowb", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			par := testParams()
+			if bc.cache > 0 {
+				par.CacheBytes, par.CacheCopyByteTime = bc.cache, 2e-8
+			}
+			e := sim.NewEngine()
+			n, err := New(e, "io0", par)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e.Spawn("u", func(p *sim.Proc) {
+				for i := 0; i < b.N; i++ {
+					_ = n.Access(p, 0, int64((i*7919)%4096)*(64<<10), 64<<10, true)
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

@@ -191,3 +191,44 @@ func TestChunksOfSplitsExactly(t *testing.T) {
 		t.Fatalf("chunk total = %d", total)
 	}
 }
+
+// BenchmarkFunnelWrite measures one collective funnelled write by four
+// ranks: rank 0 posts 96 chunks of its own, enough to fill the 64-slot
+// window, then 8 from each peer.
+func BenchmarkFunnelWrite(b *testing.B) {
+	const procs = 4
+	e, fs := chainFS(b, 4, 2e-9)
+	f, err := fs.Create("ckpt", pfs.Layout{StripeUnit: 64 << 10, StripeFactor: 4}, 1<<20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	comm, err := mp.New(e, fs.Network(), procs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c0, err := NewClient(fs, comm.NodeOf(0), fortranLike(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fn, err := NewFunnel(comm, &Handle{c: c0, f: f}, 8192)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for r := 0; r < procs; r++ {
+		r := r
+		runs := []ooc.Run{{Off: 768<<10 + int64(r)*(64<<10), Len: 64 << 10}}
+		if r == 0 {
+			runs = []ooc.Run{{Off: 0, Len: 768 << 10}}
+		}
+		e.Spawn("rank", func(p *sim.Proc) {
+			for i := 0; i < b.N; i++ {
+				fn.Write(p, r, runs)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

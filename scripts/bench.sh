@@ -9,8 +9,9 @@
 #   scripts/bench.sh -gate old.json -tol 15
 #
 # Runs the root artifact benchmarks (BenchmarkFig1, BenchmarkTable2, ...),
-# the internal/sim kernel microbenchmarks, the internal/network,
-# internal/pfs, internal/pio and internal/mp call-path microbenchmarks and
+# the internal/sim kernel microbenchmarks, the internal/disk,
+# internal/ionode, internal/network, internal/pfs, internal/pio and
+# internal/mp call-path microbenchmarks and
 # the internal/serve request-layer microbenchmarks with -short -benchmem so
 # the whole suite finishes in seconds. BENCHTIME overrides -benchtime (default
 # 1x — one iteration per benchmark, a smoke run; use e.g. BENCHTIME=2x or
@@ -59,7 +60,7 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run='^$' -bench=. -short -benchtime="$benchtime" -count="$benchcount" \
-    -benchmem . ./internal/sim/ ./internal/network/ ./internal/pfs/ ./internal/pio/ ./internal/mp/ ./internal/serve/ | tee "$raw" >&2
+    -benchmem . ./internal/sim/ ./internal/disk/ ./internal/ionode/ ./internal/network/ ./internal/pfs/ ./internal/pio/ ./internal/mp/ ./internal/serve/ | tee "$raw" >&2
 
 # Turn `BenchmarkName-N  iters  X ns/op  Y B/op  Z allocs/op` lines into
 # JSON, keeping the fastest repetition of each benchmark.
