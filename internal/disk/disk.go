@@ -182,15 +182,19 @@ func (d *Disk) DegradeFactor() float64 { return d.mult }
 
 // Stall occupies the drive with a phantom request for dur seconds of
 // virtual time: real requests queue behind it exactly as behind a slow
-// sibling. Must be called with the engine running (from a process or a
-// scheduled event).
+// sibling. Like a request it is an event chain: a kick-off event claims the
+// drive, and a release event frees it dur seconds after the grant. Must be
+// called with the engine running (from a process or a scheduled event).
 func (d *Disk) Stall(dur float64) {
 	if dur < 0 {
 		panic("disk: negative stall")
 	}
-	d.eng.Spawn(d.name+".stall", func(w *sim.Proc) {
-		d.res.Use(w, dur)
-	})
+	hold := sim.Step{Fn: func() { d.eng.ScheduleStep(dur, sim.Step{Fn: d.res.Release}) }}
+	d.eng.ScheduleStep(0, sim.Step{Fn: func() {
+		if d.res.Claim(hold) {
+			hold.Fn()
+		}
+	}})
 }
 
 // Head returns the current head byte position.

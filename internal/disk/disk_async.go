@@ -61,14 +61,13 @@ func (d *Disk) AccessAsync(off, size int64, write bool, errp *error, k, fail sim
 	}
 	o := d.getOp()
 	o.off, o.size, o.write, o.errp, o.k, o.fail = off, size, write, errp, k, fail
-	if d.res.AcquireFn(o.grantFn) {
+	if d.res.Claim(sim.Step{Fn: o.grantFn}) {
 		o.grant()
 	}
 }
 
-// grant runs when the request reaches the head of the queue — inline when the
-// disk was idle, as a grant event otherwise — the instant a process's
-// Acquire would return.
+// grant runs when the request reaches the head of the queue: inline when the
+// disk was idle, as the grant event of its claim otherwise.
 func (o *op) grant() {
 	d := o.d
 	if d.failed {

@@ -161,14 +161,19 @@ func (n *Node) Crashed() bool { return n.crashed }
 
 // Stall occupies the node's CPU with a phantom request for dur seconds of
 // virtual time: real requests queue behind it — a garbage-collection pause
-// or RAID rebuild on the server. Must be called with the engine running.
+// or RAID rebuild on the server. Like a request it is an event chain: a
+// kick-off event claims the CPU, and a release event frees it dur seconds
+// after the grant. Must be called with the engine running.
 func (n *Node) Stall(dur float64) {
 	if dur < 0 {
 		panic("ionode: negative stall")
 	}
-	n.eng.Spawn(n.name+".stall", func(w *sim.Proc) {
-		n.cpu.Use(w, dur)
-	})
+	hold := sim.Step{Fn: func() { n.eng.ScheduleStep(dur, sim.Step{Fn: n.cpu.Release}) }}
+	n.eng.ScheduleStep(0, sim.Step{Fn: func() {
+		if n.cpu.Claim(hold) {
+			hold.Fn()
+		}
+	}})
 }
 
 // DirtyBytes returns the bytes currently held in the write-behind cache.

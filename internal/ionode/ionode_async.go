@@ -101,7 +101,7 @@ func (n *Node) AccessAsync(diskIdx int, off, size int64, write bool, errp *error
 	o.cached = write && n.par.CacheBytes > 0
 	if n.par.ServerOverhead > 0 {
 		o.stage = iopCPUGrant
-		if n.cpu.AcquireFn(o.stepFn) {
+		if n.cpu.Claim(sim.Step{Fn: o.stepFn}) {
 			o.step()
 		}
 		return

@@ -211,7 +211,7 @@ func (m *Msg) contend() {
 		m.n.mStalls.Inc()
 	}
 	m.state = msgGrant
-	if m.nic.AcquireFn(m.step) {
+	if m.nic.Claim(sim.Step{Fn: m.step}) {
 		m.transmit()
 	}
 }

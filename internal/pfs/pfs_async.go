@@ -359,10 +359,13 @@ func (o *chunkOp) startChunk() {
 	}
 }
 
-// access issues the device access. The last chunk of a terminal chain passes
-// the transfer's terminal down as the continuation: the device layer's final
-// timed event becomes the terminal, and EndTransfer runs the matching
-// epilogue. A failure continues at cAccessDone either way, inline.
+// access issues the device access. The last chunk of a terminal chain woken
+// as a process passes the transfer's terminal down as the continuation: the
+// device layer's final timed event becomes the terminal, and EndTransfer
+// runs the matching epilogue. A callback terminal instead continues the
+// chain like any chunk, once the device layers have released what they
+// hold, and chunkDone runs it inline in the same event. A failure continues
+// at cAccessDone either way, inline.
 func (o *chunkOp) access() {
 	c := &o.list[o.idx]
 	fs := o.f.fs
@@ -371,7 +374,7 @@ func (o *chunkOp) access() {
 	o.kind = kindNone
 	o.stage = cAccessDone
 	k := sim.Step{Fn: o.stepFn}
-	if o.terminal && o.idx == len(o.list)-1 {
+	if o.terminal && o.idx == len(o.list)-1 && o.x.term.P != nil {
 		switch {
 		case o.write:
 			o.kind = kindNode
@@ -406,7 +409,9 @@ func (o *chunkOp) reply() {
 }
 
 // chunkDone completes chunk list[idx]: an attempt settles its race; a chain
-// goes on to its next chunk, or completes.
+// goes on to its next chunk, or completes. A terminal chain gets here at its
+// end only with a callback terminal, which runs inline; a process terminal
+// is the final timed event of the last chunk itself (see access and reply).
 func (o *chunkOp) chunkDone() {
 	if o.legs > 0 {
 		o.attemptDone(nil)
@@ -418,12 +423,11 @@ func (o *chunkOp) chunkDone() {
 		o.attempt()
 		return
 	}
-	if o.terminal {
-		// The last chunk of a terminal chain completes in EndTransfer,
-		// never here.
-		panic("pfs: terminal chunk fell through")
-	}
 	fs := o.f.fs
+	if o.terminal {
+		fs.eng.Continue(o.x.term)
+		return
+	}
 	x := o.x
 	fs.putChunkOp(o)
 	x.remaining--

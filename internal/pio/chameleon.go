@@ -5,6 +5,7 @@ import (
 
 	"pario/internal/mp"
 	"pario/internal/ooc"
+	"pario/internal/pfs"
 	"pario/internal/sim"
 	"pario/internal/trace"
 )
@@ -28,6 +29,26 @@ type Funnel struct {
 	callSec float64
 
 	runs [][]ooc.Run
+
+	// Rank 0's posted writes. window is the library's buffer pool,
+	// bounding the posts in flight; inflight counts them, and drain is
+	// rank 0 while it waits for the last of them to land.
+	window   *sim.Resource
+	inflight int
+	drain    *sim.Proc
+	posts    []*post // free list
+}
+
+// post is one chunk write posted by rank 0: a pooled chain on
+// pfs.File.BeginTransfer, started by a kick-off event and completed by the
+// transfer's callback terminal. No process runs it.
+type post struct {
+	fn      *Funnel
+	off, n  int64
+	start   float64
+	x       *pfs.Xfer
+	beginFn func()
+	landFn  func()
 }
 
 // NewFunnel builds a funnel writing through h, which must belong to a
@@ -39,7 +60,8 @@ func NewFunnel(comm *mp.Comm, h *Handle, chunk int64) (*Funnel, error) {
 	if h.Client().Node() != comm.NodeOf(0) {
 		return nil, fmt.Errorf("pio: funnel handle must live on rank 0's node")
 	}
-	return &Funnel{comm: comm, h: h, chunk: chunk, runs: make([][]ooc.Run, comm.Size())}, nil
+	return &Funnel{comm: comm, h: h, chunk: chunk, runs: make([][]ooc.Run, comm.Size()),
+		window: sim.NewResource(h.engine(), "funnel.window", funnelWindow)}, nil
 }
 
 // SetRecorders supplies per-rank recorders so that non-zero ranks' library
@@ -113,35 +135,26 @@ func (fn *Funnel) Write(p *sim.Proc, rank int, runs []ooc.Run) {
 	// (the library's internal buffer pool): rank 0's loop costs the post
 	// path, while the file system drains the posts in parallel across the
 	// I/O nodes. All posts are awaited before the closing barrier.
-	eng := p.Engine()
-	wg := sim.NewWaitGroup(eng)
-	window := sim.NewResource(eng, "funnel.window", funnelWindow)
-	post := func(caller *sim.Proc, ch ooc.Run) {
-		window.Acquire(caller)
-		wg.Go("funnel.write", func(w *sim.Proc) {
-			start := w.Now()
-			fn.h.File().Transfer(w, fn.h.Client().Node(), ch.Off, ch.Len, true)
-			fn.h.Client().Recorder().Record(trace.Write, w.Now()-start, ch.Len)
-			window.Release()
-		})
-	}
 	for _, run := range fn.runs[0] {
 		for _, ch := range fn.chunksOf(run) {
 			if fn.callSec > 0 {
 				p.Delay(fn.callSec) // rank 0 packs its own chunks too
 			}
-			post(p, ch)
+			fn.post(p, ch)
 		}
 	}
 	for r := 1; r < fn.comm.Size(); r++ {
 		for _, run := range fn.runs[r] {
 			for _, ch := range fn.chunksOf(run) {
 				fn.comm.Recv(p, 0, r, tagFunnel+r)
-				post(p, ch)
+				fn.post(p, ch)
 			}
 		}
 	}
-	wg.Wait(p)
+	if fn.inflight > 0 {
+		fn.drain = p
+		p.Suspend() // the last post to land wakes us
+	}
 	for r := range fn.runs {
 		fn.runs[r] = nil
 	}
@@ -151,6 +164,49 @@ func (fn *Funnel) Write(p *sim.Proc, rank int, runs []ooc.Run) {
 // funnelWindow is the number of posted writes the funnel keeps in flight
 // at rank 0 before the post path blocks.
 const funnelWindow = 64
+
+// post claims a window slot for ch, suspending rank 0 while the window is
+// full, and posts the write: its chain starts at a kick-off event.
+func (fn *Funnel) post(p *sim.Proc, ch ooc.Run) {
+	if !fn.window.Claim(sim.Step{P: p}) {
+		p.Suspend() // a landing post hands us its slot
+	}
+	var o *post
+	if k := len(fn.posts); k > 0 {
+		o = fn.posts[k-1]
+		fn.posts = fn.posts[:k-1]
+	} else {
+		o = &post{fn: fn}
+		o.beginFn, o.landFn = o.begin, o.land
+	}
+	o.off, o.n = ch.Off, ch.Len
+	fn.inflight++
+	p.Engine().ScheduleStep(0, sim.Step{Fn: o.beginFn})
+}
+
+// begin starts the post's transfer.
+func (o *post) begin() {
+	h := o.fn.h
+	o.start = h.engine().Now()
+	o.x = h.File().BeginTransfer(h.Client().Node(), o.off, o.n, true, sim.Step{Fn: o.landFn})
+}
+
+// land is the transfer's terminal: close it, record the write, free its
+// window slot, and wake rank 0 if it waits for this, the last post.
+func (o *post) land() {
+	fn, h := o.fn, o.fn.h
+	h.File().EndTransfer(o.x)
+	h.Client().Recorder().Record(trace.Write, h.engine().Now()-o.start, o.n)
+	fn.window.Release()
+	o.x = nil
+	fn.posts = append(fn.posts, o)
+	fn.inflight--
+	if fn.inflight == 0 && fn.drain != nil {
+		p := fn.drain
+		fn.drain = nil
+		p.Engine().ScheduleStep(0, sim.Step{P: p})
+	}
+}
 
 // Read performs one collective funnelled read — the restart path: rank 0
 // reads every chunk from the file and ships each to its owner. Every rank

@@ -136,7 +136,9 @@ func (sf *SharedFile) op(p *sim.Proc, rank int, n int64, write bool) int64 {
 	case ModeLog:
 		// Claim the shared pointer, perform the whole operation while
 		// holding it (PFS serialized M_LOG operations end to end).
-		sf.token.Acquire(p)
+		if !sf.token.Claim(sim.Step{P: p}) {
+			p.Suspend()
+		}
 		off := sf.shared
 		sf.shared += n
 		do(off)

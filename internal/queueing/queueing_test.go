@@ -90,21 +90,26 @@ func TestRelErr(t *testing.T) {
 }
 
 // simulateQueue drives a sim.Resource with Poisson arrivals and
-// deterministic service and returns the observed mean queue wait.
+// deterministic service and returns the observed mean queue wait. Each job
+// claims the resource the way the devices do: an arrival event claims it
+// with a continuation, and a release event ends service, so the oracle
+// checks the claim path every disk, CPU and NIC request takes.
 func simulateQueue(t *testing.T, lambda, service float64, jobs int, seed uint64) float64 {
 	t.Helper()
 	e := sim.NewEngine()
 	r := sim.NewResource(e, "q", 1)
 	rng := sim.NewRNG(seed)
+	release := sim.Step{Fn: r.Release}
+	serve := sim.Step{Fn: func() { e.ScheduleStep(service, release) }}
+	arrival := func() {
+		if r.Claim(serve) {
+			serve.Fn()
+		}
+	}
 	var arrive float64
 	for i := 0; i < jobs; i++ {
 		arrive += rng.Exp(1 / lambda)
-		at := arrive
-		e.At(at, func() {
-			e.Spawn("job", func(p *sim.Proc) {
-				r.Use(p, service)
-			})
-		})
+		e.At(arrive, arrival)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// abort fail-stops the run from p: AbortRun, then block, where the
+// teardown unwinds p.
+func abort(p *Proc, err error) {
+	p.Engine().AbortRun(err)
+	p.Suspend()
+}
+
 // TestAbortReturnsCause pins the fail-stop contract: a process aborting
 // mid-run stops the event loop promptly, the remaining processes are
 // killed, and Run returns the cause wrapped in ErrAborted.
@@ -15,8 +22,8 @@ func TestAbortReturnsCause(t *testing.T) {
 	var survivorRan bool
 	eng.Spawn("victim", func(p *Proc) {
 		p.Delay(1)
-		p.Abort(cause)
-		t.Error("Abort returned")
+		abort(p, cause)
+		t.Error("aborted process resumed")
 	})
 	eng.Spawn("bystander", func(p *Proc) {
 		p.Delay(5)
@@ -41,7 +48,7 @@ func TestAbortReturnsCause(t *testing.T) {
 // stopped one — Spawn panics, Run errors.
 func TestAbortStopsEngine(t *testing.T) {
 	eng := NewEngine()
-	eng.Spawn("victim", func(p *Proc) { p.Abort(errors.New("boom")) })
+	eng.Spawn("victim", func(p *Proc) { abort(p, errors.New("boom")) })
 	if err := eng.Run(); !errors.Is(err, ErrAborted) {
 		t.Fatalf("Run() = %v, want ErrAborted", err)
 	}
@@ -63,11 +70,11 @@ func TestAbortFirstCauseWins(t *testing.T) {
 	first := errors.New("first")
 	eng.Spawn("a", func(p *Proc) {
 		p.Delay(1)
-		p.Abort(first)
+		abort(p, first)
 	})
 	eng.Spawn("b", func(p *Proc) {
 		p.Delay(2)
-		p.Abort(errors.New("second"))
+		abort(p, errors.New("second"))
 	})
 	err := eng.Run()
 	if !errors.Is(err, first) {
@@ -76,17 +83,19 @@ func TestAbortFirstCauseWins(t *testing.T) {
 }
 
 // TestAbortFromChildProc: an abort from a process spawned inside another
-// process unwinds everything, including the
-// blocked parent.
+// process unwinds everything, including the parent blocked on the child's
+// completion.
 func TestAbortFromChildProc(t *testing.T) {
 	eng := NewEngine()
 	cause := errors.New("child failed")
 	eng.Spawn("parent", func(p *Proc) {
-		child := eng.Spawn("child", func(c *Proc) {
+		done := NewSignal(eng)
+		eng.Spawn("child", func(c *Proc) {
 			c.Delay(1)
-			c.Abort(cause)
+			abort(c, cause)
+			done.Fire()
 		})
-		p.Join(child)
+		p.WaitSignal(done)
 		t.Error("parent resumed past aborted child")
 	})
 	if err := eng.Run(); !errors.Is(err, cause) {
@@ -97,9 +106,9 @@ func TestAbortFromChildProc(t *testing.T) {
 // TestAbortNilCause: a nil cause is replaced, never a nil error from Run.
 func TestAbortNilCause(t *testing.T) {
 	eng := NewEngine()
-	eng.Spawn("p", func(p *Proc) { p.Abort(nil) })
+	eng.Spawn("p", func(p *Proc) { abort(p, nil) })
 	if err := eng.Run(); err == nil {
-		t.Fatal("Run() = nil after Abort(nil)")
+		t.Fatal("Run() = nil after AbortRun(nil)")
 	}
 }
 

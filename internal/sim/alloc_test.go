@@ -19,8 +19,8 @@ func TestDelayAllocationFree(t *testing.T) {
 		if avg := testing.AllocsPerRun(200, func() { p.Delay(1) }); avg != 0 {
 			t.Errorf("Delay allocates %g/op on steady state, want 0", avg)
 		}
-		if avg := testing.AllocsPerRun(200, func() { p.Yield() }); avg != 0 {
-			t.Errorf("Yield allocates %g/op on steady state, want 0", avg)
+		if avg := testing.AllocsPerRun(200, func() { p.Delay(0) }); avg != 0 {
+			t.Errorf("Delay(0) allocates %g/op on steady state, want 0", avg)
 		}
 		checked = true
 	})
@@ -35,17 +35,27 @@ func TestDelayAllocationFree(t *testing.T) {
 func TestResourceAllocationFree(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "r", 1)
+	hold := holdFor(e, r, 1)
 	checked := false
 	e.Spawn("p", func(p *Proc) {
-		r.Use(p, 1) // warm
+		use(p, r, 1) // warm
 		if avg := testing.AllocsPerRun(200, func() {
-			r.Acquire(p)
+			if !r.Claim(Step{P: p}) {
+				p.Suspend()
+			}
 			r.Release()
 		}); avg != 0 {
-			t.Errorf("uncontended Acquire/Release allocates %g/op, want 0", avg)
+			t.Errorf("uncontended Claim/Release allocates %g/op, want 0", avg)
 		}
-		if avg := testing.AllocsPerRun(200, func() { r.Use(p, 1) }); avg != 0 {
-			t.Errorf("Use allocates %g/op on steady state, want 0", avg)
+		// A unit held by a release event, as a device holds one, with the
+		// process queued behind it and granted by its own wake.
+		if avg := testing.AllocsPerRun(200, func() {
+			if r.Claim(hold) {
+				hold.Fn()
+			}
+			use(p, r, 1)
+		}); avg != 0 {
+			t.Errorf("contended Claim allocates %g/op on steady state, want 0", avg)
 		}
 		checked = true
 	})
@@ -59,7 +69,7 @@ func TestResourceAllocationFree(t *testing.T) {
 
 // TestContendedResourceSteadyStateAllocs bounds the whole-kernel allocation
 // rate under queued handoffs: after warmup, thousands of contended
-// acquire/release cycles — each a queue append, a wake record, and a
+// claim/release cycles — each a queue append, a wake record, and a
 // process handoff — must run allocation-free modulo the fixed per-Run and
 // per-Spawn setup.
 func TestContendedResourceSteadyStateAllocs(t *testing.T) {
@@ -69,7 +79,7 @@ func TestContendedResourceSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.Spawn("warm", func(p *Proc) {
 			for j := 0; j < 32; j++ {
-				r.Use(p, 1)
+				use(p, r, 1)
 			}
 		})
 	}
@@ -81,7 +91,7 @@ func TestContendedResourceSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < procs; i++ {
 		e.Spawn("u", func(p *Proc) {
 			for j := 0; j < uses; j++ {
-				r.Use(p, 1)
+				use(p, r, 1)
 			}
 		})
 	}
@@ -97,6 +107,6 @@ func TestContendedResourceSteadyStateAllocs(t *testing.T) {
 	// start on their first resume inside Run) must amortize to well under
 	// one allocation per hundred operations.
 	if perOp > 0.01 {
-		t.Fatalf("contended Use allocates %g/op on steady state, want ~0", perOp)
+		t.Fatalf("contended claims allocate %g/op on steady state, want ~0", perOp)
 	}
 }

@@ -57,7 +57,7 @@ func BenchmarkCrossProcessHandoff(b *testing.B) {
 	}
 }
 
-// BenchmarkResourceContention measures queued acquire/release under 8
+// BenchmarkResourceContention measures queued claim/release under 8
 // contending processes.
 func BenchmarkResourceContention(b *testing.B) {
 	e := NewEngine()
@@ -66,7 +66,7 @@ func BenchmarkResourceContention(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		e.Spawn("u", func(p *Proc) {
 			for j := 0; j < per; j++ {
-				r.Use(p, 1)
+				use(p, r, 1)
 			}
 		})
 	}
@@ -97,15 +97,15 @@ func BenchmarkSameInstantLane(b *testing.B) {
 	}
 }
 
-// BenchmarkSpawnJoin measures process churn: spawn a child, join it. With
-// pooled workers the steady state reuses one parked coroutine instead of
-// starting one per child.
+// BenchmarkSpawnJoin measures process churn: spawn a child, wait on the
+// signal it fires as it exits. With pooled workers the steady state reuses
+// one parked coroutine instead of starting one per child.
 func BenchmarkSpawnJoin(b *testing.B) {
 	e := NewEngine()
 	n := b.N
 	e.Spawn("root", func(p *Proc) {
 		for i := 0; i < n; i++ {
-			p.Join(e.Spawn("c", func(c *Proc) {}))
+			p.WaitSignal(spawnDone(e, "c", func(c *Proc) {}))
 		}
 	})
 	b.ReportAllocs()

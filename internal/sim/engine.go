@@ -8,12 +8,14 @@
 // scheduling order.
 //
 // The kernel is intentionally small: an event queue, cooperative processes
-// with Delay/Spawn/Join, FIFO resources with capacity (servers/queues),
-// condition signals, and wait groups. Everything else in this repository —
-// networks, disks, parallel file systems, applications — is built on it.
+// with Spawn/Delay/Suspend, continuations (Step) that either run a callback
+// or wake a process, FIFO resources with capacity (servers/queues) and
+// condition signals, both claimed by continuations. Everything else in
+// this repository — networks, disks, parallel file systems, applications —
+// is built on it.
 //
 // Internally the event queue is split into a same-instant FIFO ring (all
-// zero-delay work: wakeups, After(0, …), Yield) and a 4-ary time heap
+// zero-delay work: wakeups, grants, After(0, …)) and a 4-ary time heap
 // (everything that moves the clock), merged in exact (at, seq) order. Each
 // process body runs on an iter.Pull coroutine, and the goroutine that calls
 // Run is the driver that resumes them. A blocked process runs the event loop
@@ -65,7 +67,7 @@ type Engine struct {
 	intrCheck func() error
 	intrErr   error
 
-	// abortErr is the fail-stop cause recorded by Proc.Abort: the first
+	// abortErr is the fail-stop cause recorded by AbortRun: the first
 	// abort of a run wins, the dispatch loop stops promptly, and Run
 	// returns the cause wrapped in ErrAborted after tearing the simulation
 	// down. Nil on every healthy run.
@@ -124,7 +126,7 @@ func (e *Engine) SetInterrupt(check func() error) {
 // chain too.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
-// ErrAborted is wrapped around the cause passed to Proc.Abort, so callers
+// ErrAborted is wrapped around the cause passed to AbortRun, so callers
 // can distinguish a model-level fail-stop (an injected disk outage, an
 // exhausted retry budget) from deadlock or cancellation. The cause itself
 // stays in the chain for errors.Is/As matching.
@@ -234,32 +236,13 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	return p
 }
 
-// scheduleWake queues a zero-delay wakeup for p. On a stopped engine it is
-// a no-op: the processes are being killed and the event queue has been
-// dropped, so a wakeup could never fire — and synchronization primitives
-// legitimately reach here from the cleanup of killed processes.
-func (e *Engine) scheduleWake(p *Proc) {
-	if e.stopped {
-		return
-	}
-	e.schedule(e.now, nil, p)
-}
-
-// scheduleFn queues a zero-delay callback — the continuation analog of
-// scheduleWake, with the same stopped-engine no-op semantics (a granted
-// continuation on a dying engine can never legitimately run).
-func (e *Engine) scheduleFn(fn func()) {
-	if e.stopped {
-		return
-	}
-	e.schedule(e.now, fn, nil)
-}
-
-// AbortRun fail-stops the run from an event callback — the continuation
-// analog of Proc.Abort. The first recorded cause wins; the dispatch loop
-// fires nothing further once the current callback returns, and Run returns
-// the cause wrapped in ErrAborted after tearing the simulation down. Unlike
-// Proc.Abort it returns normally: callbacks have no stack to unwind.
+// AbortRun fail-stops the run: the structured-error alternative to
+// panicking out of a model layer. The first recorded cause wins; the
+// dispatch loop fires nothing further once the current callback returns
+// or the calling process blocks, and Run returns the cause wrapped in
+// ErrAborted after tearing the simulation down. It returns normally, so a
+// callback simply returns, and a process that aborts goes on to block,
+// where the teardown unwinds it.
 func (e *Engine) AbortRun(err error) {
 	if err == nil {
 		err = errors.New("sim: AbortRun with nil cause")
@@ -365,7 +348,7 @@ func (e *Engine) dispatchCallbacks(self *Proc, fn func()) (out dispatchOutcome) 
 // fail-stopped it, or the interrupt check fired.
 func (e *Engine) take() (event, bool) {
 	if e.abortErr != nil {
-		// A process fail-stopped the run: fire nothing further, let
+		// The run was fail-stopped: fire nothing further, let
 		// control return to Run, which tears the simulation down.
 		return event{}, false
 	}
@@ -460,7 +443,7 @@ func (e *Engine) Run() error {
 		// below.
 		e.killAll()
 	case e.abortErr != nil:
-		// A process fail-stopped the run (Proc.Abort). Tear the simulation
+		// The model fail-stopped the run (AbortRun). Tear the simulation
 		// down exactly like Stop and surface the structured cause: a fault
 		// that exhausted its retry budget is an outcome, not a deadlock.
 		err = fmt.Errorf("%w: %w", ErrAborted, e.abortErr)

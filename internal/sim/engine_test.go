@@ -90,39 +90,6 @@ func TestSpawnActivatesAtCurrentTime(t *testing.T) {
 	}
 }
 
-func TestJoinWaitsForChild(t *testing.T) {
-	e := NewEngine()
-	var joined float64
-	e.Spawn("parent", func(p *Proc) {
-		child := e.Spawn("child", func(c *Proc) { c.Delay(10) })
-		p.Join(child)
-		joined = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if joined != 10 {
-		t.Fatalf("joined at %g, want 10", joined)
-	}
-}
-
-func TestJoinFinishedProcessReturnsImmediately(t *testing.T) {
-	e := NewEngine()
-	var joined float64
-	e.Spawn("parent", func(p *Proc) {
-		child := e.Spawn("child", func(c *Proc) {})
-		p.Delay(5)
-		p.Join(child)
-		joined = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if joined != 5 {
-		t.Fatalf("joined at %g, want 5", joined)
-	}
-}
-
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine()
 	s := NewSignal(e)
@@ -223,16 +190,27 @@ func TestAtAfterStopPanics(t *testing.T) {
 	e.At(1, func() {})
 }
 
+// spawnDone spawns body and returns a signal fired as it exits, also when
+// it is killed: a join, as a process waits for another's completion.
+func spawnDone(e *Engine, name string, body func(*Proc)) *Signal {
+	done := NewSignal(e)
+	e.Spawn(name, func(p *Proc) {
+		defer done.Fire()
+		body(p)
+	})
+	return done
+}
+
 func TestStopWithExitSignalWaiters(t *testing.T) {
-	// Killing a process that others Join on fires its exit signal during
-	// teardown; that must not try to schedule on the stopped engine.
+	// Killing a process whose exit others wait on fires its exit signal
+	// during teardown; that must not try to schedule on the stopped
+	// engine.
 	e := NewEngine()
 	s := NewSignal(e)
-	child := e.Spawn("child", func(p *Proc) { p.WaitSignal(s) })
-	e.Spawn("parent", func(p *Proc) { p.Join(child) })
-	wg := NewWaitGroup(e)
-	wg.Go("worker", func(p *Proc) { p.WaitSignal(s) })
-	e.Spawn("waiter", func(p *Proc) { wg.Wait(p) })
+	child := spawnDone(e, "child", func(p *Proc) { p.WaitSignal(s) })
+	e.Spawn("parent", func(p *Proc) { p.WaitSignal(child) })
+	worker := spawnDone(e, "worker", func(p *Proc) { p.WaitSignal(s) })
+	e.Spawn("waiter", func(p *Proc) { p.WaitSignal(worker) })
 	e.At(1, func() { e.Stop() })
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run with Stop teardown: %v", err)
@@ -244,7 +222,7 @@ func TestZeroDelayPreservesEventOrder(t *testing.T) {
 	var order []string
 	e.Spawn("a", func(p *Proc) {
 		e.After(0, func() { order = append(order, "event") })
-		p.Yield()
+		p.Delay(0)
 		order = append(order, "proc")
 	})
 	if err := e.Run(); err != nil {

@@ -116,7 +116,7 @@ func (h *eventHeap) pop() event {
 // already arrive in (at, seq) order — at equals now for all of them and seq
 // is assigned monotonically — so a ring preserves the exact firing order the
 // heap would produce while making the most common scheduling operation
-// (zero-delay wakeups, After(0, …), Yield) O(1) instead of O(log n).
+// (zero-delay wakeups and grants, After(0, …)) O(1) instead of O(log n).
 //
 // The capacity is always a power of two so the index math is a mask.
 type eventRing struct {

@@ -6,17 +6,23 @@ import (
 	"pario/internal/sim"
 )
 
-// Example shows the kernel's shape: processes advancing virtual time and
-// contending for a resource.
+// Example shows the kernel's shape: requests contending for a resource
+// as event chains. Each claims the disk with a continuation that holds it
+// for 2 s, through a release event; a request that finds the disk busy
+// queues, and its continuation runs when the unit is handed over.
 func Example() {
 	eng := sim.NewEngine()
 	disk := sim.NewResource(eng, "disk", 1)
 	for i := 0; i < 3; i++ {
 		i := i
-		eng.Spawn(fmt.Sprintf("writer%d", i), func(p *sim.Proc) {
-			disk.Use(p, 2.0) // each request holds the disk for 2 s
-			fmt.Printf("writer%d finished at t=%g\n", i, p.Now())
-		})
+		done := sim.Step{Fn: func() {
+			disk.Release()
+			fmt.Printf("writer%d finished at t=%g\n", i, eng.Now())
+		}}
+		serve := sim.Step{Fn: func() { eng.ScheduleStep(2.0, done) }}
+		if disk.Claim(serve) {
+			serve.Fn() // the disk was idle: serve at once
+		}
 	}
 	if err := eng.Run(); err != nil {
 		fmt.Println(err)
@@ -25,23 +31,6 @@ func Example() {
 	// writer0 finished at t=2
 	// writer1 finished at t=4
 	// writer2 finished at t=6
-}
-
-// ExampleWaitGroup shows fork/join of child processes.
-func ExampleWaitGroup() {
-	eng := sim.NewEngine()
-	eng.Spawn("parent", func(p *sim.Proc) {
-		wg := sim.NewWaitGroup(eng)
-		for i := 1; i <= 3; i++ {
-			d := float64(i)
-			wg.Go("child", func(c *sim.Proc) { c.Delay(d) })
-		}
-		wg.Wait(p)
-		fmt.Printf("all children done at t=%g\n", p.Now())
-	})
-	_ = eng.Run()
-	// Output:
-	// all children done at t=3
 }
 
 // ExampleSignal shows one-shot condition synchronization.

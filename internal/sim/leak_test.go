@@ -51,7 +51,7 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 			populate(e)
 			e.Spawn("aborter", func(p *Proc) {
 				p.Delay(2)
-				p.Abort(errCause)
+				abort(p, errCause)
 			})
 		}, wantErr(ErrAborted)},
 		{"engine abort", func(e *Engine) {
@@ -115,7 +115,7 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 		{"dropped after run", func(e *Engine) {
 			for i := 0; i < 8; i++ {
 				e.Spawn("churn", func(p *Proc) {
-					p.Join(e.Spawn("child", func(c *Proc) { c.Delay(1) }))
+					p.WaitSignal(spawnDone(e, "child", func(c *Proc) { c.Delay(1) }))
 				})
 			}
 		}, wantErr(nil)},

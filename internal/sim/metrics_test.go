@@ -54,14 +54,18 @@ func TestMetricsRespectStoppedEngine(t *testing.T) {
 	depth := e.Metrics().Series("test.depth")
 	res := NewResource(e, "res", 1)
 	e.Spawn("holder", func(p *Proc) {
-		res.Acquire(p)
+		if !res.Claim(Step{P: p}) {
+			p.Suspend()
+		}
 		depth.Observe(p.Now(), 1)
 		p.Delay(100) // still holding at stop time
 		res.Release()
 	})
 	e.Spawn("waiter", func(p *Proc) {
 		p.Delay(1)
-		res.Acquire(p) // blocks forever within the stopped window
+		if !res.Claim(Step{P: p}) {
+			p.Suspend() // blocks forever within the stopped window
+		}
 		res.Release()
 	})
 	e.At(2, func() { e.Stop() })

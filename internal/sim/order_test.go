@@ -7,9 +7,9 @@ import (
 
 // TestSameInstantInterleavings pins the contract the same-instant FIFO lane
 // must preserve: every occurrence scheduled for one instant — At at the
-// current time, After(0, …), Yield resumptions, and wakeups — fires in
-// exactly the order it was scheduled, even when the instant was entered
-// through a heap event scheduled long before.
+// current time, After(0, …), Delay(0) resumptions ("yield"), and wakeups —
+// fires in exactly the order it was scheduled, even when the instant was
+// entered through a heap event scheduled long before.
 func TestSameInstantInterleavings(t *testing.T) {
 	type step struct {
 		kind string // "at", "after0", "yield", "wake", "future-at"
@@ -58,7 +58,7 @@ func TestSameInstantInterleavings(t *testing.T) {
 			// Enter the test instant through a future heap event, so the
 			// instant mixes heap residue with ring traffic. All steps are
 			// scheduled in one stretch; they fire in scheduling order,
-			// except that a Yield resumption is (by definition) scheduled
+			// except that a Delay(0) resumption is (by definition) scheduled
 			// only when its process activates — after everything scheduled
 			// in the stretch — so yield tags land in a second wave, again
 			// in scheduling order.
@@ -86,7 +86,7 @@ func TestSameInstantInterleavings(t *testing.T) {
 					case "yield":
 						second = append(second, tag)
 						e.Spawn("yielder."+tag, func(p *Proc) {
-							p.Yield()
+							p.Delay(0)
 							got = append(got, tag)
 						})
 					}
@@ -204,72 +204,6 @@ func TestDeadlockReportsProcessesInSpawnOrder(t *testing.T) {
 	}
 }
 
-// TestJoinAfterExit is the regression test for the done-before-ExitSignal
-// window: requesting the exit signal of an already-finished process must
-// yield a signal that releases waiters — through Fire, not a bare flag — no
-// matter how the signal is reached.
-func TestJoinAfterExit(t *testing.T) {
-	e := NewEngine()
-	child := e.Spawn("child", func(c *Proc) { c.Delay(1) })
-	var joinedAt, waitedAt float64 = -1, -1
-	e.Spawn("late-joiner", func(p *Proc) {
-		p.Delay(10) // child exited long ago
-		p.Join(child)
-		joinedAt = p.Now()
-	})
-	e.At(10, func() {
-		// Racing path: the signal object obtained after exit must already
-		// be fired for any waiter that reaches it.
-		s := child.ExitSignal()
-		if !s.Fired() {
-			t.Error("ExitSignal after exit is not fired")
-		}
-		e.Spawn("sig-waiter", func(p *Proc) {
-			p.WaitSignal(s)
-			waitedAt = p.Now()
-		})
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if joinedAt != 10 {
-		t.Fatalf("late join returned at %g, want 10", joinedAt)
-	}
-	if waitedAt != 10 {
-		t.Fatalf("signal waiter released at %g, want 10", waitedAt)
-	}
-	if !child.Done() {
-		t.Fatal("child not done")
-	}
-}
-
-// TestExitSignalBeforeAndAfterExitSameInstance checks the lazily-created
-// exit signal is a single shared instance across the exit boundary.
-func TestExitSignalBeforeAndAfterExitSameInstance(t *testing.T) {
-	e := NewEngine()
-	child := e.Spawn("child", func(c *Proc) { c.Delay(1) })
-	before := child.ExitSignal()
-	if before.Fired() {
-		t.Fatal("exit signal fired before exit")
-	}
-	released := 0
-	for i := 0; i < 3; i++ {
-		e.Spawn("joiner", func(p *Proc) {
-			p.Join(child)
-			released++
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if after := child.ExitSignal(); after != before {
-		t.Fatal("ExitSignal returned a different instance after exit")
-	}
-	if released != 3 {
-		t.Fatalf("released = %d, want 3", released)
-	}
-}
-
 // TestSpawnReusesWorkers checks the worker pool: sequential process churn
 // runs on a bounded set of coroutines and stays correct.
 func TestSpawnReusesWorkers(t *testing.T) {
@@ -277,11 +211,10 @@ func TestSpawnReusesWorkers(t *testing.T) {
 	total := 0
 	e.Spawn("root", func(p *Proc) {
 		for i := 0; i < 100; i++ {
-			c := e.Spawn("c", func(c *Proc) {
+			p.WaitSignal(spawnDone(e, "c", func(c *Proc) {
 				c.Delay(1)
 				total++
-			})
-			p.Join(c)
+			}))
 		}
 	})
 	if err := e.Run(); err != nil {

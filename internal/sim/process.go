@@ -29,7 +29,6 @@ type Proc struct {
 	done     bool
 	killed   bool
 	panicked any
-	exit     *Signal // fired when the process finishes; lazily created
 }
 
 // Name returns the name given at Spawn.
@@ -57,14 +56,10 @@ func (e *Engine) workerLoop(w *worker) {
 		runBody(p)
 
 		// Retirement runs while this coroutine is the only one running, so
-		// mutating engine state here is safe. Order matters: the process
-		// must be fully done before its exit signal fires.
+		// mutating engine state here is safe.
 		delete(e.live, p)
 		p.done = true
 		p.body = nil
-		if p.exit != nil {
-			p.exit.Fire()
-		}
 		e.current = nil
 		if p.panicked != nil {
 			// End the coroutine; Run re-raises the panic.
@@ -139,61 +134,22 @@ func (p *Proc) Delay(d float64) {
 	p.block()
 }
 
-// Yield lets all other events scheduled for the current instant run before
-// this process continues.
-func (p *Proc) Yield() { p.Delay(0) }
-
-// ExitSignal returns a signal that fires when the process finishes. It may
-// be requested before or after the process ends. The already-finished case
-// goes through Fire rather than setting the fired flag directly, so any
-// waiter that reached the signal through another path is notified instead
-// of silently stranded.
-func (p *Proc) ExitSignal() *Signal {
-	if p.exit == nil {
-		p.exit = NewSignal(p.eng)
-		if p.done {
-			p.exit.Fire()
-		}
-	}
-	return p.exit
-}
-
-// Join blocks until q has finished. Joining a finished process returns
-// immediately.
-func (p *Proc) Join(q *Proc) {
-	p.WaitSignal(q.ExitSignal())
-}
-
-// Abort fail-stops the run: err is recorded as the run's outcome (the
-// first Abort of a run wins), this process unwinds immediately, the event
-// loop fires nothing further, and Run returns err wrapped in ErrAborted
-// after killing the remaining processes — the structured-error alternative
-// to panicking out of a model layer. Abort never returns.
-func (p *Proc) Abort(err error) {
-	if err == nil {
-		err = errors.New("sim: Abort with nil cause")
-	}
-	if p.eng.abortErr == nil {
-		p.eng.abortErr = err
-	}
-	panic(errKilled)
-}
-
 // WaitSignal blocks until s fires. If s has already fired it returns
 // immediately.
 func (p *Proc) WaitSignal(s *Signal) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, waiter{proc: p})
+	s.waiters = append(s.waiters, Step{P: p})
 	p.block()
 }
 
 // Suspend parks the process until an event wakes it: a Step{P} scheduled
-// with Engine.ScheduleStep, or a resource or signal grant. It is the
-// blocking half of the kernel's continuation-passing protocol: event-driven
-// operations issued by this process run as ordinary events while the issuer
-// sleeps here, and the operation's terminal event is a wake of this process. The caller must
+// with Engine.ScheduleStep, or the grant of a resource claim or signal wait
+// made with the process's own wake. It is the blocking half of the kernel's
+// continuation-passing protocol: event-driven operations issued by this
+// process run as ordinary events while the issuer sleeps here, and the
+// operation's terminal event is a wake of this process. The caller must
 // guarantee a wake is already scheduled or will be scheduled by pending
 // events — Suspend with no wake in flight deadlocks the run.
 func (p *Proc) Suspend() { p.block() }

@@ -1,45 +1,33 @@
 package sim
 
-// waiter is one queued claim on a resource: either a blocked process (proc
-// != nil) or an event-driven continuation (fn != nil) from the kernel's
-// asynchronous request path. Both kinds share one FIFO, so continuation-style
-// requests and blocking processes contend in exact arrival order — the
-// property that keeps the asynchronous I/O path event-for-event identical to
-// the blocking one.
+// waiter is one queued claim on a resource: the continuation its grant
+// runs, and the time it queued, for wait accounting.
 type waiter struct {
-	proc *Proc
-	fn   func()
-	// enq is the enqueue time of an fn waiter, for wait accounting. Blocked
-	// processes measure their own wait around block(); continuations cannot,
-	// so the resource records it for them at grant time.
+	k   Step
 	enq float64
 }
 
 // Resource is a server with fixed capacity and a FIFO queue, the standard
 // discrete-event building block for anything that saturates: a disk, an
-// I/O-node request queue, a network interface. Acquire blocks the calling
-// process while all capacity units are held; Release hands a unit to the
-// longest-waiting claimant. AcquireFn is the non-blocking twin: instead of
-// parking a process it schedules a continuation when a unit is granted.
+// I/O-node CPU, a network interface, a library's buffer pool, a shared
+// file pointer. Claim takes a unit for a continuation; Release hands a
+// unit to the longest-waiting claim. The continuation is a Step, so a
+// queued grant continues an event chain with a callback and a process
+// parked in Suspend with its own wake: either way the grant is one event,
+// in the (time, sequence) slot where the claimant's code next runs.
 //
-// Resource also accumulates utilization statistics (busy unit-seconds and
-// total wait time), which the experiment harness uses to report contention.
+// Resource also accumulates the total time claims spent queued, which the
+// queueing oracles check against theory.
 type Resource struct {
 	eng   *Engine
 	name  string
 	cap   int
 	inUse int
-	// FIFO of waiting claimants, head-indexed so dequeue is O(1) with no
+	// FIFO of waiting claims, head-indexed so dequeue is O(1) with no
 	// element shifting; the backing array is reclaimed when it empties.
-	queue []waiter
-	qhead int
-
-	// statistics
-	busyUnitSec float64 // integral of inUse over time
-	lastChange  float64 // time of the last inUse change
-	waitSec     float64 // total time claimants spent queued
-	acquires    int64
-	maxQueue    int
+	queue   []waiter
+	qhead   int
+	waitSec float64 // total time claims spent queued
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
@@ -59,119 +47,56 @@ func (r *Resource) Cap() int { return r.cap }
 // InUse returns the number of capacity units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of claimants waiting.
+// QueueLen returns the number of claims waiting.
 func (r *Resource) QueueLen() int { return len(r.queue) - r.qhead }
 
-func (r *Resource) account() {
-	now := r.eng.now
-	r.busyUnitSec += float64(r.inUse) * (now - r.lastChange)
-	r.lastChange = now
-}
-
-// enqueue appends w to the FIFO and updates the queue-length statistic.
-func (r *Resource) enqueue(w waiter) {
-	r.queue = append(r.queue, w)
-	if n := r.QueueLen(); n > r.maxQueue {
-		r.maxQueue = n
-	}
-}
-
-// Acquire takes one capacity unit, blocking p in FIFO order while none is
-// free.
-func (r *Resource) Acquire(p *Proc) {
-	r.acquires++
+// Claim takes one capacity unit for k. When a unit is free it is taken at
+// once and Claim returns true: the claimant continues inline and k does
+// not run. Otherwise k queues in FIFO order and Claim returns false; the
+// Release that grants the unit schedules k at that instant, a callback
+// for k.Fn and a wake for k.P, so a process claims with its own wake and
+// Suspends on false. Either way the claimant holds a unit when its code
+// next runs, and must eventually Release it.
+func (r *Resource) Claim(k Step) bool {
 	if r.inUse < r.cap {
-		r.account()
-		r.inUse++
-		return
-	}
-	start := p.Now()
-	r.enqueue(waiter{proc: p})
-	p.block()
-	r.waitSec += p.Now() - start
-}
-
-// AcquireFn takes one capacity unit without blocking. When a unit is free it
-// is taken immediately and AcquireFn returns true: the caller continues
-// inline, exactly where a blocking Acquire would have returned without
-// parking. Otherwise the continuation fn is queued in the same FIFO as
-// blocked processes and scheduled (as a zero-delay event) when a unit is
-// granted, and AcquireFn returns false. Either way the claimant holds a unit
-// when its code next runs, and must eventually Release it.
-func (r *Resource) AcquireFn(fn func()) bool {
-	r.acquires++
-	if r.inUse < r.cap {
-		r.account()
 		r.inUse++
 		return true
 	}
-	r.enqueue(waiter{fn: fn, enq: r.eng.now})
+	r.queue = append(r.queue, waiter{k: k, enq: r.eng.now})
 	return false
 }
 
-// Release returns one capacity unit. If claimants are queued, ownership
-// transfers directly to the head of the queue, which is woken (a blocked
-// process) or scheduled (a continuation) at the current time.
+// Release returns one capacity unit. If claims are queued, ownership
+// transfers directly to the head of the queue, whose continuation is
+// scheduled at the current instant; its wait ends here and is accounted
+// here.
 func (r *Resource) Release() {
-	if r.qhead < len(r.queue) {
-		head := r.queue[r.qhead]
-		r.queue[r.qhead] = waiter{}
-		r.qhead++
-		if r.qhead == len(r.queue) {
-			// Empty: reset so the backing array is reused from the start.
-			r.queue = r.queue[:0]
-			r.qhead = 0
-		} else if r.qhead >= 32 && r.qhead*2 >= len(r.queue) {
-			// Mostly dead prefix under sustained contention: compact in
-			// place (amortized O(1)) instead of growing without bound.
-			n := copy(r.queue, r.queue[r.qhead:])
-			for i := n; i < len(r.queue); i++ {
-				r.queue[i] = waiter{}
-			}
-			r.queue = r.queue[:n]
-			r.qhead = 0
+	if r.qhead == len(r.queue) {
+		if r.inUse == 0 {
+			panic("sim: Release of idle resource " + r.name)
 		}
-		// Ownership transfers: inUse is unchanged.
-		if head.proc != nil {
-			r.eng.scheduleWake(head.proc)
-		} else {
-			// A continuation cannot time its own wait; account for it here.
-			// The grant event fires at the current instant, so the wait ends
-			// now — the same value a process would have measured.
-			r.waitSec += r.eng.now - head.enq
-			r.eng.scheduleFn(head.fn)
-		}
+		r.inUse--
 		return
 	}
-	if r.inUse == 0 {
-		panic("sim: Release of idle resource " + r.name)
+	head := r.queue[r.qhead]
+	r.queue[r.qhead] = waiter{}
+	r.qhead++
+	if r.qhead == len(r.queue) {
+		// Empty: reset so the backing array is reused from the start.
+		r.queue = r.queue[:0]
+		r.qhead = 0
+	} else if r.qhead >= 32 && r.qhead*2 >= len(r.queue) {
+		// Mostly dead prefix under sustained contention: compact in place
+		// (amortized O(1)) instead of growing without bound.
+		n := copy(r.queue, r.queue[r.qhead:])
+		clear(r.queue[n:])
+		r.queue = r.queue[:n]
+		r.qhead = 0
 	}
-	r.account()
-	r.inUse--
+	// Ownership transfers: inUse is unchanged.
+	r.waitSec += r.eng.now - head.enq
+	r.eng.ScheduleStep(0, head.k)
 }
 
-// Use acquires the resource, holds it for d seconds, and releases it: the
-// common "serve one request" pattern.
-func (r *Resource) Use(p *Proc, d float64) {
-	r.Acquire(p)
-	p.Delay(d)
-	r.Release()
-}
-
-// Utilization returns average busy units in [0, cap] up to time now.
-func (r *Resource) Utilization() float64 {
-	r.account()
-	if r.eng.now == 0 {
-		return 0
-	}
-	return r.busyUnitSec / r.eng.now
-}
-
-// TotalWait returns the cumulative time claimants spent queued.
+// TotalWait returns the cumulative time claims spent queued.
 func (r *Resource) TotalWait() float64 { return r.waitSec }
-
-// Acquires returns the number of Acquire/AcquireFn calls so far.
-func (r *Resource) Acquires() int64 { return r.acquires }
-
-// MaxQueue returns the maximum observed queue length.
-func (r *Resource) MaxQueue() int { return r.maxQueue }

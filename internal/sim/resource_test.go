@@ -5,13 +5,31 @@ import (
 	"testing/quick"
 )
 
+// use is the serve-one-request pattern as a process does it: claim r with
+// p's own wake, hold the unit d seconds, release it.
+func use(p *Proc, r *Resource, d float64) {
+	if !r.Claim(Step{P: p}) {
+		p.Suspend()
+	}
+	p.Delay(d)
+	r.Release()
+}
+
+// holdFor is the claim continuation a device uses: once granted, the unit
+// is released by an event d seconds later. A claim granted at once runs it
+// inline.
+func holdFor(e *Engine, r *Resource, d float64) Step {
+	release := Step{Fn: r.Release}
+	return Step{Fn: func() { e.ScheduleStep(d, release) }}
+}
+
 func TestResourceSerializesAtCapacityOne(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "disk", 1)
 	var finish []float64
 	for i := 0; i < 3; i++ {
 		e.Spawn("user", func(p *Proc) {
-			r.Use(p, 2)
+			use(p, r, 2)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -32,7 +50,7 @@ func TestResourceParallelismAtCapacityN(t *testing.T) {
 	var finish []float64
 	for i := 0; i < 3; i++ {
 		e.Spawn("user", func(p *Proc) {
-			r.Use(p, 2)
+			use(p, r, 2)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -46,6 +64,9 @@ func TestResourceParallelismAtCapacityN(t *testing.T) {
 	}
 }
 
+// TestResourceFIFOOrder: claims are granted in arrival order whatever
+// their kind. Each arrival is an event chain holding its unit for a
+// second through a release event, except the third, a process.
 func TestResourceFIFOOrder(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "q", 1)
@@ -53,13 +74,28 @@ func TestResourceFIFOOrder(t *testing.T) {
 	names := []string{"first", "second", "third", "fourth"}
 	for i, n := range names {
 		n := n
-		i := i
-		e.Spawn(n, func(p *Proc) {
-			p.Delay(float64(i) * 0.001) // arrive in name order
-			r.Acquire(p)
+		at := float64(i) * 0.001 // arrive in name order
+		if n == "third" {
+			e.Spawn(n, func(p *Proc) {
+				p.Delay(at)
+				if !r.Claim(Step{P: p}) {
+					p.Suspend()
+				}
+				order = append(order, n)
+				p.Delay(1)
+				r.Release()
+			})
+			continue
+		}
+		release := Step{Fn: r.Release}
+		grant := Step{Fn: func() {
 			order = append(order, n)
-			p.Delay(1)
-			r.Release()
+			e.ScheduleStep(1, release)
+		}}
+		e.At(at, func() {
+			if r.Claim(grant) {
+				grant.Fn()
+			}
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -69,6 +105,9 @@ func TestResourceFIFOOrder(t *testing.T) {
 		if order[i] != names[i] {
 			t.Fatalf("order = %v, want %v", order, names)
 		}
+	}
+	if e.Now() != 4 {
+		t.Fatalf("makespan = %g, want 4", e.Now())
 	}
 }
 
@@ -83,38 +122,27 @@ func TestReleaseIdlePanics(t *testing.T) {
 	r.Release()
 }
 
-func TestResourceUtilization(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "r", 1)
-	e.Spawn("u", func(p *Proc) {
-		r.Use(p, 5)
-		p.Delay(5) // idle second half
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if u := r.Utilization(); u < 0.49 || u > 0.51 {
-		t.Fatalf("utilization = %g, want ~0.5", u)
-	}
-}
-
+// TestResourceWaitAccounting: the wait of every claim, process or event
+// chain, is accounted when it is granted.
 func TestResourceWaitAccounting(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "r", 1)
 	for i := 0; i < 2; i++ {
-		e.Spawn("u", func(p *Proc) { r.Use(p, 3) })
+		e.Spawn("u", func(p *Proc) { use(p, r, 3) })
 	}
+	hold := holdFor(e, r, 3)
+	e.At(0, func() {
+		if r.Claim(hold) {
+			hold.Fn()
+		}
+	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if w := r.TotalWait(); w != 3 {
-		t.Fatalf("TotalWait = %g, want 3 (second user queued 3s)", w)
-	}
-	if r.Acquires() != 2 {
-		t.Fatalf("Acquires = %d, want 2", r.Acquires())
-	}
-	if r.MaxQueue() != 1 {
-		t.Fatalf("MaxQueue = %d, want 1", r.MaxQueue())
+	// The first process is served at once; the second queues 3 s behind
+	// it, and the chain, arriving last, 6 s.
+	if w := r.TotalWait(); w != 9 {
+		t.Fatalf("TotalWait = %g, want 9", w)
 	}
 }
 
@@ -128,7 +156,7 @@ func TestResourceWorkConservationProperty(t *testing.T) {
 		var last float64
 		for i := 0; i < n; i++ {
 			e.Spawn("j", func(p *Proc) {
-				r.Use(p, 1)
+				use(p, r, 1)
 				if p.Now() > last {
 					last = p.Now()
 				}
@@ -154,7 +182,7 @@ func TestResourceCapacityMakespanProperty(t *testing.T) {
 		var last float64
 		for i := 0; i < n; i++ {
 			e.Spawn("j", func(p *Proc) {
-				r.Use(p, 1)
+				use(p, r, 1)
 				if p.Now() > last {
 					last = p.Now()
 				}
@@ -169,53 +197,6 @@ func TestResourceCapacityMakespanProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestWaitGroupBasic(t *testing.T) {
-	e := NewEngine()
-	wg := NewWaitGroup(e)
-	var done float64
-	e.Spawn("parent", func(p *Proc) {
-		for i := 1; i <= 3; i++ {
-			d := float64(i)
-			wg.Go("child", func(c *Proc) { c.Delay(d) })
-		}
-		wg.Wait(p)
-		done = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if done != 3 {
-		t.Fatalf("done = %g, want 3", done)
-	}
-}
-
-func TestWaitGroupZeroCountReturnsImmediately(t *testing.T) {
-	e := NewEngine()
-	wg := NewWaitGroup(e)
-	ran := false
-	e.Spawn("p", func(p *Proc) {
-		wg.Wait(p)
-		ran = true
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("Wait on zero count blocked")
-	}
-}
-
-func TestWaitGroupNegativePanics(t *testing.T) {
-	e := NewEngine()
-	wg := NewWaitGroup(e)
-	defer func() {
-		if recover() == nil {
-			t.Error("negative count did not panic")
-		}
-	}()
-	wg.Done()
 }
 
 func TestSignalReleasesAllWaiters(t *testing.T) {

@@ -90,38 +90,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestUniformRange(t *testing.T) {
-	r := NewRNG(19)
-	for i := 0; i < 1000; i++ {
-		v := r.Uniform(2, 5)
-		if v < 2 || v >= 5 {
-			t.Fatalf("Uniform = %g out of [2,5)", v)
-		}
-	}
-}
-
-func TestPermIsPermutationProperty(t *testing.T) {
-	r := NewRNG(23)
-	f := func(n uint8) bool {
-		m := int(n % 64)
-		p := r.Perm(m)
-		if len(p) != m {
-			return false
-		}
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSplitIndependent(t *testing.T) {
 	r := NewRNG(29)
 	a := r.Split()

@@ -1,13 +1,14 @@
 package sim
 
-// Signal is a one-shot condition: processes wait on it, and a single Fire
-// releases all current and future waiters. Firing twice is a no-op.
-// Event-driven continuations can wait too (WaitFn); they share the release
-// order with blocked processes — strict wait-arrival order.
+// Signal is a one-shot condition: continuations wait on it, and a single
+// Fire releases all current and future waiters. Firing twice is a no-op.
+// A waiter is a Step, like a resource claim: a process waits with its own
+// wake (Proc.WaitSignal), an event chain with a callback (WaitFn), and
+// both kinds are released in strict wait-arrival order.
 type Signal struct {
 	eng     *Engine
 	fired   bool
-	waiters []waiter
+	waiters []Step
 }
 
 // NewSignal returns an unfired signal bound to e.
@@ -16,10 +17,10 @@ func NewSignal(e *Engine) *Signal { return &Signal{eng: e} }
 // Fired reports whether the signal has fired.
 func (s *Signal) Fired() bool { return s.fired }
 
-// Fire releases all waiters at the current virtual time. Waiters resume in
-// the order they began waiting. The wakeups are proc-wake records (or
-// continuation events) pushed on the engine's same-instant lane, so firing
-// allocates nothing beyond queue growth.
+// Fire releases all waiters at the current virtual time, in the order they
+// began waiting: each waiter's Step is scheduled as a zero-delay event on
+// the engine's same-instant lane, so firing allocates nothing beyond queue
+// growth.
 func (s *Signal) Fire() {
 	if s.fired {
 		return
@@ -27,23 +28,19 @@ func (s *Signal) Fire() {
 	s.fired = true
 	waiters := s.waiters
 	s.waiters = nil // one-shot: drop the backing array for GC
-	for _, w := range waiters {
-		if w.proc != nil {
-			s.eng.scheduleWake(w.proc)
-		} else {
-			s.eng.scheduleFn(w.fn)
-		}
+	for _, k := range waiters {
+		s.eng.ScheduleStep(0, k)
 	}
 }
 
 // WaitFn registers fn to be scheduled (as a zero-delay event) when the
 // signal fires and returns true. If the signal has already fired it does
 // nothing and returns false: the caller continues inline, exactly where a
-// blocking WaitSignal would have returned without parking.
+// waiting process would have returned without parking.
 func (s *Signal) WaitFn(fn func()) bool {
 	if s.fired {
 		return false
 	}
-	s.waiters = append(s.waiters, waiter{fn: fn})
+	s.waiters = append(s.waiters, Step{Fn: fn})
 	return true
 }
