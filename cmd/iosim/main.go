@@ -112,7 +112,7 @@ func runEstimate(app string, procs, ionodes int, opt bool, input, version string
 		Faults:    faults,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "iosim: %v (%s)\n", err, core.ErrorClass(err))
+		fmt.Fprintf(os.Stderr, "iosim: %v (bad_request)\n", err)
 		return 1
 	}
 	est, err := serve.EstimateFor(req)
@@ -174,7 +174,7 @@ func runTrace(path, version string, ionodes int, opt bool, faults string) (serve
 		Version: version, Faults: faults,
 	})
 	if err != nil {
-		return serve.Request{}, core.Report{}, err
+		return serve.Request{}, core.Report{}, core.Classify("bad_request", err)
 	}
 	rep, err := serve.ExecuteTrace(context.Background(), req, 0, t)
 	if err != nil {
@@ -199,7 +199,8 @@ func run(app string, procs, ionodes int, opt bool, input, version string, cached
 		Faults:    faults,
 	})
 	if err != nil {
-		return serve.Request{}, core.Report{}, err
+		// A request pariod would refuse with a 400 is the same class here.
+		return serve.Request{}, core.Report{}, core.Classify("bad_request", err)
 	}
 	rep, err := serve.Execute(context.Background(), req)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"pario/internal/core"
 	"pario/internal/serve"
 )
 
@@ -54,6 +55,17 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	if _, _, err := run("scf11", 4, 0, false, "SMALL", "turbo", 90, "A", ""); err == nil {
 		t.Fatal("unknown version accepted")
+	}
+	// Non-finite or overflowing fault values are refused as bad requests
+	// before anything simulates.
+	for _, plan := range []string{
+		"disk:degrade=inf@t=0", "link:slow=NaN@t=0", "disk:degrade=1e308@t=0",
+		"disk:stall=inf@t=0.01", "retry=4;backoff=inf",
+	} {
+		_, _, err := run("fft", 4, 0, false, "SMALL", "original", 90, "A", plan)
+		if got := core.ErrorClass(err); got != "bad_request" {
+			t.Errorf("plan %q: error %v (class %s), want a bad_request", plan, err, got)
+		}
 	}
 }
 

@@ -284,3 +284,65 @@ func TestDaemonDiskCacheRestart(t *testing.T) {
 	}
 	drain(stop2, exited2)
 }
+
+// TestDaemonRefusesNonFiniteFaults: a fault plan naming an infinite, NaN
+// or overflowing value is a 400 bad_request, and the daemon keeps serving
+// after it: the next health check and run still answer.
+func TestDaemonRefusesNonFiniteFaults(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	ready := make(chan string, 1)
+	stop := make(chan struct{})
+	exited := make(chan int, 1)
+	go func() {
+		exited <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1"}, &stdout, &stderr, ready, stop)
+	}()
+	var addr string
+	select {
+	case addr = <-ready:
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not come up")
+	}
+	base := "http://" + addr
+	post := func(body string) (int, []byte) {
+		resp, err := http.Post(base+"/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, b
+	}
+	for _, plan := range []string{
+		"disk:degrade=inf@t=0", "link:slow=NaN@t=0", "disk:degrade=1e308@t=0",
+		"disk:stall=inf@t=0.01", "retry=4;backoff=inf",
+	} {
+		status, body := post(`{"app":"fft","procs":4,"faults":"` + plan + `"}`)
+		var e struct {
+			Class string `json:"class"`
+		}
+		if err := json.Unmarshal(body, &e); err != nil || status != http.StatusBadRequest || e.Class != "bad_request" {
+			t.Fatalf("faults %q: status %d body %s, want a 400 bad_request", plan, status, body)
+		}
+	}
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatalf("daemon stopped answering: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after refusals: %d", resp.StatusCode)
+	}
+	if status, body := post(`{"app":"fft","procs":4,"faults":"disk:degrade=2@t=0"}`); status != http.StatusOK {
+		t.Fatalf("run after refusals: status %d: %s", status, body)
+	}
+
+	close(stop)
+	select {
+	case code := <-exited:
+		if code != 0 {
+			t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not drain")
+	}
+}

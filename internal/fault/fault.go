@@ -18,8 +18,9 @@
 //
 // The index may be omitted to hit every unit of the layer; END may be
 // omitted for a fault that is never repaired. Durations accept Go syntax
-// ("200ms", "1.5s") or bare seconds ("0.2"); factors accept an optional
-// trailing "x". A policy entry tunes the PFS client's resilience:
+// ("200ms", "1.5s") or bare seconds ("0.2"), up to maxSeconds; factors
+// accept an optional trailing "x", up to maxFactor. Non-finite values are
+// refused. A policy entry tunes the PFS client's resilience:
 //
 //	retry=4;timeout=500ms;backoff=10ms
 //
@@ -31,6 +32,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -143,23 +145,44 @@ func (pl *Plan) Empty() bool {
 		!pl.Policy.HasRetries && !pl.Policy.HasTimeout && !pl.Policy.HasBackoff)
 }
 
-// parseSeconds accepts Go duration syntax or bare seconds.
+// maxFactor bounds degrade and slow factors, and maxSeconds every time and
+// duration a plan names. Both lie far beyond any meaningful fault — a
+// millionfold slowdown, some thirty years of simulated time — and keep
+// every event time a plan leads to finite: any plan Parse accepts runs to a
+// report or a structured error.
+const (
+	maxFactor  = 1e6
+	maxSeconds = 1e9
+)
+
+// parseSeconds accepts bare seconds with an optional trailing "s" — the
+// canonical form, which re-parses to the same bits — or Go duration syntax.
+// The value must be finite and at most maxSeconds in magnitude; -0 reads
+// as 0.
 func parseSeconds(s string) (float64, error) {
-	if d, err := time.ParseDuration(s); err == nil {
-		return d.Seconds(), nil
-	}
-	f, err := strconv.ParseFloat(s, 64)
+	f, err := strconv.ParseFloat(strings.TrimSuffix(s, "s"), 64)
 	if err != nil {
-		return 0, fmt.Errorf("fault: bad duration %q", s)
+		d, derr := time.ParseDuration(s)
+		if derr != nil {
+			return 0, fmt.Errorf("fault: bad duration %q", s)
+		}
+		f = d.Seconds()
+	}
+	if !(math.Abs(f) <= maxSeconds) {
+		return 0, fmt.Errorf("fault: duration %q out of range (at most %gs)", s, float64(maxSeconds))
+	}
+	if f == 0 {
+		f = 0 // canonical +0
 	}
 	return f, nil
 }
 
-// parseFactor accepts a float with an optional trailing "x".
+// parseFactor accepts a float with an optional trailing "x", in
+// (0, maxFactor].
 func parseFactor(s string) (float64, error) {
 	f, err := strconv.ParseFloat(strings.TrimSuffix(s, "x"), 64)
-	if err != nil {
-		return 0, fmt.Errorf("fault: bad factor %q", s)
+	if err != nil || !(f > 0 && f <= maxFactor) {
+		return 0, fmt.Errorf("fault: bad factor %q (want 0 < factor <= %g)", s, float64(maxFactor))
 	}
 	return f, nil
 }
@@ -225,6 +248,9 @@ func parseWindow(s string) (start, end float64, err error) {
 		if end, err = parseSeconds(to); err != nil {
 			return 0, 0, err
 		}
+		if end < 0 {
+			return 0, 0, fmt.Errorf("fault: negative end time %gs", end)
+		}
 	}
 	return start, end, nil
 }
@@ -266,8 +292,8 @@ func parseTarget(head string) (Injection, error) {
 		if !hasVal {
 			return inj, fmt.Errorf("fault: degrade needs a factor")
 		}
-		if inj.Value, err = parseFactor(val); err != nil || inj.Value <= 0 {
-			return inj, fmt.Errorf("fault: bad degrade factor %q", val)
+		if inj.Value, err = parseFactor(val); err != nil {
+			return inj, err
 		}
 	case inj.Layer == LayerDisk && kind == "fail":
 		inj.Kind = KindFail
@@ -292,8 +318,8 @@ func parseTarget(head string) (Injection, error) {
 		if !hasVal {
 			return inj, fmt.Errorf("fault: slow needs a factor")
 		}
-		if inj.Value, err = parseFactor(val); err != nil || inj.Value <= 0 {
-			return inj, fmt.Errorf("fault: bad slow factor %q", val)
+		if inj.Value, err = parseFactor(val); err != nil {
+			return inj, err
 		}
 	default:
 		return inj, fmt.Errorf("fault: %s does not support kind %q", inj.Layer, kind)

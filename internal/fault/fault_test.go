@@ -2,6 +2,8 @@ package fault
 
 import (
 	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -26,6 +28,12 @@ func TestParseRoundTrip(t *testing.T) {
 		{"retry=4;timeout=500ms;backoff=10ms", "retry=4;timeout=0.5s;backoff=0.01s"},
 		{" disk:0:fail@t=1s ; retry=2 ", "disk:0:fail@t=1s;retry=2"},
 		{"backoff=10ms;disk:fail@t=0", "disk:fail@t=0s;backoff=0.01s"},
+		// The largest factor; bare seconds too fine or too coarse for
+		// Go duration syntax, whose canonical forms must re-parse.
+		{"disk:degrade=1e6@t=0", "disk:degrade=1e+06@t=0s"},
+		{"disk:0:stall=0.0000001@t=0", "disk:0:stall=1e-07s@t=0s"},
+		{"ionode:stall=0.1234567891234@t=1e3s", "ionode:stall=0.1234567891234s@t=1000s"},
+		{"disk:fail@t=-0..1", "disk:fail@t=0s..1s"},
 	}
 	for _, c := range cases {
 		pl, err := Parse(c.in)
@@ -46,6 +54,45 @@ func TestParseRoundTrip(t *testing.T) {
 			t.Errorf("canonical form %q not a fixed point (got %q)", pl.String(), again.String())
 		}
 	}
+}
+
+// FuzzParse: every plan Parse accepts holds only finite values within
+// the documented bounds, and its canonical form re-parses to an equal plan.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"disk:2:degrade=8@t=1.5s..4s", "ionode:0:stall=200ms@t=2s", "link:slow=4x@t=0..1s",
+		"disk:fail@t=3;retry=4;timeout=500ms;backoff=10ms", "ionode:1:crash@t=2s..5s",
+		"disk:degrade=inf@t=0", "link:slow=NaN@t=0", "disk:0:stall=1e-07s@t=0s",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		pl, err := Parse(spec)
+		if err != nil || pl == nil {
+			return
+		}
+		bounded := func(v, max float64) bool { return !math.IsNaN(v) && math.Abs(v) <= max }
+		for _, inj := range pl.Injections {
+			maxValue := float64(maxFactor)
+			if inj.Kind == KindStall {
+				maxValue = maxSeconds
+			}
+			if !bounded(inj.Value, maxValue) || !bounded(inj.Start, maxSeconds) || !bounded(inj.End, maxSeconds) {
+				t.Fatalf("Parse(%q) accepted out-of-range injection %+v", spec, inj)
+			}
+		}
+		if !bounded(pl.Policy.TimeoutSec, maxSeconds) || !bounded(pl.Policy.BackoffSec, maxSeconds) {
+			t.Fatalf("Parse(%q) accepted out-of-range policy %+v", spec, pl.Policy)
+		}
+		canon := pl.String()
+		again, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q) canonical form %q does not re-parse: %v", spec, canon, err)
+		}
+		if !reflect.DeepEqual(again, pl) {
+			t.Fatalf("Parse(%q) = %+v, canonical %q re-parses to %+v", spec, pl, canon, again)
+		}
+	})
 }
 
 func TestParseEmpty(t *testing.T) {
@@ -80,6 +127,22 @@ func TestParseErrors(t *testing.T) {
 		"frobnicate=1",                  // unknown policy key
 		"justaword",                     // not key=value
 		"disk:0:fail@t=0;link:slow@t=0", // second entry bad
+		// Non-finite and overflowing values.
+		"disk:degrade=inf@t=0",
+		"disk:degrade=1e308@t=0",
+		"disk:degrade=1000001@t=0",
+		"link:slow=NaN@t=0",
+		"link:slow=+Inf@t=0",
+		"disk:stall=inf@t=0.01",
+		"disk:stall=1e308@t=0",
+		"disk:fail@t=inf",
+		"disk:fail@t=NaN",
+		"disk:fail@t=0..inf",
+		"disk:fail@t=1e10",
+		"disk:fail@t=1s..-5s", // negative end
+		"retry=4;backoff=inf",
+		"timeout=NaN",
+		"timeout=1e308s",
 	}
 	for _, in := range bad {
 		if _, err := Parse(in); err == nil {

@@ -115,6 +115,18 @@ func resolveCases(traceHash string) []resolveCase {
 			err: `serve: unknown btio class "C"`},
 		{name: "reject-bad-faults", req: Request{App: "fft", Faults: "bogus"},
 			err: `fault: bad entry "bogus"`},
+		// Non-finite and overflowing fault values are refused up front,
+		// never left to reach the engine as a non-finite event time.
+		{name: "reject-faults-inf-degrade", req: Request{App: "fft", Procs: 4, Faults: "disk:degrade=inf@t=0"},
+			err: `fault: bad factor "inf" (want 0 < factor <= 1e+06) (in "disk:degrade=inf@t=0")`},
+		{name: "reject-faults-nan-slow", req: Request{App: "fft", Faults: "link:slow=NaN@t=0"},
+			err: `fault: bad factor "NaN" (want 0 < factor <= 1e+06) (in "link:slow=NaN@t=0")`},
+		{name: "reject-faults-overflow-degrade", req: Request{App: "fft", Faults: "disk:degrade=1e308@t=0"},
+			err: `fault: bad factor "1e308" (want 0 < factor <= 1e+06) (in "disk:degrade=1e308@t=0")`},
+		{name: "reject-faults-inf-stall", req: Request{App: "fft", Faults: "disk:stall=inf@t=0.01"},
+			err: `fault: bad stall duration "inf" (in "disk:stall=inf@t=0.01")`},
+		{name: "reject-faults-inf-backoff", req: Request{App: "fft", Faults: "retry=4;backoff=inf"},
+			err: `fault: bad backoff "inf"`},
 		{name: "reject-trace-missing-hash", req: Request{App: "trace"},
 			err: `serve: app trace needs trace=<sha256> (64 hex chars), got ""`},
 		{name: "reject-trace-partition", req: Request{App: "trace", Trace: traceHash, IONodes: 2},
