@@ -18,9 +18,9 @@
 //
 // The index may be omitted to hit every unit of the layer; END may be
 // omitted for a fault that is never repaired. Durations accept Go syntax
-// ("200ms", "1.5s") or bare seconds ("0.2"), up to maxSeconds; factors
-// accept an optional trailing "x", up to maxFactor. Non-finite values are
-// refused. A policy entry tunes the PFS client's resilience:
+// ("200ms", "1.5s") or bare seconds ("0.2"), up to 1e9 s; factors accept
+// an optional trailing "x", up to 1e6. Non-finite values are refused. A
+// policy entry tunes the PFS client's resilience:
 //
 //	retry=4;timeout=500ms;backoff=10ms
 //
