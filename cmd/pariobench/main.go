@@ -134,7 +134,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				outcome, err := fire(base, reqFor(i))
+				status, h, _, err := postRun(base, "", reqFor(i))
+				// Retry briefly on 429 so backpressure sheds load without
+				// failing the drive.
+				for attempt := 0; status == http.StatusTooManyRequests && attempt < 50; attempt++ {
+					time.Sleep(100 * time.Millisecond)
+					status, h, _, err = postRun(base, "", reqFor(i))
+				}
+				outcome := h.Get("X-Pario-Cache")
 				mu.Lock()
 				switch {
 				case err != nil:
@@ -247,27 +254,15 @@ func clusterDrive(addrs string, n int, stdout, stderr io.Writer) int {
 		owner string
 	}
 	ask := func(base string, req serve.Request) (answer, error) {
-		body, err := json.Marshal(req)
+		_, h, b, err := postRun(base, "", req)
 		if err != nil {
 			return answer{}, err
-		}
-		resp, err := http.Post(base+"/run", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return answer{}, err
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return answer{}, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return answer{}, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
 		}
 		return answer{
 			body:  b,
-			cache: resp.Header.Get("X-Pario-Cache"),
-			key:   resp.Header.Get("X-Pario-Key"),
-			owner: resp.Header.Get("X-Pario-Owner"),
+			cache: h.Get("X-Pario-Cache"),
+			key:   h.Get("X-Pario-Key"),
+			owner: h.Get("X-Pario-Owner"),
 		}, nil
 	}
 
@@ -349,32 +344,6 @@ func clusterDrive(addrs string, n int, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// fire posts one run request and returns its X-Pario-Cache outcome,
-// retrying briefly on 429 so backpressure sheds load without failing the
-// drive.
-func fire(base string, req serve.Request) (string, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return "", err
-	}
-	for attempt := 0; ; attempt++ {
-		resp, err := http.Post(base+"/run", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return "", err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			return resp.Header.Get("X-Pario-Cache"), nil
-		case resp.StatusCode == http.StatusTooManyRequests && attempt < 50:
-			time.Sleep(100 * time.Millisecond)
-		default:
-			return "", fmt.Errorf("status %d", resp.StatusCode)
-		}
-	}
-}
-
 // sweepDrive fires one /sweep, then checks the batch contract against the
 // daemon's own counters and a point-by-point replay through /run:
 //
@@ -444,7 +413,7 @@ func sweepDrive(base, spec string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "pariobench: FAIL: point %d body does not decode: %v\n", ln.Point, err)
 			return 1
 		}
-		runBody, err := fireBody(base, res.Request)
+		_, _, runBody, err := postRun(base, "", res.Request)
 		if err != nil {
 			fmt.Fprintf(stderr, "pariobench: FAIL: point %d via /run: %v\n", ln.Point, err)
 			return 1
@@ -518,14 +487,14 @@ func estimateDrive(base string, n int, bound time.Duration, stdout, stderr io.Wr
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		t0 := time.Now()
-		outcome, err := fireMode(base, reqFor(i), "estimate")
+		_, h, _, err := postRun(base, "?mode=estimate", reqFor(i))
 		lat := time.Since(t0)
 		if err != nil {
 			fmt.Fprintf(stderr, "pariobench: estimate %d: %v\n", i, err)
 			return 1
 		}
 		lats = append(lats, lat)
-		if outcome == "hit" {
+		if h.Get("X-Pario-Cache") == "hit" {
 			hits++
 		} else {
 			misses++
@@ -569,25 +538,6 @@ func nearestRank(sorted []time.Duration, pct int) time.Duration {
 	return sorted[(pct*len(sorted)+99)/100-1]
 }
 
-// fireMode posts one run request with a ?mode= selector and returns its
-// X-Pario-Cache outcome.
-func fireMode(base string, req serve.Request, mode string) (string, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return "", err
-	}
-	resp, err := http.Post(base+"/run?mode="+mode, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return resp.Header.Get("X-Pario-Cache"), nil
-}
-
 // fireSweep streams one /sweep and returns its point lines, summary, and
 // the X-Pario-Sweep-Points header.
 func fireSweep(base, spec string) ([]serve.SweepLine, serve.SweepSummary, int, error) {
@@ -626,37 +576,28 @@ func fireSweep(base, spec string) ([]serve.SweepLine, serve.SweepSummary, int, e
 	return lines, sum, hdrPoints, nil
 }
 
-// fireBody posts one run request and returns the full response body.
-func fireBody(base string, req serve.Request) ([]byte, error) {
-	body, err := json.Marshal(req)
+// postRun posts one run request to base's /run, with query (e.g.
+// "?mode=estimate") appended, and returns the status, response headers and
+// body. Any status other than 200 is also an error carrying the body.
+func postRun(base, query string, req serve.Request) (int, http.Header, []byte, error) {
+	b, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return 0, nil, nil, err
 	}
-	resp, err := http.Post(base+"/run", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/run"+query, "application/json", bytes.NewReader(b))
 	if err != nil {
-		return nil, err
+		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
+	body, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(b))
-	}
-	return b, nil
+	return resp.StatusCode, resp.Header, body, err
 }
 
-type metrics struct {
-	RunsTotal        int64 `json:"runs_total"`
-	CacheHits        int64 `json:"cache_hits"`
-	SweepPointsTotal int64 `json:"sweep_points_total"`
-	EstimatesTotal   int64 `json:"estimates_total"`
-	ClusterEnabled   bool  `json:"cluster_enabled"`
-}
-
-func fetchMetrics(base string) (metrics, error) {
-	var m metrics
+func fetchMetrics(base string) (serve.Metrics, error) {
+	var m serve.Metrics
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		return m, err

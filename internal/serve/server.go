@@ -175,15 +175,15 @@ type Server struct {
 	traceUnknown atomic.Int64
 
 	// Work counters: what actually simulated. The cached path must leave
-	// runs untouched — that is the "never re-simulates" invariant the
-	// load smoke asserts.
+	// runs untouched — that is the "never re-simulates" invariant
+	// TestServerColdThenCached and pariobench's drives assert.
 	runs      atomic.Int64
 	runEvents atomic.Uint64
 	runWallNs atomic.Int64
 
 	// Estimate-mode counters. Estimates never move the run counters —
 	// the analytic path consumes no scheduler slot by construction, and
-	// the estimate smoke asserts runs_total stays flat under -estimate.
+	// pariobench -estimate asserts runs_total stays flat.
 	estimates      atomic.Int64
 	estimateHits   atomic.Int64
 	estimateFailed atomic.Int64
@@ -658,9 +658,9 @@ func (s *Server) countErrClass(class string) {
 	s.errClasses.mu.Unlock()
 }
 
-// errorBody is the structured body of every non-200 /run and /sweep
-// answer: the error text plus its stable taxonomy class. Failed runs'
-// classes are mirrored in /metrics' error_classes; the request-level
+// errorBody is the structured body of every non-200 /run, /sweep and
+// /trace answer: the error text plus its stable taxonomy class. Failed
+// runs' classes are mirrored in /metrics' error_classes; the request-level
 // classes are bad_request (400, 405), busy (429), draining (503) and
 // canceled (504).
 type errorBody struct {
@@ -676,8 +676,8 @@ func writeErrJSON(w http.ResponseWriter, status int, class string, err error) {
 	_, _ = w.Write(append(b, '\n'))
 }
 
-// badRequest answers a /run or /sweep that cannot be parsed: 405 for a
-// method other than GET or POST, 400 for anything else.
+// badRequest answers a /run, /sweep or /trace request that cannot be
+// parsed: 405 for a method other than GET or POST, 400 for anything else.
 func (s *Server) badRequest(w http.ResponseWriter, r *http.Request, err error) {
 	s.badReq.Add(1)
 	status := http.StatusBadRequest

@@ -395,7 +395,7 @@ func TestDecodeRequestNamesFirstBadParameter(t *testing.T) {
 	}
 }
 
-// TestErrorsCarryClass: every non-200 /run and /sweep answer is a
+// TestErrorsCarryClass: every non-200 /run, /sweep and /trace answer is a
 // structured body naming its taxonomy class (429 and 504 are pinned by
 // TestPointPathsAgree and TestSweepConcurrencyShed).
 func TestErrorsCarryClass(t *testing.T) {
@@ -422,6 +422,9 @@ func TestErrorsCarryClass(t *testing.T) {
 	check("run bad method", http.MethodPut, "/run", "", 405, "bad_request")
 	check("sweep bad range", http.MethodGet, "/sweep?app=fft&procs=8..2", "", 400, "bad_request")
 	check("sweep bad method", http.MethodDelete, "/sweep", "", 405, "bad_request")
+	check("trace bad body", http.MethodPost, "/trace", "garbage", 400, "bad_request")
+	check("trace bad hash", http.MethodGet, "/trace?trace=xyz", "", 400, "bad_request")
+	check("trace bad method", http.MethodPut, "/trace", "", 405, "bad_request")
 	s.draining.Store(true)
 	check("sweep draining", http.MethodGet, "/sweep?app=fft", "", 503, "draining")
 	s.sched.Close()
@@ -624,11 +627,12 @@ func TestFaultSpecCanonicalizedIntoKey(t *testing.T) {
 	}
 }
 
-// TestServerFaultedRunTaxonomy drives a real simulation into a permanent
-// disk outage through the request schema and verifies the daemon's failure
-// surface: a structured 500 carrying the error-taxonomy class, the class
-// counted in /metrics, no panic, and no cache pollution — the healthy entry
-// stays served as healthy, the faulted key is never cached.
+// TestServerFaultedRunTaxonomy drives real simulations through the fault
+// schema. A survivable degradation is its own cache entry: its own key,
+// its own miss then byte-identical hit, a body unlike the healthy one. A
+// permanent disk outage is a structured 500 carrying the error-taxonomy
+// class, counted in /metrics, with no panic and no cache pollution: each
+// attempt simulates afresh, and the healthy entry stays served as healthy.
 func TestServerFaultedRunTaxonomy(t *testing.T) {
 	s := New(Options{Workers: 2, QueueDepth: 8})
 	ts := httptest.NewServer(s.Handler())
@@ -640,23 +644,49 @@ func TestServerFaultedRunTaxonomy(t *testing.T) {
 		t.Fatalf("healthy: status %d: %s", respH.StatusCode, bodyH)
 	}
 
+	const degraded = `{"app":"fft","procs":4,"faults":"disk:degrade=4@t=0;retry=2"}`
+	var bodyD []byte
+	for _, want := range []string{"miss", "hit"} {
+		respD, b := postRun(t, ts, degraded)
+		if respD.StatusCode != http.StatusOK || respD.Header.Get("X-Pario-Cache") != want {
+			t.Fatalf("degraded: status %d cache %q, want 200 %s", respD.StatusCode, respD.Header.Get("X-Pario-Cache"), want)
+		}
+		if respD.Header.Get("X-Pario-Key") == respH.Header.Get("X-Pario-Key") {
+			t.Fatal("degraded request shares the healthy cache key")
+		}
+		if bodyD != nil && !bytes.Equal(b, bodyD) {
+			t.Fatal("degraded rerun body differs from its cold body")
+		}
+		bodyD = b
+	}
+	// Bodies always differ (each echoes its request); the reports must too.
+	var resH, resD Result
+	if json.Unmarshal(bodyH, &resH) != nil || json.Unmarshal(bodyD, &resD) != nil {
+		t.Fatal("healthy or degraded body does not decode")
+	}
+	if resD.Report.ExecSec <= resH.Report.ExecSec {
+		t.Fatalf("degraded exec %.4fs not slower than healthy %.4fs", resD.Report.ExecSec, resH.Report.ExecSec)
+	}
+
 	const faulted = `{"app":"fft","procs":4,"faults":"disk:0:fail@t=1ms;retry=1;backoff=1ms"}`
-	respF, bodyF := postRun(t, ts, faulted)
-	if respF.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("faulted: status %d: %s", respF.StatusCode, bodyF)
-	}
-	if respF.Header.Get("X-Pario-Cache") != "" {
-		t.Fatal("faulted request was served from cache")
-	}
-	if ct := respF.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("faulted 500 Content-Type = %q", ct)
-	}
-	var eb errorBody
-	if err := json.Unmarshal(bodyF, &eb); err != nil {
-		t.Fatalf("faulted 500 body %q is not structured JSON: %v", bodyF, err)
-	}
-	if eb.Class != "disk_failed" || eb.Error == "" {
-		t.Fatalf("faulted 500 body = %+v, want class disk_failed with a message", eb)
+	for i := 0; i < 2; i++ { // twice: a failure is never cached
+		respF, bodyF := postRun(t, ts, faulted)
+		if respF.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("faulted %d: status %d: %s", i, respF.StatusCode, bodyF)
+		}
+		if respF.Header.Get("X-Pario-Cache") != "" {
+			t.Fatalf("faulted %d was served from cache", i)
+		}
+		if ct := respF.Header.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("faulted 500 Content-Type = %q", ct)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(bodyF, &eb); err != nil {
+			t.Fatalf("faulted 500 body %q is not structured JSON: %v", bodyF, err)
+		}
+		if eb.Class != "disk_failed" || eb.Error == "" {
+			t.Fatalf("faulted 500 body = %+v, want class disk_failed with a message", eb)
+		}
 	}
 
 	// The healthy entry is still a healthy hit; the faulted key stays cold.
@@ -668,11 +698,11 @@ func TestServerFaultedRunTaxonomy(t *testing.T) {
 		t.Fatal("healthy body changed after a faulted run")
 	}
 	m := metricsOf(t, ts)
-	if m.ErrorClasses["disk_failed"] != 1 {
-		t.Fatalf("error_classes = %v, want disk_failed:1", m.ErrorClasses)
+	if m.ErrorClasses["disk_failed"] != 2 {
+		t.Fatalf("error_classes = %v, want disk_failed:2", m.ErrorClasses)
 	}
-	if m.RunsTotal != 2 {
-		t.Fatalf("runs_total = %d, want 2 (healthy + faulted attempt)", m.RunsTotal)
+	if m.RunsTotal != 4 {
+		t.Fatalf("runs_total = %d, want 4 (healthy + degraded + two faulted attempts)", m.RunsTotal)
 	}
 }
 

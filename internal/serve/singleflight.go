@@ -13,8 +13,6 @@ import (
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flightCall
-
-	shared int64 // calls that waited on another's execution
 }
 
 type flightCall struct {
@@ -33,7 +31,6 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func() ([]byte, err
 		g.m = make(map[string]*flightCall)
 	}
 	if c, ok := g.m[key]; ok {
-		g.shared++
 		g.mu.Unlock()
 		select {
 		case <-c.done:
@@ -53,11 +50,4 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func() ([]byte, err
 	g.mu.Unlock()
 	close(c.done)
 	return c.body, c.err, true
-}
-
-// Shared returns how many calls joined another caller's execution.
-func (g *flightGroup) Shared() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.shared
 }

@@ -25,7 +25,7 @@ func TestFlightCollapsesIdentical(t *testing.T) {
 
 	const callers = 16
 	var wg sync.WaitGroup
-	var leaders atomic.Int64
+	var leaders, followers atomic.Int64
 	// The leader enters first and blocks in fn; followers join after.
 	go func() {
 		<-started
@@ -46,6 +46,8 @@ func TestFlightCollapsesIdentical(t *testing.T) {
 			}
 			if leader {
 				leaders.Add(1)
+			} else {
+				followers.Add(1)
 			}
 		}()
 	}
@@ -56,8 +58,8 @@ func TestFlightCollapsesIdentical(t *testing.T) {
 	if n := leaders.Load(); n != 1 {
 		t.Fatalf("%d leaders, want 1", n)
 	}
-	if g.Shared() != callers-1 {
-		t.Fatalf("shared = %d, want %d", g.Shared(), callers-1)
+	if n := followers.Load(); n != callers-1 {
+		t.Fatalf("%d followers, want %d", n, callers-1)
 	}
 }
 

@@ -263,6 +263,9 @@ func TestSweepStreamsRunIdenticalBodies(t *testing.T) {
 		if runResp.Header.Get("X-Pario-Key") != ln.Key {
 			t.Fatalf("point %d: /run key differs from sweep key", ln.Point)
 		}
+		if got := runResp.Header.Get("X-Pario-Cache"); got != "hit" {
+			t.Fatalf("point %d via /run: X-Pario-Cache = %q, want hit (the sweep seeds the cache)", ln.Point, got)
+		}
 	}
 
 	// Second pass: every point is a cache hit, and nothing re-simulates.
@@ -549,8 +552,8 @@ func TestSweepAllCacheHitsNoRuns(t *testing.T) {
 // TestInteractiveAdmittedDuringSweep is the acceptance criterion for lane
 // isolation: with a large sweep saturating the batch lane, an interactive
 // /run is still admitted (no 429), the per-lane gauges show both backlogs
-// at once, and the freed worker takes the interactive point before the
-// remaining batch points.
+// at once, the freed worker takes the interactive point before the
+// remaining batch points, and every gauge is back at zero afterwards.
 func TestInteractiveAdmittedDuringSweep(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 4, BatchQueueDepth: 2})
 	started := make(chan string, 16)
@@ -629,4 +632,10 @@ func TestInteractiveAdmittedDuringSweep(t *testing.T) {
 	if !res.sum.Done || res.sum.OK != 6 {
 		t.Fatalf("sweep summary = %+v, want 6 ok", res.sum)
 	}
+	// Both lanes go back to idle once the sweep and the run are answered.
+	// A job is counted done just before it leaves in-flight, so poll.
+	waitFor(t, "idle lane gauges", func() bool {
+		m := metricsOf(t, ts)
+		return m.QueueDepth == 0 && m.InFlight == 0 && m.BatchQueueDepth == 0 && m.BatchInFlight == 0
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -52,14 +53,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.TraceMaxBytes))
 		if err != nil {
-			s.badReq.Add(1)
-			http.Error(w, fmt.Sprintf("reading trace body: %v", err), http.StatusBadRequest)
+			s.badRequest(w, r, fmt.Errorf("reading trace body: %v", err))
 			return
 		}
 		hash, t, err := s.traces.AddData(data)
 		if err != nil {
-			s.badReq.Add(1)
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			s.badRequest(w, r, err)
 			return
 		}
 		s.traceUploads.Add(1)
@@ -76,8 +75,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		hash := strings.ToLower(strings.TrimSpace(r.URL.Query().Get("trace")))
 		if !isTraceHash(hash) {
-			s.badReq.Add(1)
-			http.Error(w, "parameter trace: want a 64-hex content hash", http.StatusBadRequest)
+			s.badRequest(w, r, errors.New("parameter trace: want a 64-hex content hash"))
 			return
 		}
 		t, ok := s.traces.Get(hash)
@@ -91,8 +89,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Pario-Key", hash)
 		_, _ = w.Write(t.EncodeText())
 	default:
-		s.badReq.Add(1)
-		http.Error(w, fmt.Sprintf("method %s not allowed", r.Method), http.StatusMethodNotAllowed)
+		s.badRequest(w, r, fmt.Errorf("method %s not allowed", r.Method))
 	}
 }
 
