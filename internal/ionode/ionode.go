@@ -64,8 +64,8 @@ type Node struct {
 	cpu   *sim.Resource
 	disks []*disk.Disk
 
-	dirty      int64       // bytes in cache awaiting drain
-	cacheSpace *sim.Signal // re-armed whenever space frees
+	dirty      int64      // bytes in cache awaiting drain
+	spaceWaits []sim.Step // requests waiting for cache space, in arrival order
 
 	requests int64
 

@@ -158,18 +158,14 @@ func (o *iop) afterCPU() {
 }
 
 // cacheWait enforces the dirty-bytes bound: while the cache is full the
-// request waits on the cache-space signal, re-armed on each pass.
+// request joins the node's space waiters and re-checks when a drain frees
+// space.
 func (o *iop) cacheWait() {
 	n := o.n
-	for n.dirty+o.size > n.par.CacheBytes && n.dirty > 0 {
-		if n.cacheSpace == nil || n.cacheSpace.Fired() {
-			n.cacheSpace = sim.NewSignal(n.eng)
-		}
+	if n.dirty+o.size > n.par.CacheBytes && n.dirty > 0 {
 		o.stage = iopCacheWait
-		if n.cacheSpace.WaitFn(o.stepFn) {
-			return
-		}
-		// Already fired: re-check inline.
+		n.spaceWaits = append(n.spaceWaits, sim.Step{Fn: o.stepFn})
+		return
 	}
 	n.dirty += o.size
 	n.mWriteback.Add(o.size)
@@ -244,9 +240,13 @@ func (o *drainOp) after() {
 	}
 	n.dirty -= o.size
 	n.noteComplete()
-	if n.cacheSpace != nil && !n.cacheSpace.Fired() {
-		n.cacheSpace.Fire()
+	// Every waiter re-checks the bound in a zero-delay event of its own, in
+	// the order they began waiting; those that still do not fit wait again.
+	for _, k := range n.spaceWaits {
+		n.eng.ScheduleStep(0, k)
 	}
+	clear(n.spaceWaits)
+	n.spaceWaits = n.spaceWaits[:0]
 	n.putDrainOp(o)
 }
 

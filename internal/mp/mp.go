@@ -34,7 +34,7 @@ type Comm struct {
 	nodeOf []int // topology node index per rank
 
 	inbox   []map[key][]message
-	waiting []map[key]*sim.Signal
+	waiting []map[key]*sim.Proc // the rank parked in Recv, per (src, tag)
 }
 
 // New builds a communicator of size ranks, mapping rank i to the i'th
@@ -48,7 +48,7 @@ func New(eng *sim.Engine, net *network.Network, ranks int) (*Comm, error) {
 	for i := 0; i < ranks; i++ {
 		c.nodeOf = append(c.nodeOf, topo.ComputeNode(i))
 		c.inbox = append(c.inbox, make(map[key][]message))
-		c.waiting = append(c.waiting, make(map[key]*sim.Signal))
+		c.waiting = append(c.waiting, make(map[key]*sim.Proc))
 	}
 	return c, nil
 }
@@ -78,26 +78,27 @@ func (c *Comm) Send(p *sim.Proc, from, to, tag int, size int64) {
 	c.net.Send(p, c.nodeOf[from], c.nodeOf[to], size)
 	k := key{src: from, tag: tag}
 	c.inbox[to][k] = append(c.inbox[to][k], message{src: from, tag: tag, size: size})
-	if s, ok := c.waiting[to][k]; ok {
+	if w, ok := c.waiting[to][k]; ok {
 		delete(c.waiting[to], k)
-		s.Fire()
+		c.eng.ScheduleStep(0, sim.Step{P: w})
 	}
 }
 
 // Recv blocks rank `at` until a message from rank `from` with the given tag
 // arrives, and returns its size. Messages from one (src, tag) pair are
-// delivered in send order.
+// delivered in send order. The caller must be the process driving rank
+// `at`: it parks in Suspend with its own entry in the rank's waiting table,
+// and the matching Send schedules its wake at the delivery instant.
 func (c *Comm) Recv(p *sim.Proc, at, from, tag int) int64 {
 	c.check(at)
 	c.check(from)
 	k := key{src: from, tag: tag}
 	for len(c.inbox[at][k]) == 0 {
-		s, ok := c.waiting[at][k]
-		if !ok || s.Fired() {
-			s = sim.NewSignal(c.eng)
-			c.waiting[at][k] = s
+		if w, ok := c.waiting[at][k]; ok && w != p {
+			panic(fmt.Sprintf("mp: rank %d has two receives pending from %d with tag %d", at, from, tag))
 		}
-		p.WaitSignal(s)
+		c.waiting[at][k] = p
+		p.Suspend()
 	}
 	q := c.inbox[at][k]
 	m := q[0]

@@ -211,6 +211,22 @@ func TestAlltoallvSizeMismatchPanics(t *testing.T) {
 	_ = e.Run()
 }
 
+// A rank is driven by one process, so a second receive pending on the same
+// (rank, source, tag) is a model bug: it panics rather than leaving the
+// first receiver parked forever.
+func TestRecvTwoPendingPanics(t *testing.T) {
+	e, c := newComm(t, 2)
+	for i := 0; i < 2; i++ {
+		e.Spawn("r", func(p *sim.Proc) { c.Recv(p, 0, 1, 0) })
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("second pending receive did not panic")
+		}
+	}()
+	_ = e.Run()
+}
+
 func TestReduceAndAllreduce(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 8} {
 		e, c := newComm(t, n)

@@ -243,8 +243,8 @@ func TestPointPathsAgree(t *testing.T) {
 	canceledSum := SweepSummary{Done: true, Points: 1, Canceled: 1}
 	const (
 		deadline   = "context deadline exceeded"
-		jobExpired = "sweep point 0: " + deadline // the run's own error, wrapped by exp.Map
-		failMsg    = "sweep point 0: disk 0 failed at t=1ms"
+		jobExpired = deadline // the run's own error
+		failMsg    = "disk 0 failed at t=1ms"
 		unknownMsg = "serve: trace {trace} has not been uploaded to this node"
 	)
 

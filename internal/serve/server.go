@@ -309,18 +309,23 @@ func (s *Server) cachePut(key string, body []byte) {
 // runJob is the expensive path: simulate, encode, fill the cache. It runs
 // on a scheduler worker, as a one-point sweep through the experiment
 // runner, so run accounting (points, kernel events, wall time) follows the
-// same contract as the sweep harness.
+// same contract as the sweep harness. A failed run returns the run's own
+// error, not the runner's "sweep point 0:" wrap of it: the point index
+// means nothing to a /run client, or on a /sweep line of another index.
 func (s *Server) runJob(ctx context.Context, req Request, key string) ([]byte, error) {
 	start := time.Now()
-	reps, st, err := exp.Map([]Request{req}, 1, func(r Request) (core.Report, error) {
-		return s.run(ctx, r)
+	var runErr error
+	reps, st, _ := exp.Map([]Request{req}, 1, func(r Request) (core.Report, error) {
+		rep, err := s.run(ctx, r)
+		runErr = err
+		return rep, err
 	})
 	s.recordRunDur(time.Since(start))
 	s.runs.Add(int64(st.Points))
 	s.runEvents.Add(st.Events)
 	s.runWallNs.Add(int64(st.WallSum))
-	if err != nil {
-		return nil, err
+	if runErr != nil {
+		return nil, runErr
 	}
 	body, err := Encode(req, reps[0])
 	if err != nil {

@@ -687,6 +687,10 @@ func TestServerFaultedRunTaxonomy(t *testing.T) {
 		if eb.Class != "disk_failed" || eb.Error == "" {
 			t.Fatalf("faulted 500 body = %+v, want class disk_failed with a message", eb)
 		}
+		// The run's own error, with no sweep-runner wrap in front of it.
+		if !strings.HasPrefix(eb.Error, "sim: run aborted") {
+			t.Fatalf("faulted 500 error = %q, want it to start with %q", eb.Error, "sim: run aborted")
+		}
 	}
 
 	// The healthy entry is still a healthy hit; the faulted key stays cold.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"testing"
 )
@@ -29,6 +30,32 @@ func TestDelayAllocationFree(t *testing.T) {
 	}
 	if !checked {
 		t.Fatal("allocation check did not run")
+	}
+}
+
+// TestEventQueueAllocationFree pins the radix queue's steady state: at a
+// constant depth of 64, a push and a pop reuse the node the pop freed, and
+// a redistribution only relinks nodes.
+func TestEventQueueAllocationFree(t *testing.T) {
+	var q eventQueue
+	var seq uint64
+	push := func() {
+		seq++
+		now := math.Float64frombits(q.base)
+		q.push(event{at: now + queueDelays[seq%uint64(len(queueDelays))], seq: seq})
+	}
+	for i := 0; i < 64; i++ {
+		push()
+	}
+	for i := 0; i < 1000; i++ { // warm: every bucket the delays reach
+		push()
+		q.pop()
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		push()
+		q.pop()
+	}); avg != 0 {
+		t.Errorf("push/pop at depth 64 allocates %g/op, want 0", avg)
 	}
 }
 

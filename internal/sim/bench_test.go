@@ -1,24 +1,66 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// BenchmarkEventThroughput measures raw event dispatch (no processes).
+// BenchmarkEventThroughput measures raw event dispatch (no processes):
+// batches of 1,025 events all at one future instant.
 func BenchmarkEventThroughput(b *testing.B) {
 	e := NewEngine()
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for i := 1; i <= b.N; i++ {
 		e.After(1, func() {})
-		if e.pq.Len() > 1024 {
+		if i%1025 == 0 {
 			_ = e.Run()
 		}
 	}
 	_ = e.Run()
 }
 
+// queueDelays are the most common event delays of the artifact workloads:
+// a disk transfer, a message setup, a server overhead, a seek, a compute
+// phase.
+var queueDelays = [...]float64{1.5e-3, 0.7e-6, 4.2e-6, 73e-6, 42.5e-3}
+
+// BenchmarkEventQueue measures the time queue at the depths the workloads
+// hold (a mean of 2–30 pending events on the artifacts and 30–100 on
+// serve-cold's largest points): depth callbacks each re-arm themselves
+// with the next of queueDelays when they fire, so every op is one pop and
+// one push at a constant depth.
+func BenchmarkEventQueue(b *testing.B) {
+	for _, depth := range []int{1, 16, 64, 256} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			e := NewEngine()
+			left, k := b.N, 0
+			var hold func()
+			arm := func() {
+				k++
+				e.After(queueDelays[k%len(queueDelays)], hold)
+			}
+			hold = func() {
+				if left > 0 {
+					left--
+					arm()
+				}
+			}
+			for i := 0; i < depth; i++ {
+				arm()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 // BenchmarkProcessHandoff measures one process delaying in a loop. Despite
 // the name no control ever changes hands: the blocked process dispatches
-// its own wake and continues (dispatchSelf), so this is the heap round trip
-// of a Delay with no switch. BenchmarkCrossProcessHandoff measures the
+// its own wake and continues (dispatchSelf), so this is the queue round
+// trip of a Delay with no switch. BenchmarkCrossProcessHandoff measures the
 // switch.
 func BenchmarkProcessHandoff(b *testing.B) {
 	e := NewEngine()
@@ -78,8 +120,8 @@ func BenchmarkResourceContention(b *testing.B) {
 }
 
 // BenchmarkSameInstantLane measures the zero-delay event path (After(0)
-// from inside the instant), which takes the FIFO ring rather than the time
-// heap.
+// from inside the instant), which takes the FIFO ring rather than the radix
+// queue.
 func BenchmarkSameInstantLane(b *testing.B) {
 	e := NewEngine()
 	n := b.N

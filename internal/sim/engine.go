@@ -15,15 +15,16 @@
 // is built on it.
 //
 // Internally the event queue is split into a same-instant FIFO ring (all
-// zero-delay work: wakeups, grants, After(0, …)) and a 4-ary time heap
-// (everything that moves the clock), merged in exact (at, seq) order. Each
-// process body runs on an iter.Pull coroutine, and the goroutine that calls
-// Run is the driver that resumes them. A blocked process runs the event loop
-// inline, so waking itself after a Delay, or firing callbacks, costs no
-// switch at all; when the next event wakes a different process it yields to
-// the driver, which resumes that process. A coroutine switch bypasses the Go
-// scheduler, so a handoff through the driver costs far less than one channel
-// operation between goroutines. See DESIGN.md, "Kernel performance".
+// zero-delay work: wakeups, grants, After(0, …)) and a monotone radix queue
+// keyed on the clock (everything that moves it), merged in exact (at, seq)
+// order. Each process body runs on an iter.Pull coroutine, and the
+// goroutine that calls Run is the driver that resumes them. A blocked
+// process runs the event loop inline, so waking itself after a Delay, or
+// firing callbacks, costs no switch at all; when the next event wakes a
+// different process it yields to the driver, which resumes that process. A
+// coroutine switch bypasses the Go scheduler, so a handoff through the
+// driver costs far less than one channel operation between goroutines. See
+// DESIGN.md, "Kernel performance".
 package sim
 
 import (
@@ -40,10 +41,9 @@ import (
 // Engine owns the virtual clock and the event queue. The zero value is not
 // usable; construct with NewEngine.
 type Engine struct {
-	now      float64
+	q        eventQueue // the clock, and events scheduled from earlier instants
+	ring     eventRing  // events scheduled at the current instant, FIFO
 	seq      uint64
-	pq       eventHeap // events strictly in the future
-	ring     eventRing // events at the current instant, FIFO
 	running  bool
 	stopped  bool
 	executed uint64 // events fired so far
@@ -107,7 +107,7 @@ func (e *Engine) Metrics() *stats.Registry { return e.metrics }
 func (e *Engine) WallSec() float64 { return e.wallSec }
 
 // Now returns the current virtual time in seconds.
-func (e *Engine) Now() float64 { return e.now }
+func (e *Engine) Now() float64 { return math.Float64frombits(e.q.base) }
 
 // SetInterrupt installs check, polled by the event loop every few hundred
 // events (and before the first). When check returns a non-nil error the run
@@ -151,24 +151,25 @@ func (e *Engine) Resumes() uint64 { return e.resumes }
 
 // schedule inserts an occurrence at absolute time t: a wakeup of p when
 // p != nil, otherwise the callback fn. Same-instant events take the FIFO
-// ring; future events take the heap. The split preserves the global
+// ring; future events take the radix queue. The split preserves the global
 // (at, seq) firing order because ring entries all carry at == now and
 // monotonically increasing seq, and the clock cannot advance while the ring
 // is non-empty.
 //
 // A NaN or +Inf t panics: it would corrupt the clock, and the queue's
-// bit-pattern ordering (event.before) requires finite times. Callers have
-// already rejected negative delays and times before now, -Inf included.
+// bit-pattern keys (event.before, eventQueue) require finite times. Callers
+// have already rejected negative delays and times before now, -Inf
+// included.
 func (e *Engine) schedule(t float64, fn func(), p *Proc) {
 	if !(t <= math.MaxFloat64) {
 		badTime(t)
 	}
 	e.seq++
 	ev := event{at: t, seq: e.seq, fn: fn, proc: p}
-	if t == e.now {
+	if t == e.Now() {
 		e.ring.push(ev)
 	} else {
-		e.pq.push(ev)
+		e.q.push(ev)
 	}
 }
 
@@ -188,8 +189,8 @@ func (e *Engine) At(t float64, fn func()) {
 	if e.stopped {
 		panic("sim: At on stopped engine")
 	}
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %g before now %g", t, e.now))
+	if now := e.Now(); t < now {
+		panic(fmt.Sprintf("sim: scheduling event at %g before now %g", t, now))
 	}
 	if t == 0 {
 		t = 0 // -0 would order after every positive time (see event.before)
@@ -206,7 +207,7 @@ func (e *Engine) After(d float64, fn func()) {
 	if e.stopped {
 		panic("sim: After on stopped engine")
 	}
-	e.schedule(e.now+d, fn, nil)
+	e.schedule(e.Now()+d, fn, nil)
 }
 
 // Spawn creates a process executing body and schedules it to start at the
@@ -232,7 +233,7 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	w.p = p
 	p.w = w
 	e.live[p] = struct{}{}
-	e.schedule(e.now, nil, p) // activation
+	e.schedule(e.Now(), nil, p) // activation
 	return p
 }
 
@@ -262,22 +263,21 @@ func (e *Engine) AtTeardown(fn func()) {
 	e.teardown = append(e.teardown, fn)
 }
 
-// next removes and returns the earliest event across the ring and the heap,
-// merging the two lanes in exact (at, seq) order. The heap can hold events
-// at the current instant that were scheduled from an earlier one, and those
-// always carry smaller seqs than anything in the ring, so comparing lane
-// heads is enough.
+// next removes and returns the earliest event across the ring and the radix
+// queue, merging the two lanes in exact (at, seq) order. Only the queue's
+// bucket 0 can hold events at the current instant — scheduled from an
+// earlier one, so with smaller seqs than anything in the ring — and every
+// other bucket lies in the future, so the ring is merged with bucket 0's
+// head alone. With the ring empty the queue pops on its own, moving the
+// clock.
 func (e *Engine) next() (event, bool) {
 	if e.ring.size > 0 {
-		if e.pq.Len() > 0 && e.pq.ev[0].before(e.ring.peek()) {
-			return e.pq.pop(), true
+		if h := e.q.head0(); h != nil && h.before(e.ring.peek()) {
+			return e.q.pop0(), true
 		}
 		return e.ring.pop(), true
 	}
-	if e.pq.Len() > 0 {
-		return e.pq.pop(), true
-	}
-	return event{}, false
+	return e.q.pop()
 }
 
 // Outcomes of one dispatch stretch: who runs next.
@@ -343,7 +343,7 @@ func (e *Engine) dispatchCallbacks(self *Proc, fn func()) (out dispatchOutcome) 
 	}
 }
 
-// take pops the next event to fire and advances the clock to it. It
+// take pops the next event to fire, which advances the clock to it. It
 // reports false when the queue is empty or the run is ending: a process
 // fail-stopped it, or the interrupt check fired.
 func (e *Engine) take() (event, bool) {
@@ -362,7 +362,6 @@ func (e *Engine) take() (event, bool) {
 	}
 	ev, ok := e.next()
 	if ok {
-		e.now = ev.at
 		e.executed++
 	}
 	return ev, ok
@@ -432,7 +431,7 @@ func (e *Engine) Run() error {
 		// once per Run — Set keeps repeated Runs idempotent, and the hot
 		// event loop stays untouched.
 		e.metrics.Counter("sim.events").Set(int64(e.executed))
-		e.metrics.Float("sim.time_sec", stats.AggSum).Set(e.now)
+		e.metrics.Float("sim.time_sec", stats.AggSum).Set(e.Now())
 	}()
 	e.drive()
 	var err error
@@ -544,7 +543,7 @@ func (e *Engine) Stop() {
 		return
 	}
 	e.stopped = true
-	e.pq = eventHeap{}
+	e.q.drop()
 	e.ring = eventRing{}
 	e.killAll()
 	e.closePool()

@@ -26,7 +26,8 @@ type event struct {
 // The pair is compared as one 128-bit unsigned number, the IEEE bits of at
 // above seq, with a borrow chain: no branch on the data. That is exact only
 // because every queued time is finite and non-negative with -0 stored as +0
-// — for such values the bit pattern orders like the value — and the kernel
+// — for such values the bit pattern orders like the value, which is also
+// what lets eventQueue key its buckets on those bits — and the kernel
 // makes that an invariant: schedule rejects NaN and ±Inf, the public entry
 // points reject negative delays and past times, and At normalises -0.
 func (a *event) before(b *event) bool {
@@ -35,88 +36,165 @@ func (a *event) before(b *event) bool {
 	return borrow != 0
 }
 
-// eventHeap is a 4-ary min-heap of events ordered by (at, seq). It is
-// hand-rolled rather than using container/heap to avoid interface boxing on
-// the hot path, and 4-ary rather than binary because the shallower tree
-// halves the levels touched per operation and keeps sibling comparisons
-// inside one or two cache lines (4 events × 32 bytes).
+// eventQueue is a monotone radix queue (Ahuja, Mehlhorn, Orlin and Tarjan,
+// "Faster algorithms for the shortest path problem", JACM 1990) of the
+// events that have not yet fired, keyed on the IEEE bits of their time.
 //
-// Zero-delay events never reach the heap — they take the engine's
-// same-instant ring (eventRing below) — so the heap only pays its O(log n)
-// for events that genuinely move the clock.
-type eventHeap struct {
-	ev []event
+// It owns the clock: base is the bits of the current time, and only pop
+// moves it, to the time of the event it returns. An event whose key differs
+// from base first in bit b-1 sits in bucket b = bits.Len64(key^base), so
+// bucket 0 holds events at the current instant and every key in bucket b is
+// below every key in bucket b+1. Keys are non-negative, so bit 63 never
+// differs and 64 buckets cover them all. Pop takes the head of bucket 0;
+// when bucket 0 is empty it takes the lowest non-empty bucket, whose
+// minimum key (each bucket tracks it) becomes base, and either pops its
+// lone entry directly or moves its entries, in stored order, into lower
+// buckets around that minimum — all of the entries at the minimum land in
+// bucket 0. Each entry only ever moves down, so a push or pop costs
+// amortized O(log C) bit operations for a key range C, with none of a
+// comparison heap's data-dependent branches.
+//
+// Every bucket is a FIFO kept in seq order: pushes carry the largest seq so
+// far and append, and a redistribution moves a bucket into empty lower ones
+// as subsequences. Events at one time therefore leave bucket 0 in seq
+// order, which keeps the global (at, seq) firing order exact.
+//
+// Buckets are singly linked lists through one node arena with a free list,
+// so the whole queue grows like a single slice and a redistribution
+// relinks nodes rather than copying events. Node 0 is never used, so a
+// free-list head of 0 means the list is empty.
+type eventQueue struct {
+	base    uint64  // math.Float64bits of the current time
+	mask    uint64  // bit b set iff bucket b is non-empty
+	nodes   []qnode // arena; nodes[0] is unused
+	free    int32   // free-list head
+	buckets [64]bucket
 }
 
-func (h *eventHeap) Len() int { return len(h.ev) }
-
-// push inserts e, moving a hole up from the new leaf instead of swapping.
-func (h *eventHeap) push(e event) {
-	h.ev = append(h.ev, event{})
-	i := len(h.ev) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.before(&h.ev[parent]) {
-			break
-		}
-		h.ev[i] = h.ev[parent]
-		i = parent
-	}
-	h.ev[i] = e
+// bucket is one FIFO list of the queue. Its fields are meaningful only
+// while its mask bit is set, so emptying a bucket clears just the bit.
+type bucket struct {
+	head, tail int32
+	min        uint64 // the smallest key in the list
 }
 
-// pop removes and returns the earliest event. It must not be called on an
-// empty heap.
-//
-// It uses Floyd's bottom-up deletion: the hole left at the root moves down
-// to a leaf along the path of smallest children, with no comparison against
-// the element being re-inserted, and the former last element then sifts up
-// from there. The last element of a heap almost always belongs near the
-// bottom, so the sift-up stops after a step or two, where the classic
-// sift-down compares it against every level's minimum.
-func (h *eventHeap) pop() event {
-	top := h.ev[0]
-	n := len(h.ev) - 1
-	x := h.ev[n]
-	h.ev[n] = event{} // release fn/proc for GC
-	h.ev = h.ev[:n]
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
+type qnode struct {
+	ev   event
+	next int32
+}
+
+// queueArena is the arena's starting capacity: a queue holds a few dozen
+// events at most on the paper's workloads, so one allocation usually
+// covers an engine's whole run.
+const queueArena = 64
+
+// push inserts e. Its time must not be before the current one.
+func (q *eventQueue) push(e event) {
+	i := q.free
+	if i != 0 {
+		n := &q.nodes[i]
+		q.free = n.next
+		n.ev = e
+	} else {
+		if q.nodes == nil {
+			q.nodes = make([]qnode, 1, queueArena)
 		}
-		least := first
-		end := min(first+4, n)
-		for c := first + 1; c < end; c++ {
-			if h.ev[c].before(&h.ev[least]) {
-				least = c
-			}
-		}
-		h.ev[i] = h.ev[least]
-		i = least
+		i = int32(len(q.nodes))
+		q.nodes = append(q.nodes, qnode{ev: e})
 	}
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !x.before(&h.ev[parent]) {
-			break
-		}
-		h.ev[i] = h.ev[parent]
-		i = parent
+	q.link(i, math.Float64bits(e.at))
+}
+
+// link appends node i, whose key is k, to its bucket. A list ends at its
+// tail, so the tail's next link is never read.
+func (q *eventQueue) link(i int32, k uint64) {
+	b := bits.Len64(k^q.base) & 63 // keys are non-negative: bit 63 never differs
+	bk := &q.buckets[b]
+	if q.mask&(1<<b) != 0 {
+		q.nodes[bk.tail].next = i
+		bk.min = min(bk.min, k)
+	} else {
+		bk.head = i
+		bk.min = k
+		q.mask |= 1 << b
 	}
-	h.ev[i] = x
-	return top
+	bk.tail = i
+}
+
+// head0 returns the earliest event at the current instant, or nil.
+func (q *eventQueue) head0() *event {
+	if q.mask&1 == 0 {
+		return nil
+	}
+	return &q.nodes[q.buckets[0].head].ev
+}
+
+// pop removes and returns the earliest event, moving the clock to it. It
+// reports false when the queue is empty.
+func (q *eventQueue) pop() (event, bool) {
+	if q.mask&1 == 0 {
+		if q.mask == 0 {
+			return event{}, false
+		}
+		b := bits.TrailingZeros64(q.mask) & 63
+		q.mask &^= 1 << b
+		bk := &q.buckets[b]
+		q.base = bk.min
+		if bk.head == bk.tail {
+			// A lone entry is the bucket's minimum: no redistribution.
+			return q.release(bk.head), true
+		}
+		q.spill(bk.head, bk.tail)
+	}
+	return q.pop0(), true
+}
+
+// spill moves the list from node h to node t, in order, into the buckets
+// below the one it came from, around base, its minimum key.
+func (q *eventQueue) spill(h, t int32) {
+	for i := h; ; {
+		n := &q.nodes[i]
+		next := n.next
+		q.link(i, math.Float64bits(n.ev.at))
+		if i == t {
+			return
+		}
+		i = next
+	}
+}
+
+// pop0 removes and returns the head of bucket 0, which must be non-empty.
+func (q *eventQueue) pop0() event {
+	h := q.buckets[0].head
+	if h == q.buckets[0].tail {
+		q.mask &^= 1
+	} else {
+		q.buckets[0].head = q.nodes[h].next
+	}
+	return q.release(h)
+}
+
+// release returns node i to the free list and its event to the caller.
+func (q *eventQueue) release(i int32) event {
+	n := &q.nodes[i]
+	e := n.ev
+	n.ev.fn, n.ev.proc = nil, nil // for GC
+	n.next = q.free
+	q.free = i
+	return e
+}
+
+// drop discards every pending event, keeping the clock.
+func (q *eventQueue) drop() {
+	*q = eventQueue{base: q.base}
 }
 
 // eventRing is a growable circular FIFO holding the engine's same-instant
 // lane: every event scheduled for the current virtual time. Those events
 // already arrive in (at, seq) order — at equals now for all of them and seq
-// is assigned monotonically — so a ring preserves the exact firing order the
-// heap would produce while making the most common scheduling operation
-// (zero-delay wakeups and grants, After(0, …)) O(1) instead of O(log n).
+// is assigned monotonically — so a ring preserves the exact firing order
+// while keeping the most common scheduling operation (zero-delay wakeups
+// and grants, After(0, …)) a plain FIFO append, off the radix queue.
 //
 // The capacity is always a power of two so the index math is a mask.
 type eventRing struct {

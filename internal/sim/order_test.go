@@ -9,7 +9,7 @@ import (
 // must preserve: every occurrence scheduled for one instant — At at the
 // current time, After(0, …), Delay(0) resumptions ("yield"), and wakeups —
 // fires in exactly the order it was scheduled, even when the instant was
-// entered through a heap event scheduled long before.
+// entered through a queued event scheduled long before.
 func TestSameInstantInterleavings(t *testing.T) {
 	type step struct {
 		kind string // "at", "after0", "yield", "wake", "future-at"
@@ -55,8 +55,8 @@ func TestSameInstantInterleavings(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine()
 			var got, first, second []string
-			// Enter the test instant through a future heap event, so the
-			// instant mixes heap residue with ring traffic. All steps are
+			// Enter the test instant through a future queued event, so the
+			// instant mixes queue residue with ring traffic. All steps are
 			// scheduled in one stretch; they fire in scheduling order,
 			// except that a Delay(0) resumption is (by definition) scheduled
 			// only when its process activates — after everything scheduled
@@ -126,19 +126,20 @@ func TestWakeupOrderRelativeToEvents(t *testing.T) {
 }
 
 // TestHeapResidueFiresBeforeRingAtSameInstant pins the lane-merge rule: an
-// event scheduled from an earlier instant for time T (heap) must fire
-// before any event scheduled at T itself (ring), because it holds the
-// smaller sequence number.
+// event scheduled from an earlier instant for time T (residue of the time
+// queue, in its bucket 0 once the clock reaches T) must fire before any
+// event scheduled at T itself (ring), because it holds the smaller
+// sequence number.
 func TestHeapResidueFiresBeforeRingAtSameInstant(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	e.At(3, func() { order = append(order, "heap-1") }) // seq 1, fires at 3
 	e.At(2, func() {
-		// Runs at t=2: schedule for t=3; still heap (future), seq 3.
+		// Runs at t=2: schedule for t=3; still the time queue (future), seq 3.
 		e.At(3, func() { order = append(order, "heap-2") })
 	})
 	e.At(3, func() { // seq 2
-		// Runs at t=3 between the two heap events: everything scheduled
+		// Runs at t=3 between the two queued events: everything scheduled
 		// now goes to the ring with larger seqs and must fire after
 		// heap-2.
 		e.After(0, func() { order = append(order, "ring-1") })

@@ -41,7 +41,7 @@ func (p *Proc) Done() bool { return p.done }
 func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now returns the current virtual time.
-func (p *Proc) Now() float64 { return p.eng.now }
+func (p *Proc) Now() float64 { return p.eng.Now() }
 
 // workerLoop runs on the worker's coroutine: execute the assigned process,
 // retire it, then park in the pool for reuse by a later Spawn. A retiring
@@ -130,7 +130,7 @@ func (p *Proc) Delay(d float64) {
 	if d < 0 {
 		panic("sim: negative Delay")
 	}
-	p.eng.schedule(p.eng.now+d, nil, p)
+	p.eng.schedule(p.eng.Now()+d, nil, p)
 	p.block()
 }
 

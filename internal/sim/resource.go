@@ -62,7 +62,7 @@ func (r *Resource) Claim(k Step) bool {
 		r.inUse++
 		return true
 	}
-	r.queue = append(r.queue, waiter{k: k, enq: r.eng.now})
+	r.queue = append(r.queue, waiter{k: k, enq: r.eng.Now()})
 	return false
 }
 
@@ -94,7 +94,7 @@ func (r *Resource) Release() {
 		r.qhead = 0
 	}
 	// Ownership transfers: inUse is unchanged.
-	r.waitSec += r.eng.now - head.enq
+	r.waitSec += r.eng.Now() - head.enq
 	r.eng.ScheduleStep(0, head.k)
 }
 

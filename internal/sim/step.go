@@ -33,7 +33,7 @@ func (e *Engine) ScheduleStep(d float64, k Step) {
 	if e.stopped {
 		return
 	}
-	e.schedule(e.now+d, k.Fn, k.P)
+	e.schedule(e.Now()+d, k.Fn, k.P)
 }
 
 // Continue runs k at the current instant: Fn inline, P by a zero-delay wake.
