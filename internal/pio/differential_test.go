@@ -56,8 +56,9 @@ func (l *diffLog) finish(e *sim.Engine, recs []*trace.Recorder) string {
 	return l.b.String()
 }
 
-// diffFS builds a machine with nio single-disk I/O nodes.
-func diffFS(t *testing.T, nio int, cache int64) (*sim.Engine, *pfs.FS) {
+// diffFS builds a machine with nio single-disk I/O nodes whose network
+// charges copyByteTime per byte of memory copy.
+func diffFS(t *testing.T, nio int, cache int64, copyByteTime float64) (*sim.Engine, *pfs.FS) {
 	t.Helper()
 	e := sim.NewEngine()
 	topo, err := topology.NewMesh2D(4, 4, 8, nio, 0)
@@ -65,7 +66,7 @@ func diffFS(t *testing.T, nio int, cache int64) (*sim.Engine, *pfs.FS) {
 		t.Fatal(err)
 	}
 	net, err := network.New(e, topo, network.Params{
-		Latency: 50e-6, ByteTime: 1e-8, HopTime: 1e-6, MemCopyByteTime: 2e-9,
+		Latency: 50e-6, ByteTime: 1e-8, HopTime: 1e-6, MemCopyByteTime: copyByteTime,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +94,7 @@ func diffFS(t *testing.T, nio int, cache int64) (*sim.Engine, *pfs.FS) {
 // 64-slot window while its per-chunk call cost is paid.
 func funnelScenario(t *testing.T, layout pfs.Layout, cache int64, resil *pfs.Resilience) string {
 	const procs = 4
-	e, fs := diffFS(t, layout.StripeFactor, cache)
+	e, fs := diffFS(t, layout.StripeFactor, cache, 2e-9)
 	if resil != nil {
 		fs.SetResilience(*resil)
 	}
@@ -148,7 +149,7 @@ func funnelScenario(t *testing.T, layout pfs.Layout, cache int64, resil *pfs.Res
 // appends each, the first at the same instant.
 func modeLogScenario(t *testing.T) string {
 	const procs = 8
-	e, fs := diffFS(t, 4, 0)
+	e, fs := diffFS(t, 4, 0, 2e-9)
 	f, err := fs.Create("log", pfs.Layout{StripeUnit: 65536, StripeFactor: 4}, 8<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +188,45 @@ func modeLogScenario(t *testing.T) string {
 				if r%3 == 0 {
 					p.Delay(1e-3 * float64(r))
 				}
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return l.finish(e, recs)
+}
+
+// prefetchScenario streams half a file per rank through a depth-2
+// Prefetcher on two ranks, computing for compute seconds after each
+// chunk, on a network that charges copyByteTime per copied byte. Each
+// rank's first chunk is a miss; with compute covering a read the rest
+// are hits, and without it they are misses.
+func prefetchScenario(t *testing.T, compute, copyByteTime float64) string {
+	const procs, half, chunk = 2, 512 << 10, 64 << 10
+	e, fs := diffFS(t, 2, 0, copyByteTime)
+	f, err := fs.Create("stream", pfs.Layout{StripeUnit: chunk, StripeFactor: 2}, procs*half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]*trace.Recorder, procs)
+	var l diffLog
+	for r := range recs {
+		recs[r] = trace.NewRecorder()
+		c, err := NewClient(fs, r, passionLike(), recs[r])
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := int64(r) * half
+		e.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) {
+			pf := NewPrefetcher(c.Open(p, f), start, start+half-1000, chunk, 2)
+			for i := 0; ; i++ {
+				n := pf.Read(p)
+				if n == 0 {
+					break
+				}
+				l.returned(p.Name(), p, fmt.Sprintf("chunk %d (%d B)", i, n))
+				p.Delay(compute)
 			}
 		})
 	}
@@ -298,6 +338,9 @@ func TestEventChainDifferential(t *testing.T) {
 		{"modelog/8ranks", modeLogScenario},
 		{"stall/disk", diskStallScenario},
 		{"stall/ionode", ionodeStallScenario},
+		{"prefetch/hit", func(t *testing.T) string { return prefetchScenario(t, 0.5, 2e-9) }},
+		{"prefetch/miss", func(t *testing.T) string { return prefetchScenario(t, 0, 2e-9) }},
+		{"prefetch/miss/nocopy", func(t *testing.T) string { return prefetchScenario(t, 0, 0) }},
 	}
 	var got strings.Builder
 	for _, sc := range scenarios {
