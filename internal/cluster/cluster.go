@@ -127,10 +127,6 @@ func New(peers []string, selfIdx int) (*Ring, error) {
 // Self returns this node.
 func (r *Ring) Self() Node { return r.nodes[r.self] }
 
-// Nodes returns all members in canonical order. Callers must not mutate
-// the returned slice.
-func (r *Ring) Nodes() []Node { return r.nodes }
-
 // Len returns the cluster size.
 func (r *Ring) Len() int { return len(r.nodes) }
 

@@ -175,7 +175,7 @@ func TestNewValidation(t *testing.T) {
 	if r.Self().URL != "http://b:2" || r.Self().ID != 1 {
 		t.Fatalf("self = %+v, want ID 1 at http://b:2", r.Self())
 	}
-	if r.Nodes()[0].URL != "http://a:1" {
-		t.Fatalf("canonical order broken: %+v", r.Nodes())
+	if a, err := New([]string{"http://b:2", "http://a:1"}, 1); err != nil || a.Self().ID != 0 {
+		t.Fatalf("canonical order broken: self = %+v, %v; want ID 0 at http://a:1", a.Self(), err)
 	}
 }

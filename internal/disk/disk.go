@@ -128,7 +128,8 @@ func (d *Disk) seekTime(off int64) float64 {
 }
 
 // ServiceTime returns the uncontended service time of a request starting
-// from the current head position, without performing it.
+// from the current head position, without performing it. The fault tests
+// (TestInstallWindows) read degrade factors against it.
 func (d *Disk) ServiceTime(off, size int64) float64 {
 	return d.par.RequestOverhead + d.seekTime(off) + float64(size)*d.par.ByteTime
 }
@@ -177,9 +178,6 @@ func (d *Disk) SetFailed(failed bool) { d.failed = failed }
 // Failed reports whether the drive is currently failed.
 func (d *Disk) Failed() bool { return d.failed }
 
-// DegradeFactor returns the current service-time multiplier (1 = healthy).
-func (d *Disk) DegradeFactor() float64 { return d.mult }
-
 // Stall occupies the drive with a phantom request for dur seconds of
 // virtual time: real requests queue behind it exactly as behind a slow
 // sibling. Like a request it is an event chain: a kick-off event claims the
@@ -197,11 +195,13 @@ func (d *Disk) Stall(dur float64) {
 	}})
 }
 
-// Head returns the current head byte position.
+// Head returns the current head byte position. TestEventChainDifferential
+// pins it as a run's end state.
 func (d *Disk) Head() int64 { return d.head }
 
 // Stats returns a copy of the accumulated statistics.
 func (d *Disk) Stats() Stats { return d.st }
 
-// Queue exposes the underlying resource for contention statistics.
+// Queue exposes the underlying resource. core's checkIdle reads it to
+// prove an aborted run left no drive held.
 func (d *Disk) Queue() *sim.Resource { return d.res }

@@ -225,7 +225,8 @@ func TestDegradeSlowsService(t *testing.T) {
 		s := p.Now()
 		d.Access(p, 0, 100000, false)
 		before = p.Now() - s
-		d.SetDegrade(4)
+		d.SetDegrade(7)
+		d.SetDegrade(4) // absolute, not compounding
 		s = p.Now()
 		d.Access(p, 100000, 100000, false)
 		after = p.Now() - s
@@ -233,7 +234,7 @@ func TestDegradeSlowsService(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if after < 3.5*before {
+	if after < 3.5*before || after > 4.5*before {
 		t.Fatalf("degraded access %g not ~4x baseline %g", after, before)
 	}
 }
@@ -261,10 +262,7 @@ func TestSetDegradeRestoreExact(t *testing.T) {
 		d.Access(p, 0, 123457, false)
 		base = p.Now() - s
 		d.SetDegrade(7)
-		d.SetDegrade(3) // absolute, not compounding
-		if got := d.DegradeFactor(); got != 3 {
-			t.Errorf("DegradeFactor = %g, want 3", got)
-		}
+		d.SetDegrade(3)
 		d.Restore()
 		s = p.Now()
 		d.Access(p, 123457, 123457, false) // sequential: same service time

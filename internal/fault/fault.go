@@ -433,11 +433,12 @@ func (pl *Plan) Install(eng *sim.Engine, net *network.Network, nodes []*ionode.N
 		}
 	}
 	fired := eng.Metrics().Counter("fault.injections")
+	// Before Run the clock reads 0, so a delay of t lands at exactly t.
 	sched := func(t float64, fn func()) {
-		eng.At(t, func() {
+		eng.ScheduleStep(t, sim.Step{Fn: func() {
 			fired.Inc()
 			fn()
-		})
+		}})
 	}
 	for _, inj := range pl.Injections {
 		inj := inj

@@ -232,20 +232,22 @@ func TestInstallWindows(t *testing.T) {
 		slow    float64
 	}
 	// The wire factor shows as a remote message's uncontended time against
-	// the healthy one.
+	// the healthy one, and a crash as the node refusing a request. Each
+	// probe takes milliseconds, well inside its window.
 	healthy := net.TransferTime(0, 1, 4096)
 	at := map[float64]sample{}
-	for _, tm := range []float64{0.5, 1.5, 2.5, 3.5, 4.5} {
-		tm := tm
-		eng.At(tm, func() {
-			at[tm] = sample{
-				degrade: nodes[0].Disk(0).DegradeFactor(),
-				failed:  nodes[1].Disk(0).Failed(),
-				crashed: nodes[1].Crashed(),
-				slow:    net.TransferTime(0, 1, 4096) / healthy,
+	eng.Spawn("probe", func(p *sim.Proc) {
+		for _, tm := range []float64{0.5, 1.5, 2.5, 3.5, 4.5} {
+			p.Delay(tm - p.Now())
+			s := sample{
+				failed: nodes[1].Disk(0).Failed(),
+				slow:   net.TransferTime(0, 1, 4096) / healthy,
 			}
-		})
-	}
+			s.crashed = errors.Is(nodes[1].Access(p, 0, 0, 100, false), ionode.ErrCrashed)
+			s.degrade = degradeOf(t, p, nodes[0].Disk(0))
+			at[tm] = s
+		}
+	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +268,18 @@ func TestInstallWindows(t *testing.T) {
 	}
 }
 
+// degradeOf reads a drive's service-time multiplier as a client sees it:
+// the busy time of one read against the drive's uncontended ServiceTime,
+// rounded off the residue of their different summation orders.
+func degradeOf(t *testing.T, p *sim.Proc, d *disk.Disk) float64 {
+	want := d.ServiceTime(0, 4096)
+	busy := d.Stats().BusySec
+	if err := d.Access(p, 0, 4096, false); err != nil {
+		t.Errorf("probe read: %v", err)
+	}
+	return math.Round((d.Stats().BusySec-busy)/want*1e9) / 1e9
+}
+
 // TestInstallAllUnits: an index-less disk fault hits every drive.
 func TestInstallAllUnits(t *testing.T) {
 	eng, net, nodes := buildRig(t)
@@ -276,9 +290,10 @@ func TestInstallAllUnits(t *testing.T) {
 	if err := pl.Install(eng, net, nodes); err != nil {
 		t.Fatal(err)
 	}
-	eng.At(2, func() {
+	eng.Spawn("probe", func(p *sim.Proc) {
+		p.Delay(2)
 		for i, n := range nodes {
-			if got := n.Disk(0).DegradeFactor(); got != 2 {
+			if got := degradeOf(t, p, n.Disk(0)); got != 2 {
 				t.Errorf("node %d degrade = %g, want 2", i, got)
 			}
 		}
@@ -300,14 +315,14 @@ func TestStallOccupiesDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	var done float64
-	eng.At(1.5, func() {
+	eng.ScheduleStep(1.5, sim.Step{Fn: func() {
 		eng.Spawn("client", func(p *sim.Proc) {
 			if err := nodes[0].Disk(0).Access(p, 0, 0, false); err != nil {
 				t.Errorf("Access: %v", err)
 			}
 			done = p.Now()
 		})
-	})
+	}})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -330,16 +345,16 @@ func TestFailedDiskErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var during, after error
-	eng.At(1.5, func() {
+	eng.ScheduleStep(1.5, sim.Step{Fn: func() {
 		eng.Spawn("during", func(p *sim.Proc) {
 			during = nodes[0].Disk(0).Access(p, 0, 100, false)
 		})
-	})
-	eng.At(2.5, func() {
+	}})
+	eng.ScheduleStep(2.5, sim.Step{Fn: func() {
 		eng.Spawn("after", func(p *sim.Proc) {
 			after = nodes[0].Disk(0).Access(p, 0, 100, false)
 		})
-	})
+	}})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,11 +377,11 @@ func TestCrashedNodeErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got error
-	eng.At(2, func() {
+	eng.ScheduleStep(2, sim.Step{Fn: func() {
 		eng.Spawn("client", func(p *sim.Proc) {
 			got = nodes[0].Access(p, 0, 0, 100, false)
 		})
-	})
+	}})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

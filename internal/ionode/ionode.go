@@ -156,9 +156,6 @@ func (n *Node) Recover() {
 	}
 }
 
-// Crashed reports whether the node is currently crashed.
-func (n *Node) Crashed() bool { return n.crashed }
-
 // Stall occupies the node's CPU with a phantom request for dur seconds of
 // virtual time: real requests queue behind it — a garbage-collection pause
 // or RAID rebuild on the server. Like a request it is an event chain: a
@@ -177,6 +174,7 @@ func (n *Node) Stall(dur float64) {
 }
 
 // DirtyBytes returns the bytes currently held in the write-behind cache.
+// TestEventChainDifferential pins it as a run's end state.
 func (n *Node) DirtyBytes() int64 { return n.dirty }
 
 // Stats sums the statistics of all drives.

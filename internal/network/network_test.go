@@ -114,8 +114,9 @@ func TestCounters(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n.Messages() != 2 || n.BytesSent() != 300 {
-		t.Fatalf("counters = %d msgs / %d bytes, want 2/300", n.Messages(), n.BytesSent())
+	reg := e.Metrics()
+	if msgs, bytes := reg.Counter("net.msgs").Value(), reg.Counter("net.bytes").Value(); msgs != 2 || bytes != 300 {
+		t.Fatalf("counters = %d msgs / %d bytes, want 2/300", msgs, bytes)
 	}
 }
 

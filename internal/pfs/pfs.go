@@ -27,10 +27,6 @@ import (
 	"pario/internal/stats"
 )
 
-// ErrNotExist is wrapped into Lookup's error for unknown names, so callers
-// can distinguish "missing" from an I/O failure with errors.Is.
-var ErrNotExist = errors.New("pfs: file does not exist")
-
 // ErrRequestTimeout is wrapped into a chunk error when a request exceeds
 // the configured per-request timeout.
 var ErrRequestTimeout = errors.New("pfs: request timed out")
@@ -297,16 +293,6 @@ func (fs *FS) Create(name string, layout Layout, sizeHint int64) (*File, error) 
 	return f, nil
 }
 
-// Lookup returns a previously created file, or an error wrapping
-// ErrNotExist for unknown names.
-func (fs *FS) Lookup(name string) (*File, error) {
-	f := fs.files[name]
-	if f == nil {
-		return nil, fmt.Errorf("%q: %w", name, ErrNotExist)
-	}
-	return f, nil
-}
-
 // SetResilience enables client-side timeout/retry handling for all
 // subsequent transfers and registers the pfs.retries / pfs.timeouts /
 // pfs.aborted_ops counters. From then on a run torn down with transfers in
@@ -397,13 +383,8 @@ func (f *File) Layout() Layout { return f.layout }
 // Size returns the written high-water mark.
 func (f *File) Size() int64 { return f.size }
 
-// MapRange splits [off, off+size) into per-I/O-node chunks in file order.
-func (f *File) MapRange(off, size int64) []Chunk {
-	return f.mapRange(nil, off, size)
-}
-
-// mapRange appends the chunks of [off, off+size) to dst — the scratch-reusing
-// form behind MapRange and BeginTransfer.
+// mapRange appends the chunks of [off, off+size) to dst, in file order:
+// BeginTransfer's per-I/O-node split, into its reusable scratch.
 func (f *File) mapRange(dst []Chunk, off, size int64) []Chunk {
 	if off < 0 || size < 0 {
 		panic(fmt.Sprintf("pfs: bad range off=%d size=%d", off, size))

@@ -1,7 +1,6 @@
 package pfs
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 
@@ -72,7 +71,7 @@ func TestMapRangeRoundRobin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := f.MapRange(0, 400)
+	chunks := f.mapRange(nil, 0, 400)
 	if len(chunks) != 4 {
 		t.Fatalf("chunks = %d, want 4", len(chunks))
 	}
@@ -92,7 +91,7 @@ func TestMapRangeFirstNodeOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := f.MapRange(0, 300)
+	chunks := f.mapRange(nil, 0, 300)
 	wantNodes := []int{2, 3, 0} // wraps over 4 FS nodes
 	for i, c := range chunks {
 		if c.Node != wantNodes[i] {
@@ -107,7 +106,7 @@ func TestMapRangeUnalignedStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := f.MapRange(150, 100)
+	chunks := f.mapRange(nil, 150, 100)
 	if len(chunks) != 2 {
 		t.Fatalf("chunks = %d, want 2", len(chunks))
 	}
@@ -119,7 +118,7 @@ func TestMapRangeUnalignedStart(t *testing.T) {
 	}
 }
 
-// Property: MapRange covers the requested range exactly, in order, with no
+// Property: mapRange covers the requested range exactly, in order, with no
 // chunk crossing a stripe-unit boundary.
 func TestMapRangeCoversProperty(t *testing.T) {
 	_, fs := newFS(t, 4)
@@ -130,7 +129,7 @@ func TestMapRangeCoversProperty(t *testing.T) {
 	prop := func(offRaw, sizeRaw uint32) bool {
 		off := int64(offRaw % (1 << 19))
 		size := int64(sizeRaw % (1 << 16))
-		chunks := f.MapRange(off, size)
+		chunks := f.mapRange(nil, off, size)
 		var covered int64
 		pos := off
 		for _, c := range chunks {
@@ -160,7 +159,7 @@ func TestPerNodeContiguity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunks := f.MapRange(0, 10000)
+	chunks := f.mapRange(nil, 0, 10000)
 	lastDisk := map[int]int64{}
 	for _, c := range chunks {
 		if prev, ok := lastDisk[c.Node]; ok {
@@ -242,8 +241,8 @@ func TestDistinctFilesDistinctStorage(t *testing.T) {
 	_, fs := newFS(t, 2)
 	a, _ := fs.Create("a", Layout{StripeUnit: 100, StripeFactor: 2, FirstNode: 0}, 1000)
 	b, _ := fs.Create("b", Layout{StripeUnit: 100, StripeFactor: 2, FirstNode: 0}, 1000)
-	ca := a.MapRange(0, 100)[0]
-	cb := b.MapRange(0, 100)[0]
+	ca := a.mapRange(nil, 0, 100)[0]
+	cb := b.mapRange(nil, 0, 100)[0]
 	if ca.Node == cb.Node && ca.Disk == cb.Disk && ca.DiskOff == cb.DiskOff {
 		t.Fatal("two files share the same disk bytes")
 	}
@@ -260,7 +259,7 @@ func TestRecreateReusesDiskOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := f.MapRange(0, 1000)
+	first := f.mapRange(nil, 0, 1000)
 	for i := 0; i < 5; i++ {
 		g, err := fs.Create("a", layout, 1000)
 		if err != nil {
@@ -272,7 +271,7 @@ func TestRecreateReusesDiskOffsets(t *testing.T) {
 		if g.Size() != 0 {
 			t.Fatalf("re-create did not truncate: size = %d", g.Size())
 		}
-		chunks := g.MapRange(0, 1000)
+		chunks := g.mapRange(nil, 0, 1000)
 		for j, c := range chunks {
 			if c != first[j] {
 				t.Fatalf("iteration %d chunk %d = %+v, want %+v (disk offsets must be stable)",
@@ -294,7 +293,7 @@ func TestRecreateLargerHintGrows(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The first 1000 bytes keep their offsets; the rest is addressable.
-	chunks := f.MapRange(0, 4000)
+	chunks := f.mapRange(nil, 0, 4000)
 	var covered int64
 	for _, c := range chunks {
 		covered += c.Len
@@ -318,8 +317,8 @@ func TestRecreateDifferentLayoutIsFresh(t *testing.T) {
 	if g == f {
 		t.Fatal("layout change must not reuse the old file")
 	}
-	if got, err := fs.Lookup("a"); err != nil || got != g {
-		t.Fatalf("Lookup = %v, %v; want the re-created file", got, err)
+	if again, err := fs.Create("a", g.Layout(), 1000); err != nil || again != g {
+		t.Fatalf("Create = %v, %v; want the re-created file", again, err)
 	}
 }
 
@@ -368,21 +367,6 @@ func TestLocalToDiskStable(t *testing.T) {
 	}
 }
 
-func TestLookup(t *testing.T) {
-	_, fs := newFS(t, 2)
-	f, _ := fs.Create("a", Layout{StripeUnit: 100, StripeFactor: 1, FirstNode: 0}, 0)
-	if got, err := fs.Lookup("a"); err != nil || got != f {
-		t.Fatalf("Lookup = %v, %v; want the created file", got, err)
-	}
-	got, err := fs.Lookup("missing")
-	if got != nil {
-		t.Fatal("Lookup of missing file returned non-nil file")
-	}
-	if !errors.Is(err, ErrNotExist) {
-		t.Fatalf("Lookup of missing file: err = %v, want ErrNotExist", err)
-	}
-}
-
 func TestMultiDiskRoundRobin(t *testing.T) {
 	e := sim.NewEngine()
 	topo, _ := topology.NewSwitched(4, 2, 1, 2)
@@ -396,7 +380,7 @@ func TestMultiDiskRoundRobin(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, _ := fs.Create("a", Layout{StripeUnit: 100, StripeFactor: 1, FirstNode: 0}, 1600)
-	chunks := f.MapRange(0, 1600)
+	chunks := f.mapRange(nil, 0, 1600)
 	seen := map[int]bool{}
 	for _, c := range chunks {
 		seen[c.Disk] = true
@@ -414,7 +398,7 @@ func TestBadRangePanics(t *testing.T) {
 			t.Error("negative range did not panic")
 		}
 	}()
-	f.MapRange(-1, 10)
+	f.mapRange(nil, -1, 10)
 }
 
 func TestDegradedIONodeStretchesStripedRead(t *testing.T) {

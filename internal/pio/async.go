@@ -5,12 +5,14 @@ import (
 	"pario/internal/trace"
 )
 
-// AsyncRead is an in-flight background read issued by ReadAsync.
+// AsyncRead is an in-flight background read issued by ReadAsync. Await
+// parks its one waiter in k; the completion schedules it.
 type AsyncRead struct {
 	h    *Handle
 	off  int64
 	n    int64
-	done *sim.Signal
+	done bool
+	k    sim.Step
 }
 
 // ReadAsync starts reading n bytes at off and returns immediately; the
@@ -26,7 +28,7 @@ type AsyncRead struct {
 // stages of the transfer's chain.
 func (h *Handle) ReadAsync(off, n int64) *AsyncRead {
 	eng := h.engine()
-	ar := &AsyncRead{h: h, off: off, n: n, done: sim.NewSignal(eng)}
+	ar := &AsyncRead{h: h, off: off, n: n}
 	o := h.c.getOp(h, off, n, false)
 	o.ar = ar
 	o.stage = opCall
@@ -35,15 +37,20 @@ func (h *Handle) ReadAsync(off, n int64) *AsyncRead {
 }
 
 // finishPrefetch completes a prefetch in its terminal callback: the
-// transfer's epilogue, then the completion signal. A transfer that fails
-// fail-stops the run instead, so its prefetch never gets here.
+// transfer's epilogue, then a zero-delay event for the waiter Await
+// parked, if any. A transfer that fails fail-stops the run instead, so
+// its prefetch never gets here.
 func (o *ioOp) finishPrefetch() {
 	if o.x != nil {
 		o.h.f.EndTransfer(o.x)
 	}
 	ar := o.ar
+	eng := o.h.engine()
 	o.h.c.putOp(o)
-	ar.done.Fire()
+	ar.done = true
+	if ar.k.Fn != nil || ar.k.P != nil {
+		eng.ScheduleStep(0, ar.k)
+	}
 }
 
 // engine digs the simulation engine out of the client's resources.
@@ -58,20 +65,19 @@ func (h *Handle) engine() *sim.Engine { return h.c.fs.Engine() }
 func (h *Handle) Await(p *sim.Proc, ar *AsyncRead) {
 	start := p.Now()
 	ct := float64(ar.n) * h.c.fs.Network().Params().MemCopyByteTime
-	switch {
-	case ar.done.Fired():
+	if ar.done {
 		h.c.mPrefHit.Inc()
 		if ct > 0 {
 			p.Delay(ct)
 		}
-	case ct > 0:
+	} else {
 		h.c.mPrefMiss.Inc()
-		eng := h.engine()
-		ar.done.WaitFn(func() { eng.ScheduleStep(ct, sim.Step{P: p}) })
+		ar.k = sim.Step{P: p}
+		if ct > 0 {
+			eng := h.engine()
+			ar.k = sim.Step{Fn: func() { eng.ScheduleStep(ct, sim.Step{P: p}) }}
+		}
 		p.Suspend()
-	default:
-		h.c.mPrefMiss.Inc()
-		p.WaitSignal(ar.done)
 	}
 	h.pos = ar.off + ar.n
 	h.c.rec.RecordAt(trace.Read, start, p.Now()-start, ar.off, ar.n)

@@ -253,12 +253,12 @@ func stallRequests(e *sim.Engine, l *diffLog, access func(p *sim.Proc, i int, of
 	// A stall at 10ms with requests queued, a stall at the instant a
 	// request arrives, two stalls back to back, a stall hard behind
 	// another, and one on an idle device.
-	e.At(0.010, func() { stall(0.020) })
-	e.At(0.045, func() { stall(0.010) })
-	e.At(0.080, func() { stall(0.005); stall(0.007) })
-	e.At(0.120, func() { stall(0.004) })
-	e.At(0.124, func() { stall(0) })
-	e.At(0.500, func() { stall(0.003) })
+	e.ScheduleStep(0.010, sim.Step{Fn: func() { stall(0.020) }})
+	e.ScheduleStep(0.045, sim.Step{Fn: func() { stall(0.010) }})
+	e.ScheduleStep(0.080, sim.Step{Fn: func() { stall(0.005); stall(0.007) }})
+	e.ScheduleStep(0.120, sim.Step{Fn: func() { stall(0.004) }})
+	e.ScheduleStep(0.124, sim.Step{Fn: func() { stall(0) }})
+	e.ScheduleStep(0.500, sim.Step{Fn: func() { stall(0.003) }})
 	e.Spawn("arrival", func(p *sim.Proc) {
 		p.Delay(0.045)
 		err := access(p, 100, 1<<20)
@@ -313,7 +313,7 @@ func ionodeStallScenario(t *testing.T) string {
 		return n.Access(p, i%2, off, 8192, i%3 != 0)
 	}, n.Stall)
 	// A drive stall under the node's, to overlap queued drains.
-	e.At(0.030, func() { n.Disk(1).Stall(0.015) })
+	e.ScheduleStep(0.030, sim.Step{Fn: func() { n.Disk(1).Stall(0.015) }})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

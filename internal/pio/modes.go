@@ -101,9 +101,6 @@ func NewSharedFile(comm *mp.Comm, handles []*Handle, mode Mode, recordSize int64
 // Mode returns the access mode.
 func (sf *SharedFile) Mode() Mode { return sf.mode }
 
-// SharedPos returns the shared pointer (modes that keep one).
-func (sf *SharedFile) SharedPos() int64 { return sf.shared }
-
 // Write performs one n-byte write by rank under the file's mode and
 // returns the file offset it landed at. Under ModeSync and ModeGlobal all
 // ranks must call collectively with the same n; ModeGlobal rejects writes.

@@ -59,9 +59,6 @@ func TestModeLogOffsetsAreDisjointAppends(t *testing.T) {
 			t.Fatalf("offsets = %v, want dense multiples of 1000", offs)
 		}
 	}
-	if sf.SharedPos() != 12000 {
-		t.Fatalf("shared pointer = %d, want 12000", sf.SharedPos())
-	}
 }
 
 func TestModeLogSerializes(t *testing.T) {

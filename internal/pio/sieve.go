@@ -104,36 +104,3 @@ func (h *Handle) ReadSieved(p *sim.Proc, runs []ooc.Run, bufBytes int64) SieveSt
 	}
 	return st
 }
-
-// WriteSieved writes the given runs using read-modify-write sieving: each
-// window costs one read of the covering extent, the in-memory merge, and
-// one write back. Windows whose runs already cover their whole extent skip
-// the read (no holes to preserve).
-func (h *Handle) WriteSieved(p *sim.Proc, runs []ooc.Run, bufBytes int64) SieveStats {
-	if bufBytes <= 0 {
-		panic("pio: sieve buffer must be positive")
-	}
-	var st SieveStats
-	copyByteTime := h.c.fs.Network().Params().MemCopyByteTime
-	for _, w := range sieveWindows(runs, bufBytes) {
-		lo, hi := windowExtent(w)
-		var useful int64
-		for _, r := range w {
-			useful += r.Len
-		}
-		if useful < hi-lo {
-			// Holes: read-modify-write to preserve the bytes between runs.
-			h.ReadAt(p, lo, hi-lo)
-			st.Requests++
-			st.Transferred += hi - lo
-		}
-		if ct := float64(useful) * copyByteTime; ct > 0 {
-			p.Delay(ct)
-		}
-		h.WriteAt(p, lo, hi-lo)
-		st.Requests++
-		st.Transferred += hi - lo
-		st.Useful += useful
-	}
-	return st
-}

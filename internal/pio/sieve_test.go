@@ -157,44 +157,6 @@ func TestReadSievedFasterThanPiecewise(t *testing.T) {
 	}
 }
 
-func TestWriteSievedReadModifyWrite(t *testing.T) {
-	e, h, rec := sieveRig(t)
-	runs := stridedRuns(16, 512, 512) // holes: needs RMW
-	var st SieveStats
-	e.Spawn("u", func(p *sim.Proc) {
-		st = h.WriteSieved(p, runs, 64<<10)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Get(trace.Read).Count == 0 {
-		t.Fatal("holey sieved write did not read-modify-write")
-	}
-	if rec.Get(trace.Write).Count == 0 {
-		t.Fatal("no writes issued")
-	}
-	if st.Useful != 16*512 {
-		t.Fatalf("useful = %d", st.Useful)
-	}
-}
-
-func TestWriteSievedDenseSkipsRead(t *testing.T) {
-	e, h, rec := sieveRig(t)
-	runs := stridedRuns(16, 512, 0) // contiguous: no holes
-	e.Spawn("u", func(p *sim.Proc) {
-		h.WriteSieved(p, runs, 64<<10)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Get(trace.Read).Count != 0 {
-		t.Fatalf("dense sieved write read %d times, want 0", rec.Get(trace.Read).Count)
-	}
-	if rec.Get(trace.Write).Count != 1 {
-		t.Fatalf("dense sieved write issued %d writes, want 1 merged", rec.Get(trace.Write).Count)
-	}
-}
-
 func TestSieveBadBufferPanics(t *testing.T) {
 	_, h, _ := sieveRig(t)
 	defer func() {

@@ -109,7 +109,7 @@ func simulateQueue(t *testing.T, lambda, service float64, jobs int, seed uint64)
 	var arrive float64
 	for i := 0; i < jobs; i++ {
 		arrive += rng.Exp(1 / lambda)
-		e.At(arrive, arrival)
+		e.ScheduleStep(arrive, sim.Step{Fn: arrival}) // the clock reads 0 until Run
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -89,13 +89,11 @@ func TestAbortFromChildProc(t *testing.T) {
 	eng := NewEngine()
 	cause := errors.New("child failed")
 	eng.Spawn("parent", func(p *Proc) {
-		done := NewSignal(eng)
-		eng.Spawn("child", func(c *Proc) {
+		child := spawnDone(eng, "child", func(c *Proc) {
 			c.Delay(1)
 			abort(c, cause)
-			done.Fire()
 		})
-		p.WaitSignal(done)
+		child.wait(p)
 		t.Error("parent resumed past aborted child")
 	})
 	if err := eng.Run(); !errors.Is(err, cause) {
@@ -123,10 +121,10 @@ func TestAtTeardownRunsOnceBeforeUnwind(t *testing.T) {
 		defer func() { log = append(log, "unwind") }()
 		p.Suspend() // never woken
 	})
-	eng.After(2, func() {
+	eng.ScheduleStep(2, Step{Fn: func() {
 		eng.AtTeardown(func() { log = append(log, "hook2") })
 		eng.AbortRun(errors.New("fail-stop"))
-	})
+	}})
 	if err := eng.Run(); !errors.Is(err, ErrAborted) {
 		t.Fatalf("Run() = %v, want ErrAborted", err)
 	}

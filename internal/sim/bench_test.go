@@ -11,7 +11,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 	e := NewEngine()
 	b.ReportAllocs()
 	for i := 1; i <= b.N; i++ {
-		e.After(1, func() {})
+		e.ScheduleStep(1, Step{Fn: func() {}})
 		if i%1025 == 0 {
 			_ = e.Run()
 		}
@@ -37,7 +37,7 @@ func BenchmarkEventQueue(b *testing.B) {
 			var hold func()
 			arm := func() {
 				k++
-				e.After(queueDelays[k%len(queueDelays)], hold)
+				e.ScheduleStep(queueDelays[k%len(queueDelays)], Step{Fn: hold})
 			}
 			hold = func() {
 				if left > 0 {
@@ -119,8 +119,8 @@ func BenchmarkResourceContention(b *testing.B) {
 	}
 }
 
-// BenchmarkSameInstantLane measures the zero-delay event path (After(0)
-// from inside the instant), which takes the FIFO ring rather than the radix
+// BenchmarkSameInstantLane measures the zero-delay event path
+// (ScheduleStep(0, …) from inside the instant), which takes the FIFO ring rather than the radix
 // queue.
 func BenchmarkSameInstantLane(b *testing.B) {
 	e := NewEngine()
@@ -128,10 +128,10 @@ func BenchmarkSameInstantLane(b *testing.B) {
 	var chain func()
 	chain = func() {
 		if n--; n > 0 {
-			e.After(0, chain)
+			e.ScheduleStep(0, Step{Fn: chain})
 		}
 	}
-	e.After(0, chain)
+	e.ScheduleStep(0, Step{Fn: chain})
 	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
@@ -139,44 +139,15 @@ func BenchmarkSameInstantLane(b *testing.B) {
 	}
 }
 
-// BenchmarkSpawnJoin measures process churn: spawn a child, wait on the
-// signal it fires as it exits. With pooled workers the steady state reuses
+// BenchmarkSpawnJoin measures process churn: spawn a child, wait for it
+// to exit. With pooled workers the steady state reuses
 // one parked coroutine instead of starting one per child.
 func BenchmarkSpawnJoin(b *testing.B) {
 	e := NewEngine()
 	n := b.N
 	e.Spawn("root", func(p *Proc) {
 		for i := 0; i < n; i++ {
-			p.WaitSignal(spawnDone(e, "c", func(c *Proc) {}))
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSignalBroadcast measures the fan-out wakeup path: each round one
-// leader fires a signal releasing 15 parked processes.
-func BenchmarkSignalBroadcast(b *testing.B) {
-	e := NewEngine()
-	rounds := b.N/16 + 1
-	sigs := make([]*Signal, rounds)
-	for i := range sigs {
-		sigs[i] = NewSignal(e)
-	}
-	for w := 0; w < 15; w++ {
-		e.Spawn("w", func(p *Proc) {
-			for i := 0; i < rounds; i++ {
-				p.WaitSignal(sigs[i])
-			}
-		})
-	}
-	e.Spawn("leader", func(p *Proc) {
-		for i := 0; i < rounds; i++ {
-			p.Delay(1)
-			sigs[i].Fire()
+			spawnDone(e, "c", func(c *Proc) {}).wait(p)
 		}
 	})
 	b.ReportAllocs()

@@ -9,15 +9,15 @@
 //
 // The kernel is intentionally small: an event queue, cooperative processes
 // with Spawn/Delay/Suspend, continuations (Step) that either run a callback
-// or wake a process, FIFO resources with capacity (servers/queues) and
-// condition signals, both claimed by continuations. Everything else in
+// or wake a process, scheduled by ScheduleStep, and FIFO resources with
+// capacity (servers/queues) claimed by continuations. Everything else in
 // this repository — networks, disks, parallel file systems, applications —
 // is built on it.
 //
 // Internally the event queue is split into a same-instant FIFO ring (all
-// zero-delay work: wakeups, grants, After(0, …)) and a monotone radix queue
-// keyed on the clock (everything that moves it), merged in exact (at, seq)
-// order. Each process body runs on an iter.Pull coroutine, and the
+// zero-delay work: wakeups, grants, ScheduleStep(0, …)) and a monotone
+// radix queue keyed on the clock (everything that moves it), merged in
+// exact (at, seq) order. Each process body runs on an iter.Pull coroutine, and the
 // goroutine that calls Run is the driver that resumes them. A blocked
 // process runs the event loop inline, so waking itself after a Delay, or
 // firing callbacks, costs no switch at all; when the next event wakes a
@@ -179,35 +179,6 @@ func (e *Engine) schedule(t float64, fn func(), p *Proc) {
 //go:noinline
 func badTime(t float64) {
 	panic(fmt.Sprintf("sim: non-finite event time %g", t))
-}
-
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it would corrupt the clock. So does a NaN or infinite t.
-// Scheduling on a stopped engine panics too: after Stop the engine can be
-// inspected but not reused. A t of -0 is stored as +0.
-func (e *Engine) At(t float64, fn func()) {
-	if e.stopped {
-		panic("sim: At on stopped engine")
-	}
-	if now := e.Now(); t < now {
-		panic(fmt.Sprintf("sim: scheduling event at %g before now %g", t, now))
-	}
-	if t == 0 {
-		t = 0 // -0 would order after every positive time (see event.before)
-	}
-	e.schedule(t, fn, nil)
-}
-
-// After schedules fn to run d seconds from now. A negative, NaN or infinite
-// d panics.
-func (e *Engine) After(d float64, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %g", d))
-	}
-	if e.stopped {
-		panic("sim: After on stopped engine")
-	}
-	e.schedule(e.Now()+d, fn, nil)
 }
 
 // Spawn creates a process executing body and schedules it to start at the
@@ -404,8 +375,8 @@ func (e *Engine) drive() {
 }
 
 // Run executes events until the queue drains. It returns an error if, at
-// that point, processes remain blocked (a deadlock: they wait on a signal
-// or resource that can no longer be provided). Blocked processes are killed
+// that point, processes remain blocked (a deadlock: they wait on a wake or
+// resource that can no longer be provided). Blocked processes are killed
 // so their coroutines are reclaimed. Running a stopped engine is an error:
 // after Stop the engine can be inspected but not reused.
 //

@@ -30,9 +30,9 @@ func TestDelayAdvancesClock(t *testing.T) {
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.At(3, func() { order = append(order, 3) })
-	e.At(1, func() { order = append(order, 1) })
-	e.At(2, func() { order = append(order, 2) })
+	e.ScheduleStep(3, Step{Fn: func() { order = append(order, 3) }})
+	e.ScheduleStep(1, Step{Fn: func() { order = append(order, 1) }})
+	e.ScheduleStep(2, Step{Fn: func() { order = append(order, 2) }})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSameTimeEventsFireInScheduleOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(1, func() { order = append(order, i) })
+		e.ScheduleStep(1, Step{Fn: func() { order = append(order, i) }})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -63,14 +63,14 @@ func TestSameTimeEventsFireInScheduleOrder(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(5, func() {
+	e.ScheduleStep(5, Step{Fn: func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(1, func() {})
-	})
+		e.ScheduleStep(1-e.Now(), Step{Fn: func() {}})
+	}})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +79,9 @@ func TestSchedulingInPastPanics(t *testing.T) {
 func TestSpawnActivatesAtCurrentTime(t *testing.T) {
 	e := NewEngine()
 	var start float64 = -1
-	e.At(7, func() {
+	e.ScheduleStep(7, Step{Fn: func() {
 		e.Spawn("late", func(p *Proc) { start = p.Now() })
-	})
+	}})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,7 @@ func TestSpawnActivatesAtCurrentTime(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine()
-	s := NewSignal(e)
-	e.Spawn("stuck", func(p *Proc) { p.WaitSignal(s) })
+	e.Spawn("stuck", func(p *Proc) { p.Suspend() }) // never woken
 	if err := e.Run(); err == nil {
 		t.Fatal("Run did not report deadlock")
 	}
@@ -146,9 +145,8 @@ func TestProcessPanicPropagates(t *testing.T) {
 
 func TestStopKillsProcesses(t *testing.T) {
 	e := NewEngine()
-	s := NewSignal(e)
-	e.Spawn("stuck", func(p *Proc) { p.WaitSignal(s) })
-	e.At(1, func() { e.Stop() })
+	e.Spawn("stuck", func(p *Proc) { p.Suspend() }) // never woken
+	e.ScheduleStep(1, Step{Fn: e.Stop})
 	// Run drains: the stop event fires, killing the process and clearing
 	// the queue, so Run returns with no deadlock.
 	if err := e.Run(); err != nil {
@@ -158,7 +156,7 @@ func TestStopKillsProcesses(t *testing.T) {
 
 func TestRunAfterStopErrors(t *testing.T) {
 	e := NewEngine()
-	e.At(1, func() {})
+	e.ScheduleStep(1, Step{Fn: func() {}})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,39 +177,48 @@ func TestSpawnAfterStopPanics(t *testing.T) {
 	e.Spawn("late", func(p *Proc) {})
 }
 
-func TestAtAfterStopPanics(t *testing.T) {
-	e := NewEngine()
-	e.Stop()
-	defer func() {
-		if recover() == nil {
-			t.Error("At on a stopped engine did not panic")
-		}
-	}()
-	e.At(1, func() {})
+// join is a process's completion, which other processes wait on: exit
+// wakes every waiter in the order it began waiting, and a wait after exit
+// returns at once.
+type join struct {
+	done    bool
+	waiters []Step
 }
 
-// spawnDone spawns body and returns a signal fired as it exits, also when
-// it is killed: a join, as a process waits for another's completion.
-func spawnDone(e *Engine, name string, body func(*Proc)) *Signal {
-	done := NewSignal(e)
+// wait parks p until the joined process exits.
+func (j *join) wait(p *Proc) {
+	if !j.done {
+		j.waiters = append(j.waiters, Step{P: p})
+		p.Suspend()
+	}
+}
+
+// spawnDone spawns body and returns its join, released as body exits,
+// also when it is killed.
+func spawnDone(e *Engine, name string, body func(*Proc)) *join {
+	j := &join{}
 	e.Spawn(name, func(p *Proc) {
-		defer done.Fire()
+		defer func() {
+			j.done = true
+			for _, k := range j.waiters {
+				e.ScheduleStep(0, k)
+			}
+		}()
 		body(p)
 	})
-	return done
+	return j
 }
 
 func TestStopWithExitSignalWaiters(t *testing.T) {
-	// Killing a process whose exit others wait on fires its exit signal
+	// Killing a process whose exit others wait on wakes its waiters
 	// during teardown; that must not try to schedule on the stopped
 	// engine.
 	e := NewEngine()
-	s := NewSignal(e)
-	child := spawnDone(e, "child", func(p *Proc) { p.WaitSignal(s) })
-	e.Spawn("parent", func(p *Proc) { p.WaitSignal(child) })
-	worker := spawnDone(e, "worker", func(p *Proc) { p.WaitSignal(s) })
-	e.Spawn("waiter", func(p *Proc) { p.WaitSignal(worker) })
-	e.At(1, func() { e.Stop() })
+	child := spawnDone(e, "child", func(p *Proc) { p.Suspend() })
+	e.Spawn("parent", func(p *Proc) { child.wait(p) })
+	worker := spawnDone(e, "worker", func(p *Proc) { p.Suspend() })
+	e.Spawn("waiter", func(p *Proc) { worker.wait(p) })
+	e.ScheduleStep(1, Step{Fn: e.Stop})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run with Stop teardown: %v", err)
 	}
@@ -221,7 +228,7 @@ func TestZeroDelayPreservesEventOrder(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	e.Spawn("a", func(p *Proc) {
-		e.After(0, func() { order = append(order, "event") })
+		e.ScheduleStep(0, Step{Fn: func() { order = append(order, "event") }})
 		p.Delay(0)
 		order = append(order, "proc")
 	})
@@ -239,7 +246,7 @@ func TestEventsCounter(t *testing.T) {
 		t.Fatal("fresh engine has executed events")
 	}
 	for i := 0; i < 5; i++ {
-		e.At(float64(i), func() {})
+		e.ScheduleStep(float64(i), Step{Fn: func() {}})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -9,9 +9,9 @@ import (
 // scheduling order (seq), which keeps the simulation deterministic.
 //
 // It is a tagged union: proc != nil means "wake this process" (the dominant
-// event class — Delay expiries, Spawn activations, resource handoffs, signal
-// releases), otherwise fn is an arbitrary callback. Carrying the process
-// pointer directly means the wake paths push a 32-byte record instead of
+// event class — Delay expiries, Spawn activations, resource handoffs),
+// otherwise fn is an arbitrary callback. Carrying the process pointer
+// directly means the wake paths push a 32-byte record instead of
 // allocating a fresh closure per wake, which a large run does millions of
 // times.
 type event struct {
@@ -28,8 +28,9 @@ type event struct {
 // because every queued time is finite and non-negative with -0 stored as +0
 // — for such values the bit pattern orders like the value, which is also
 // what lets eventQueue key its buckets on those bits — and the kernel
-// makes that an invariant: schedule rejects NaN and ±Inf, the public entry
-// points reject negative delays and past times, and At normalises -0.
+// makes that an invariant: schedule rejects NaN and ±Inf, and the public
+// entry points add a non-negative delay to a clock that starts at +0, so
+// a -0 delay yields +0.
 func (a *event) before(b *event) bool {
 	_, borrow := bits.Sub64(a.seq, b.seq, 0)
 	_, borrow = bits.Sub64(math.Float64bits(a.at), math.Float64bits(b.at), borrow)
@@ -194,7 +195,7 @@ func (q *eventQueue) drop() {
 // already arrive in (at, seq) order — at equals now for all of them and seq
 // is assigned monotonically — so a ring preserves the exact firing order
 // while keeping the most common scheduling operation (zero-delay wakeups
-// and grants, After(0, …)) a plain FIFO append, off the radix queue.
+// and grants, ScheduleStep(0, …)) a plain FIFO append, off the radix queue.
 //
 // The capacity is always a power of two so the index math is a mask.
 type eventRing struct {

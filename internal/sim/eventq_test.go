@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// fuzzDelays is the palette FuzzEventQueue draws After delays from: zero
+// fuzzDelays is the palette FuzzEventQueue draws delays from: zero
 // (the ring), the smallest subnormal (a key one ulp above zero, and no
 // move at all once the clock is past it), and spans from a nanosecond to
 // a million seconds, so keys land in low and high buckets alike.
@@ -19,8 +19,8 @@ const fuzzMaxEvents = 512
 // queueProg decodes a fuzz input into a program of callbacks. Each firing
 // reads one byte from a cursor that wraps around the input: its low two
 // bits give the number of children the callback schedules, and each child
-// reads one more byte, whose top bit picks At(Now()) and whose other bits
-// pick an After delay from fuzzDelays. A root byte schedules 1–4 children
+// reads one more byte, whose top bit picks the current instant and whose
+// other bits pick a delay from fuzzDelays. A root byte schedules 1–4 children
 // at time 0 in the same way. Children get ids in scheduling order; the
 // program stops growing after fuzzMaxEvents. The kernel and the reference
 // run the same program, so their firing logs match iff they fire in the
@@ -38,8 +38,8 @@ func (pr *queueProg) next() byte {
 }
 
 // children decodes the children of one firing (or of the root), calling
-// sched with each one's id and timing: at selects At(Now()), else d is the
-// After delay.
+// sched with each one's id and timing: at selects the current instant,
+// else d is the delay.
 func (pr *queueProg) children(root bool, sched func(id int, at bool, d float64)) {
 	if len(pr.code) == 0 || pr.ids >= fuzzMaxEvents {
 		return
@@ -75,10 +75,9 @@ func runKernelProg(code []byte) ([]firing, uint64, error) {
 			pr.children(false, sched)
 		}
 		if at {
-			e.At(e.Now(), fire)
-		} else {
-			e.After(d, fire)
+			d = 0
 		}
+		e.ScheduleStep(d, Step{Fn: fire})
 	}
 	pr.children(true, sched)
 	err := e.Run()

@@ -32,17 +32,3 @@ func Example() {
 	// writer1 finished at t=4
 	// writer2 finished at t=6
 }
-
-// ExampleSignal shows one-shot condition synchronization.
-func ExampleSignal() {
-	eng := sim.NewEngine()
-	ready := sim.NewSignal(eng)
-	eng.Spawn("waiter", func(p *sim.Proc) {
-		p.WaitSignal(ready)
-		fmt.Printf("released at t=%g\n", p.Now())
-	})
-	eng.At(5, func() { ready.Fire() })
-	_ = eng.Run()
-	// Output:
-	// released at t=5
-}

@@ -8,12 +8,11 @@ import (
 )
 
 // populate gives a run live coroutines to tear down and parked ones to
-// release: three processes blocked for good on a signal, one looping on
+// release: three processes blocked for good, one looping on
 // Delay, and two that exit early so the worker pool is non-empty.
 func populate(e *Engine) {
-	stuck := NewSignal(e)
 	for i := 0; i < 3; i++ {
-		e.Spawn("stuck", func(p *Proc) { p.WaitSignal(stuck) })
+		e.Spawn("stuck", func(p *Proc) { p.Suspend() }) // never woken
 	}
 	e.Spawn("looper", func(p *Proc) {
 		for p.Now() < 5 {
@@ -56,12 +55,12 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 		}, wantErr(ErrAborted)},
 		{"engine abort", func(e *Engine) {
 			populate(e)
-			e.At(2, func() { e.AbortRun(errCause) })
+			e.ScheduleStep(2, Step{Fn: func() { e.AbortRun(errCause) }})
 		}, wantErr(ErrAborted)},
 		{"interrupt", func(e *Engine) {
 			populate(e)
 			tripped := false
-			e.At(2, func() { tripped = true })
+			e.ScheduleStep(2, Step{Fn: func() { tripped = true }})
 			e.SetInterrupt(func() error {
 				if tripped {
 					return errCause
@@ -84,13 +83,13 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 		}, wantPanic("boom")},
 		{"panic in callback", func(e *Engine) {
 			populate(e)
-			e.At(2, func() { panic("boom") })
+			e.ScheduleStep(2, Step{Fn: func() { panic("boom") }})
 		}, wantPanic("boom")},
 		{"panic in callback fired by a process", func(e *Engine) {
 			populate(e)
 			e.Spawn("firer", func(p *Proc) {
 				p.Delay(2)
-				e.After(0, func() { panic("boom") })
+				e.ScheduleStep(0, Step{Fn: func() { panic("boom") }})
 				p.Delay(1)
 			})
 		}, wantPanic("boom")},
@@ -108,14 +107,14 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 			populate(e)
 			e.Spawn("exiting", func(p *Proc) {
 				p.Delay(2.5) // alone at its instant
-				e.After(0, func() { e.Spawn("late", func(*Proc) {}) })
-				e.After(0, e.Stop)
+				e.ScheduleStep(0, Step{Fn: func() { e.Spawn("late", func(*Proc) {}) }})
+				e.ScheduleStep(0, Step{Fn: e.Stop})
 			})
 		}, wantErr(nil)},
 		{"dropped after run", func(e *Engine) {
 			for i := 0; i < 8; i++ {
 				e.Spawn("churn", func(p *Proc) {
-					p.WaitSignal(spawnDone(e, "child", func(c *Proc) { c.Delay(1) }))
+					spawnDone(e, "child", func(c *Proc) { c.Delay(1) }).wait(p)
 				})
 			}
 		}, wantErr(nil)},

@@ -11,7 +11,7 @@ import (
 func TestEngineFeedsMetrics(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
-		e.After(float64(i), func() {})
+		e.ScheduleStep(float64(i), Step{Fn: func() {}})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestMetricsRespectStoppedEngine(t *testing.T) {
 		}
 		res.Release()
 	})
-	e.At(2, func() { e.Stop() })
+	e.ScheduleStep(2, Step{Fn: e.Stop})
 	// Stop fires from inside the event loop: it kills both processes and
 	// drops the pending events, so this Run drains cleanly.
 	if err := e.Run(); err != nil {
@@ -82,19 +82,12 @@ func TestMetricsRespectStoppedEngine(t *testing.T) {
 	}
 	before := snap.Series[0].Integral
 
-	// The engine is inert: scheduling panics, re-running errors, and no
-	// late wakeup can move the metrics.
+	// The engine is inert: scheduling does nothing, re-running errors,
+	// and no late wakeup can move the metrics.
+	e.ScheduleStep(1, Step{Fn: func() { t.Error("event fired on a stopped engine") }})
 	if err := e.Run(); err == nil {
 		t.Fatal("Run on stopped engine should error")
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("At on stopped engine should panic")
-			}
-		}()
-		e.At(e.Now()+1, func() {})
-	}()
 	after := e.Metrics().Snapshot(e.Now())
 	if after.Series[0].Integral != before {
 		t.Fatal("metrics moved on a stopped engine")

@@ -6,13 +6,14 @@ import (
 )
 
 // TestSameInstantInterleavings pins the contract the same-instant FIFO lane
-// must preserve: every occurrence scheduled for one instant — At at the
-// current time, After(0, …), Delay(0) resumptions ("yield"), and wakeups —
-// fires in exactly the order it was scheduled, even when the instant was
-// entered through a queued event scheduled long before.
+// must preserve: every occurrence scheduled for one instant — zero-delay
+// callbacks, Step wakes of parked processes, resource grants, Spawn
+// activations and Delay(0) resumptions ("yield") — fires in exactly the
+// order it was scheduled, even when the instant was entered through a
+// queued event scheduled long before.
 func TestSameInstantInterleavings(t *testing.T) {
 	type step struct {
-		kind string // "at", "after0", "yield", "wake", "future-at"
+		kind string // "event", "wake", "grant", "spawn", "yield"
 		tag  string
 	}
 	cases := []struct {
@@ -22,32 +23,32 @@ func TestSameInstantInterleavings(t *testing.T) {
 		{
 			name: "events then yield",
 			steps: []step{
-				{"after0", "e1"}, {"after0", "e2"}, {"yield", "y"}, {"after0", "e3"},
+				{"event", "e1"}, {"event", "e2"}, {"yield", "y"}, {"event", "e3"},
 			},
 		},
 		{
 			name: "yield first",
 			steps: []step{
-				{"yield", "y"}, {"after0", "e1"}, {"at", "e2"},
+				{"yield", "y"}, {"event", "e1"}, {"event", "e2"},
 			},
 		},
 		{
 			name: "wake between events",
 			steps: []step{
-				{"after0", "e1"}, {"wake", "w"}, {"after0", "e2"},
+				{"event", "e1"}, {"wake", "w"}, {"event", "e2"},
 			},
 		},
 		{
 			name: "wake then yield then events",
 			steps: []step{
-				{"wake", "w"}, {"yield", "y"}, {"at", "e1"}, {"after0", "e2"},
+				{"wake", "w"}, {"yield", "y"}, {"event", "e1"}, {"grant", "g"}, {"event", "e2"},
 			},
 		},
 		{
 			name: "everything at once",
 			steps: []step{
-				{"at", "e1"}, {"wake", "w1"}, {"after0", "e2"}, {"yield", "y"},
-				{"wake", "w2"}, {"after0", "e3"},
+				{"event", "e1"}, {"wake", "w1"}, {"spawn", "s"}, {"event", "e2"}, {"yield", "y"},
+				{"grant", "g"}, {"wake", "w2"}, {"event", "e3"},
 			},
 		},
 	}
@@ -55,6 +56,31 @@ func TestSameInstantInterleavings(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine()
 			var got, first, second []string
+			// The processes the instant wakes or grants a unit to, parked
+			// before it: a sleeper in Suspend, a claimant queued behind a
+			// unit the test holds.
+			sleepers := map[string]*Proc{}
+			held := map[string]*Resource{}
+			for _, s := range tc.steps {
+				tag := s.tag
+				switch s.kind {
+				case "wake":
+					sleepers[tag] = e.Spawn("sleeper."+tag, func(p *Proc) {
+						p.Suspend()
+						got = append(got, tag)
+					})
+				case "grant":
+					r := NewResource(e, tag, 1)
+					r.Claim(Step{})
+					held[tag] = r
+					e.Spawn("claimant."+tag, func(p *Proc) {
+						if !r.Claim(Step{P: p}) {
+							p.Suspend()
+						}
+						got = append(got, tag)
+					})
+				}
+			}
 			// Enter the test instant through a future queued event, so the
 			// instant mixes queue residue with ring traffic. All steps are
 			// scheduled in one stretch; they fire in scheduling order,
@@ -62,36 +88,30 @@ func TestSameInstantInterleavings(t *testing.T) {
 			// only when its process activates — after everything scheduled
 			// in the stretch — so yield tags land in a second wave, again
 			// in scheduling order.
-			const instant = 5.0
-			e.At(instant, func() {
+			e.ScheduleStep(5, Step{Fn: func() {
 				for _, s := range tc.steps {
 					tag := s.tag
-					switch s.kind {
-					case "at":
-						first = append(first, tag)
-						e.At(instant, func() { got = append(got, tag) })
-					case "after0":
-						first = append(first, tag)
-						e.After(0, func() { got = append(got, tag) })
-					case "wake":
-						// A waiter on an already-fired signal resumes at
-						// its activation slot: in scheduling position.
-						first = append(first, tag)
-						sg := NewSignal(e)
-						sg.Fire()
-						e.Spawn("waiter."+tag, func(p *Proc) {
-							p.WaitSignal(sg)
-							got = append(got, tag)
-						})
-					case "yield":
+					if s.kind == "yield" {
 						second = append(second, tag)
 						e.Spawn("yielder."+tag, func(p *Proc) {
 							p.Delay(0)
 							got = append(got, tag)
 						})
+						continue
+					}
+					first = append(first, tag)
+					switch s.kind {
+					case "event":
+						e.ScheduleStep(0, Step{Fn: func() { got = append(got, tag) }})
+					case "wake":
+						e.ScheduleStep(0, Step{P: sleepers[tag]})
+					case "grant":
+						held[tag].Release()
+					case "spawn":
+						e.Spawn("spawned."+tag, func(*Proc) { got = append(got, tag) })
 					}
 				}
-			})
+			}})
 			if err := e.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -103,19 +123,27 @@ func TestSameInstantInterleavings(t *testing.T) {
 	}
 }
 
-// TestWakeupOrderRelativeToEvents pins where a parked process's wakeup
-// lands: Fire schedules the resumptions at fire time, so same-instant
-// events scheduled before the Fire call run first and the waiters resume
-// afterwards, in the order they began waiting.
+// TestWakeupOrderRelativeToEvents pins where a parked process's wake
+// lands: Release schedules the grant at release time, so same-instant
+// events scheduled before the Release run first and the claimants resume
+// afterwards, in the order they queued.
 func TestWakeupOrderRelativeToEvents(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	s := NewSignal(e)
-	e.Spawn("w1", func(p *Proc) { p.WaitSignal(s); order = append(order, "w1") })
-	e.Spawn("w2", func(p *Proc) { p.WaitSignal(s); order = append(order, "w2") })
-	e.At(1, func() { order = append(order, "before") })
-	e.At(1, func() { s.Fire() })
-	e.At(1, func() { order = append(order, "after") })
+	r := NewResource(e, "r", 2)
+	r.Claim(Step{})
+	r.Claim(Step{}) // both units held until t=1
+	for _, name := range []string{"w1", "w2"} {
+		e.Spawn(name, func(p *Proc) {
+			if !r.Claim(Step{P: p}) {
+				p.Suspend()
+			}
+			order = append(order, name)
+		})
+	}
+	e.ScheduleStep(1, Step{Fn: func() { order = append(order, "before") }})
+	e.ScheduleStep(1, Step{Fn: func() { r.Release(); r.Release() }})
+	e.ScheduleStep(1, Step{Fn: func() { order = append(order, "after") }})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -133,18 +161,18 @@ func TestWakeupOrderRelativeToEvents(t *testing.T) {
 func TestHeapResidueFiresBeforeRingAtSameInstant(t *testing.T) {
 	e := NewEngine()
 	var order []string
-	e.At(3, func() { order = append(order, "heap-1") }) // seq 1, fires at 3
-	e.At(2, func() {
+	e.ScheduleStep(3, Step{Fn: func() { order = append(order, "heap-1") }}) // seq 1, fires at 3
+	e.ScheduleStep(2, Step{Fn: func() {
 		// Runs at t=2: schedule for t=3; still the time queue (future), seq 3.
-		e.At(3, func() { order = append(order, "heap-2") })
-	})
-	e.At(3, func() { // seq 2
+		e.ScheduleStep(1, Step{Fn: func() { order = append(order, "heap-2") }})
+	}})
+	e.ScheduleStep(3, Step{Fn: func() { // seq 2
 		// Runs at t=3 between the two queued events: everything scheduled
 		// now goes to the ring with larger seqs and must fire after
 		// heap-2.
-		e.After(0, func() { order = append(order, "ring-1") })
-		e.At(3, func() { order = append(order, "ring-2") })
-	})
+		e.ScheduleStep(0, Step{Fn: func() { order = append(order, "ring-1") }})
+		e.ScheduleStep(0, Step{Fn: func() { order = append(order, "ring-2") }})
+	}})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +216,9 @@ func TestInterleavedDelayChains(t *testing.T) {
 func TestDeadlockReportsProcessesInSpawnOrder(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		e := NewEngine()
-		s := NewSignal(e)
 		for i := 0; i < 6; i++ {
 			name := fmt.Sprintf("stuck%d", i)
-			e.Spawn(name, func(p *Proc) { p.WaitSignal(s) })
+			e.Spawn(name, func(p *Proc) { p.Suspend() }) // never woken
 		}
 		err := e.Run()
 		if err == nil {
@@ -212,10 +239,10 @@ func TestSpawnReusesWorkers(t *testing.T) {
 	total := 0
 	e.Spawn("root", func(p *Proc) {
 		for i := 0; i < 100; i++ {
-			p.WaitSignal(spawnDone(e, "c", func(c *Proc) {
+			spawnDone(e, "c", func(c *Proc) {
 				c.Delay(1)
 				total++
-			}))
+			}).wait(p)
 		}
 	})
 	if err := e.Run(); err != nil {

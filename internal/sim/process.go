@@ -19,7 +19,7 @@ type worker struct {
 
 // Proc is a simulation process: a coroutine that runs in lockstep with the
 // engine. All methods must be called from the process's own body, except
-// Name and Done.
+// Name.
 type Proc struct {
 	eng      *Engine
 	w        *worker
@@ -33,9 +33,6 @@ type Proc struct {
 
 // Name returns the name given at Spawn.
 func (p *Proc) Name() string { return p.name }
-
-// Done reports whether the process has finished.
-func (p *Proc) Done() bool { return p.done }
 
 // Engine returns the owning engine.
 func (p *Proc) Engine() *Engine { return p.eng }
@@ -134,19 +131,9 @@ func (p *Proc) Delay(d float64) {
 	p.block()
 }
 
-// WaitSignal blocks until s fires. If s has already fired it returns
-// immediately.
-func (p *Proc) WaitSignal(s *Signal) {
-	if s.fired {
-		return
-	}
-	s.waiters = append(s.waiters, Step{P: p})
-	p.block()
-}
-
 // Suspend parks the process until an event wakes it: a Step{P} scheduled
-// with Engine.ScheduleStep, or the grant of a resource claim or signal wait
-// made with the process's own wake. It is the blocking half of the kernel's
+// with Engine.ScheduleStep, or the grant of a resource claim made with
+// the process's own wake. It is the blocking half of the kernel's
 // continuation-passing protocol: event-driven operations issued by this
 // process run as ordinary events while the issuer sleeps here, and the
 // operation's terminal event is a wake of this process. The caller must

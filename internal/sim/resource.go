@@ -47,9 +47,6 @@ func (r *Resource) Cap() int { return r.cap }
 // InUse returns the number of capacity units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of claims waiting.
-func (r *Resource) QueueLen() int { return len(r.queue) - r.qhead }
-
 // Claim takes one capacity unit for k. When a unit is free it is taken at
 // once and Claim returns true: the claimant continues inline and k does
 // not run. Otherwise k queues in FIFO order and Claim returns false; the

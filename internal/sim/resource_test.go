@@ -92,11 +92,11 @@ func TestResourceFIFOOrder(t *testing.T) {
 			order = append(order, n)
 			e.ScheduleStep(1, release)
 		}}
-		e.At(at, func() {
+		e.ScheduleStep(at, Step{Fn: func() {
 			if r.Claim(grant) {
 				grant.Fn()
 			}
-		})
+		}})
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -131,11 +131,11 @@ func TestResourceWaitAccounting(t *testing.T) {
 		e.Spawn("u", func(p *Proc) { use(p, r, 3) })
 	}
 	hold := holdFor(e, r, 3)
-	e.At(0, func() {
+	e.ScheduleStep(0, Step{Fn: func() {
 		if r.Claim(hold) {
 			hold.Fn()
 		}
-	})
+	}})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,55 +195,6 @@ func TestResourceCapacityMakespanProperty(t *testing.T) {
 		return last == want
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSignalReleasesAllWaiters(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e)
-	released := 0
-	for i := 0; i < 5; i++ {
-		e.Spawn("w", func(p *Proc) {
-			p.WaitSignal(s)
-			released++
-		})
-	}
-	e.At(2, func() { s.Fire() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if released != 5 {
-		t.Fatalf("released = %d, want 5", released)
-	}
-	if !s.Fired() {
-		t.Fatal("signal not marked fired")
-	}
-}
-
-func TestSignalWaitAfterFireReturnsImmediately(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e)
-	s.Fire()
-	var at float64 = -1
-	e.Spawn("w", func(p *Proc) {
-		p.WaitSignal(s)
-		at = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 0 {
-		t.Fatalf("waited until %g, want 0", at)
-	}
-}
-
-func TestSignalDoubleFireIsNoop(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e)
-	s.Fire()
-	s.Fire() // must not panic or re-release
-	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -22,9 +22,9 @@ type Step struct {
 }
 
 // ScheduleStep schedules k to run d seconds from now: a callback event for
-// Fn, a process wake for P. A negative, NaN or infinite d panics, matching
-// After. On a stopped engine it does nothing: the event queue is gone, and
-// a resource or signal legitimately grants from the unwind of a killed
+// Fn, a process wake for P. Before the first Run the clock reads 0, so d
+// is then an absolute time. A negative, NaN or infinite d panics. On a stopped engine it does nothing: the event queue
+// is gone, and a resource legitimately grants from the unwind of a killed
 // process.
 func (e *Engine) ScheduleStep(d float64, k Step) {
 	if !(d >= 0 && d <= math.MaxFloat64) {

@@ -218,9 +218,6 @@ func (s *Series) compact(now float64) {
 // Max returns the largest observed value.
 func (s *Series) Max() float64 { return s.max }
 
-// Last returns the most recent observation.
-func (s *Series) Last() Sample { return s.last }
-
 // Mean returns the time-weighted mean level up to endT (normally the
 // engine's final time). With no observations, or a zero-length span, it
 // returns 0.

@@ -68,9 +68,6 @@ func TestSeriesAggregates(t *testing.T) {
 	if got := s.Mean(20); got != 3 {
 		t.Fatalf("Mean(20) = %g, want 3", got)
 	}
-	if s.Last() != (Sample{T: 10, V: 4}) {
-		t.Fatalf("Last = %+v", s.Last())
-	}
 	if (&Series{}).Mean(5) != 0 {
 		t.Fatal("empty series mean should be 0")
 	}

@@ -120,18 +120,6 @@ func (t *Topology) IONode(i int) int {
 	return t.nCompute + i
 }
 
-// PartitionOf returns the role of global node n.
-func (t *Topology) PartitionOf(n int) Partition {
-	switch {
-	case n < t.nCompute:
-		return Compute
-	case n < t.nCompute+t.nIO:
-		return IO
-	default:
-		return Service
-	}
-}
-
 // Coord returns the (row, col) mesh coordinate of global node n. Nodes are
 // laid out row-major. For Switched fabrics the coordinate is synthetic.
 func (t *Topology) Coord(n int) (row, col int) {
@@ -164,12 +152,4 @@ func (t *Topology) Hops(a, b int) int {
 		dc = -dc
 	}
 	return dr + dc
-}
-
-// MaxHops returns the network diameter.
-func (t *Topology) MaxHops() int {
-	if t.kind == Switched {
-		return t.switchedHops
-	}
-	return (t.rows - 1) + (t.cols - 1)
 }

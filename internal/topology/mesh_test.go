@@ -39,20 +39,21 @@ func TestMeshNeedsComputeAndIO(t *testing.T) {
 	}
 }
 
+// Compute nodes come first, then I/O nodes, then service nodes.
 func TestPartitionLayout(t *testing.T) {
 	tp := mustMesh(t, 4, 4, 8, 4, 2)
 	for i := 0; i < 8; i++ {
-		if got := tp.PartitionOf(tp.ComputeNode(i)); got != Compute {
-			t.Fatalf("compute node %d classified %v", i, got)
+		if got := tp.ComputeNode(i); got != i {
+			t.Fatalf("compute node %d at global %d, want %d", i, got, i)
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if got := tp.PartitionOf(tp.IONode(i)); got != IO {
-			t.Fatalf("io node %d classified %v", i, got)
+		if got := tp.IONode(i); got != 8+i {
+			t.Fatalf("io node %d at global %d, want %d", i, got, 8+i)
 		}
 	}
-	if got := tp.PartitionOf(13); got != Service {
-		t.Fatalf("node 13 classified %v, want service", got)
+	if got := tp.NumNodes() - tp.NumCompute() - tp.NumIO(); got != tp.NumService() {
+		t.Fatalf("%d nodes left for service, want %d", got, tp.NumService())
 	}
 }
 
@@ -109,7 +110,7 @@ func TestHopsBoundedByDiameterProperty(t *testing.T) {
 	f := func(a, b uint8) bool {
 		x := int(a) % tp.NumNodes()
 		y := int(b) % tp.NumNodes()
-		return tp.Hops(x, y) <= tp.MaxHops()
+		return tp.Hops(x, y) <= 7+7 // the 8x8 mesh's diameter
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -126,9 +127,6 @@ func TestSwitchedConstantHops(t *testing.T) {
 	}
 	if tp.Hops(5, 5) != 0 {
 		t.Fatal("switched self-hops not zero")
-	}
-	if tp.MaxHops() != 3 {
-		t.Fatalf("MaxHops = %d, want 3", tp.MaxHops())
 	}
 }
 

@@ -34,6 +34,10 @@
 # every benchmark, floor included. Baseline benchmarks absent from the
 # fresh run (deleted or renamed since the baseline was recorded) are
 # listed by name; that list is informational and never fails the gate.
+#
+# The summary's "commit" field is the short hash of HEAD, suffixed with
+# "-dirty" when the working tree differs from HEAD: the numbers then
+# measure uncommitted changes on top of that commit, not the commit itself.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -55,6 +59,9 @@ done
 benchtime="${BENCHTIME:-1x}"
 benchcount="${BENCHCOUNT:-1}"
 commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if [ "$commit" != unknown ] && ! git diff --quiet HEAD 2>/dev/null; then
+    commit="$commit-dirty"
+fi
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
