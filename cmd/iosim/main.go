@@ -31,6 +31,7 @@ import (
 	"os"
 
 	"pario/internal/core"
+	"pario/internal/request"
 	"pario/internal/serve"
 	"pario/internal/trace"
 )
@@ -42,7 +43,7 @@ func main() {
 		ionodes  = flag.Int("ionodes", 0, "I/O nodes (0 = app's paper default)")
 		opt      = flag.Bool("opt", false, "apply the application's optimization")
 		input    = flag.String("input", "MEDIUM", "scf input: SMALL | MEDIUM | LARGE")
-		version  = flag.String("version", "original", "scf11 version: original | passion | prefetch")
+		version  = flag.String("version", "original", "scf11 version: original | passion | prefetch | direct (scf30: direct with -cached 0 caches nothing)")
 		cached   = flag.Int("cached", 90, "scf30: % of integrals cached on disk (0 selects the default)")
 		class    = flag.String("class", "A", "btio class: A | B")
 		faults   = flag.String("faults", "", `fault plan, e.g. "disk:0:degrade=8@t=1.5s..4s;retry=4" (see internal/fault)`)
@@ -56,7 +57,7 @@ func main() {
 		os.Exit(runEstimate(*app, *procs, *ionodes, *opt, *input, *version, *cached, *class, *faults, *jsonFlag))
 	}
 
-	var req serve.Request
+	var req request.Request
 	var rep core.Report
 	var err error
 	if *traceIn != "" {
@@ -100,7 +101,7 @@ func main() {
 // runEstimate prices the flag tuple analytically through the same
 // canonicalize → estimate path pariod's /run?mode=estimate takes.
 func runEstimate(app string, procs, ionodes int, opt bool, input, version string, cached int, class, faults string, jsonOut bool) int {
-	req, err := serve.Canonicalize(serve.Request{
+	req, err := request.Canonicalize(request.Request{
 		App:       app,
 		Procs:     procs,
 		IONodes:   ionodes,
@@ -115,7 +116,7 @@ func runEstimate(app string, procs, ionodes int, opt bool, input, version string
 		fmt.Fprintf(os.Stderr, "iosim: %v (bad_request)\n", err)
 		return 1
 	}
-	est, err := serve.EstimateFor(req)
+	est, err := request.Estimate(req)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iosim: %v (%s)\n", err, core.ErrorClass(err))
 		return 1
@@ -154,14 +155,14 @@ func runEstimate(app string, procs, ionodes int, opt bool, input, version string
 // for an uploaded copy of the file, so the reports are byte-identical.
 // version empty defers to the trace's own interface hint (native when the
 // hint is absent or names no replayable client).
-func runTrace(path, version string, ionodes int, opt bool, faults string) (serve.Request, core.Report, error) {
+func runTrace(path, version string, ionodes int, opt bool, faults string) (request.Request, core.Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return serve.Request{}, core.Report{}, err
+		return request.Request{}, core.Report{}, err
 	}
 	t, err := trace.Decode(data)
 	if err != nil {
-		return serve.Request{}, core.Report{}, err
+		return request.Request{}, core.Report{}, err
 	}
 	if version == "" {
 		switch t.Iface {
@@ -169,25 +170,25 @@ func runTrace(path, version string, ionodes int, opt bool, faults string) (serve
 			version = t.Iface
 		}
 	}
-	req, err := serve.Canonicalize(serve.Request{
+	req, err := request.Canonicalize(request.Request{
 		App: "trace", Trace: t.Hash(), IONodes: ionodes, Opt: opt,
 		Version: version, Faults: faults,
 	})
 	if err != nil {
-		return serve.Request{}, core.Report{}, core.Classify("bad_request", err)
+		return request.Request{}, core.Report{}, core.Classify("bad_request", err)
 	}
-	rep, err := serve.ExecuteTrace(context.Background(), req, 0, t)
+	rep, err := request.RunTrace(context.Background(), req, t)
 	if err != nil {
-		return serve.Request{}, core.Report{}, err
+		return request.Request{}, core.Report{}, err
 	}
 	return req, rep, nil
 }
 
-// run canonicalizes the flag tuple into a serve.Request and executes it
+// run canonicalizes the flag tuple into a request.Request and executes it
 // through the service's shared path, so iosim answers exactly what pariod
 // would serve for the same configuration.
-func run(app string, procs, ionodes int, opt bool, input, version string, cached int, class, faults string) (serve.Request, core.Report, error) {
-	req, err := serve.Canonicalize(serve.Request{
+func run(app string, procs, ionodes int, opt bool, input, version string, cached int, class, faults string) (request.Request, core.Report, error) {
+	req, err := request.Canonicalize(request.Request{
 		App:       app,
 		Procs:     procs,
 		IONodes:   ionodes,
@@ -200,11 +201,11 @@ func run(app string, procs, ionodes int, opt bool, input, version string, cached
 	})
 	if err != nil {
 		// A request pariod would refuse with a 400 is the same class here.
-		return serve.Request{}, core.Report{}, core.Classify("bad_request", err)
+		return request.Request{}, core.Report{}, core.Classify("bad_request", err)
 	}
-	rep, err := serve.Execute(context.Background(), req)
+	rep, err := request.Run(context.Background(), req)
 	if err != nil {
-		return serve.Request{}, core.Report{}, err
+		return request.Request{}, core.Report{}, err
 	}
 	return req, rep, nil
 }

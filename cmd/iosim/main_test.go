@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pario/internal/core"
+	"pario/internal/request"
 	"pario/internal/serve"
 )
 
@@ -83,11 +84,11 @@ func TestJSONOutputMatchesService(t *testing.T) {
 	}
 	// What the service would serve: canonicalize the equivalent request
 	// and encode its (deterministic) run through the same codec.
-	canon, err := serve.Canonicalize(serve.Request{App: "scf11", Input: "small"})
+	canon, err := request.Canonicalize(request.Request{App: "scf11", Input: "small"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svcRep, err := serve.Execute(nil, canon)
+	svcRep, err := request.Run(nil, canon)
 	if err != nil {
 		t.Fatal(err)
 	}

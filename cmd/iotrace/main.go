@@ -10,7 +10,7 @@
 //	iotrace -app fft -procs 4 -capture fft.ptrt
 //
 // The run is resolved and simulated through the same path as iosim and
-// pariod (serve.Canonicalize, serve.Execute), with every app's paper
+// pariod (request.Canonicalize, request.Run), with every app's paper
 // defaults for the parameters iotrace has no flag for.
 package main
 
@@ -21,7 +21,7 @@ import (
 	"os"
 
 	"pario/internal/core"
-	"pario/internal/serve"
+	"pario/internal/request"
 	"pario/internal/trace"
 )
 
@@ -30,7 +30,7 @@ func main() {
 		app     = flag.String("app", "scf11", "scf11 | scf30 | fft | btio | ast")
 		procs   = flag.Int("procs", 4, "compute processes")
 		input   = flag.String("input", "MEDIUM", "scf input: SMALL | MEDIUM | LARGE")
-		version = flag.String("version", "original", "scf11: original | passion | prefetch")
+		version = flag.String("version", "original", "scf11: original | passion | prefetch | direct")
 		opt     = flag.Bool("opt", false, "apply the application's optimization (scf11: the prefetch version)")
 		capture = flag.String("capture", "", "also write the run's captured I/O trace to FILE")
 	)
@@ -39,7 +39,7 @@ func main() {
 	if *capture != "" {
 		core.SetDefaultCapture(true)
 	}
-	req, rep, err := run(serve.Request{App: *app, Procs: *procs, Input: *input, Version: *version, Opt: *opt})
+	req, rep, err := run(request.Request{App: *app, Procs: *procs, Input: *input, Version: *version, Opt: *opt})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iotrace: %v\n", err)
 		os.Exit(1)
@@ -75,7 +75,7 @@ func main() {
 // interface: SCF 1.1's original version is Fortran-style, its optimized
 // versions and SCF 3.0 PASSION-style; everything else maps onto the native
 // client.
-func captureIface(req serve.Request) string {
+func captureIface(req request.Request) string {
 	switch {
 	case req.App == "scf11" && req.Version == "original":
 		return "fortran"
@@ -87,11 +87,11 @@ func captureIface(req serve.Request) string {
 
 // run canonicalizes req and simulates it through the service's shared
 // path, returning the canonical request with the report.
-func run(req serve.Request) (serve.Request, core.Report, error) {
-	c, err := serve.Canonicalize(req)
+func run(req request.Request) (request.Request, core.Report, error) {
+	c, err := request.Canonicalize(req)
 	if err != nil {
-		return serve.Request{}, core.Report{}, err
+		return request.Request{}, core.Report{}, err
 	}
-	rep, err := serve.Execute(context.Background(), c)
+	rep, err := request.Run(context.Background(), c)
 	return c, rep, err
 }

@@ -5,12 +5,13 @@ import (
 	"context"
 	"testing"
 
+	"pario/internal/request"
 	"pario/internal/serve"
 	"pario/internal/trace"
 )
 
 func TestRunAppProducesTrace(t *testing.T) {
-	_, rep, err := run(serve.Request{App: "fft", Procs: 2, Input: "SMALL", Version: "original"})
+	_, rep, err := run(request.Request{App: "fft", Procs: 2, Input: "SMALL", Version: "original"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestRunAppProducesTrace(t *testing.T) {
 }
 
 func TestRunAppUnknown(t *testing.T) {
-	if _, _, err := run(serve.Request{App: "nope", Procs: 2}); err == nil {
+	if _, _, err := run(request.Request{App: "nope", Procs: 2}); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }
@@ -36,10 +37,10 @@ func TestRunAppUnknown(t *testing.T) {
 // original, and -opt runs the prefetch version, exactly as iosim and
 // pariod do.
 func TestRunResolvesLikeTheService(t *testing.T) {
-	if _, _, err := run(serve.Request{App: "scf11", Input: "SMALL", Version: "bogus"}); err == nil {
+	if _, _, err := run(request.Request{App: "scf11", Input: "SMALL", Version: "bogus"}); err == nil {
 		t.Fatal("unknown scf11 version accepted")
 	}
-	req, rep, err := run(serve.Request{App: "scf11", Input: "SMALL", Version: "original", Opt: true})
+	req, rep, err := run(request.Request{App: "scf11", Input: "SMALL", Version: "original", Opt: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,11 @@ func TestRunResolvesLikeTheService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := serve.Canonicalize(serve.Request{App: "scf11", Input: "SMALL", Version: "prefetch"})
+	want, err := request.Canonicalize(request.Request{App: "scf11", Input: "SMALL", Version: "prefetch"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRep, err := serve.Execute(context.Background(), want)
+	wantRep, err := request.Run(context.Background(), want)
 	if err != nil {
 		t.Fatal(err)
 	}

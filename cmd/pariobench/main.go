@@ -47,6 +47,7 @@ import (
 	"sync"
 	"time"
 
+	"pario/internal/request"
 	"pario/internal/serve"
 )
 
@@ -112,14 +113,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// reruns against a warm daemon reproduce the same stream. Hot requests
 	// rotate through two cheap configurations; cold requests walk distinct
 	// scf30 cache ratios (1..89, never the default 90) so each is a new key.
-	reqFor := func(i int) serve.Request {
+	reqFor := func(i int) request.Request {
 		if (i*13)%100 < int(*hot*100) {
 			if i%2 == 0 {
-				return serve.Request{App: "scf11", Input: "SMALL"}
+				return request.Request{App: "scf11", Input: "SMALL"}
 			}
-			return serve.Request{App: "fft"}
+			return request.Request{App: "fft"}
 		}
-		return serve.Request{App: "scf30", Input: "SMALL", CachedPct: 1 + i%89}
+		return request.Request{App: "scf30", Input: "SMALL", CachedPct: 1 + i%89}
 	}
 
 	var (
@@ -243,8 +244,8 @@ func clusterDrive(addrs string, n int, stdout, stderr io.Writer) int {
 	}
 
 	// Distinct cold keys: each i names a different canonical request.
-	reqFor := func(i int) serve.Request {
-		return serve.Request{App: "scf30", Input: "SMALL", CachedPct: 1 + i%89, Procs: 4 * (1 + i/89)}
+	reqFor := func(i int) request.Request {
+		return request.Request{App: "scf30", Input: "SMALL", CachedPct: 1 + i%89, Procs: 4 * (1 + i/89)}
 	}
 
 	type answer struct {
@@ -253,7 +254,7 @@ func clusterDrive(addrs string, n int, stdout, stderr io.Writer) int {
 		key   string
 		owner string
 	}
-	ask := func(base string, req serve.Request) (answer, error) {
+	ask := func(base string, req request.Request) (answer, error) {
 		_, h, b, err := postRun(base, "", req)
 		if err != nil {
 			return answer{}, err
@@ -407,7 +408,7 @@ func sweepDrive(base, spec string, stdout, stderr io.Writer) int {
 	// exact bytes the sweep streamed (all from cache now — the sweep seeded it).
 	for _, ln := range lines {
 		var res struct {
-			Request serve.Request `json:"request"`
+			Request request.Request `json:"request"`
 		}
 		if err := json.Unmarshal([]byte(ln.Body), &res); err != nil {
 			fmt.Fprintf(stderr, "pariobench: FAIL: point %d body does not decode: %v\n", ln.Point, err)
@@ -465,20 +466,20 @@ func estimateDrive(base string, n int, bound time.Duration, stdout, stderr io.Wr
 
 	// A deterministic walk across apps and parameters: repeats make cache
 	// hits, the rotating scf30 ratio makes cold closed-form evaluations.
-	reqFor := func(i int) serve.Request {
+	reqFor := func(i int) request.Request {
 		switch i % 6 {
 		case 0:
-			return serve.Request{App: "scf11", Input: "SMALL"}
+			return request.Request{App: "scf11", Input: "SMALL"}
 		case 1:
-			return serve.Request{App: "scf11", Input: "LARGE", Version: "prefetch", Procs: 16}
+			return request.Request{App: "scf11", Input: "LARGE", Version: "prefetch", Procs: 16}
 		case 2:
-			return serve.Request{App: "fft", Procs: 8, Opt: true}
+			return request.Request{App: "fft", Procs: 8, Opt: true}
 		case 3:
-			return serve.Request{App: "btio", Procs: 16, Opt: i%2 == 0}
+			return request.Request{App: "btio", Procs: 16, Opt: i%2 == 0}
 		case 4:
-			return serve.Request{App: "ast", Procs: 16}
+			return request.Request{App: "ast", Procs: 16}
 		default:
-			return serve.Request{App: "scf30", CachedPct: 1 + i%89}
+			return request.Request{App: "scf30", CachedPct: 1 + i%89}
 		}
 	}
 
@@ -579,7 +580,7 @@ func fireSweep(base, spec string) ([]serve.SweepLine, serve.SweepSummary, int, e
 // postRun posts one run request to base's /run, with query (e.g.
 // "?mode=estimate") appended, and returns the status, response headers and
 // body. Any status other than 200 is also an error carrying the body.
-func postRun(base, query string, req serve.Request) (int, http.Header, []byte, error) {
+func postRun(base, query string, req request.Request) (int, http.Header, []byte, error) {
 	b, err := json.Marshal(req)
 	if err != nil {
 		return 0, nil, nil, err

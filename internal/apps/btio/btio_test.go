@@ -31,13 +31,20 @@ func TestRunCompletes(t *testing.T) {
 }
 
 func TestWriteVolumeMatchesClass(t *testing.T) {
-	cfg := Config{Machine: sp2(t), Procs: 4, Class: tinyClass}
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	full := Config{Machine: sp2(t), Procs: 4, Class: tinyClass}
+	short := full
+	short.Class.Dumps = 1
+	if short.TotalIOBytes() != full.TotalIOBytes()/int64(tinyClass.Dumps) {
+		t.Fatalf("one-dump volume = %d, want a %dth of %d", short.TotalIOBytes(), tinyClass.Dumps, full.TotalIOBytes())
 	}
-	if rep.BytesWritten != cfg.TotalIOBytes() {
-		t.Fatalf("written = %d, want %d", rep.BytesWritten, cfg.TotalIOBytes())
+	for _, cfg := range []Config{full, short} {
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.BytesWritten != cfg.TotalIOBytes() {
+			t.Fatalf("%d dumps: written = %d, want %d", cfg.Class.Dumps, rep.BytesWritten, cfg.TotalIOBytes())
+		}
 	}
 }
 
@@ -131,22 +138,6 @@ func TestMissingClassRejected(t *testing.T) {
 	}
 	if _, err := Run(Config{}); err == nil {
 		t.Fatal("empty config accepted")
-	}
-}
-
-func TestDumpsOverride(t *testing.T) {
-	full := Config{Machine: sp2(t), Procs: 4, Class: tinyClass}
-	short := full
-	short.DumpsOverride = 1
-	if short.TotalIOBytes() != full.TotalIOBytes()/int64(tinyClass.Dumps) {
-		t.Fatalf("override volume = %d", short.TotalIOBytes())
-	}
-	rep, err := Run(short)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.BytesWritten != short.TotalIOBytes() {
-		t.Fatalf("written = %d, want %d", rep.BytesWritten, short.TotalIOBytes())
 	}
 }
 

@@ -4,23 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"pario/internal/apps/ast"
 	"pario/internal/core"
-	"pario/internal/machine"
+	"pario/internal/request"
 )
-
-// astCfg returns the Table 4 configuration, shrunk at Quick scale.
-func astCfg(s Scale, procs, nio int, opt bool) (ast.Config, error) {
-	m, err := machine.ParagonLarge(nio)
-	if err != nil {
-		return ast.Config{}, err
-	}
-	cfg := ast.Config{Machine: m, Procs: procs, Optimized: opt}
-	if s == Quick {
-		cfg.N, cfg.Arrays, cfg.Dumps = 256, 2, 2
-	}
-	return cfg, nil
-}
 
 func init() {
 	register(&Experiment{
@@ -29,42 +15,28 @@ func init() {
 		Expect: "optimized is several times faster at every processor count; the unoptimized time " +
 			"falls with processors; 64 I/O nodes barely beat 16; the optimized column flattens at " +
 			"high processor counts",
-		Run: func(w io.Writer, s Scale) error {
+		Plan: func(s Scale) ([]request.Request, func(io.Writer, []core.Report)) {
 			procs := []int{16, 32, 64, 128}
 			if s == Quick {
 				procs = []int{2, 4, 8}
 			}
-			type job struct {
-				p   int
-				opt bool
-				nio int
-			}
-			var jobs []job
+			reqs := make([]request.Request, 0, 4*len(procs))
 			for _, p := range procs {
 				for _, opt := range []bool{false, true} {
 					for _, nio := range []int{16, 64} {
-						jobs = append(jobs, job{p, opt, nio})
+						reqs = append(reqs, at(s, request.Request{App: "ast", Procs: p, IONodes: nio, Opt: opt}))
 					}
 				}
 			}
-			reps, err := sweep(jobs, func(j job) (core.Report, error) {
-				cfg, err := astCfg(s, j.p, j.nio, j.opt)
-				if err != nil {
-					return core.Report{}, err
+			return reqs, func(w io.Writer, reps []core.Report) {
+				fmt.Fprintf(w, "%6s | %12s %12s | %12s %12s\n", "procs",
+					"unopt 16io", "unopt 64io", "opt 16io", "opt 64io")
+				for i, p := range procs {
+					fmt.Fprintf(w, "%6d | %12s %12s | %12s %12s\n", p,
+						hms(reps[4*i].ExecSec), hms(reps[4*i+1].ExecSec),
+						hms(reps[4*i+2].ExecSec), hms(reps[4*i+3].ExecSec))
 				}
-				return ast.Run(cfg)
-			})
-			if err != nil {
-				return err
 			}
-			fmt.Fprintf(w, "%6s | %12s %12s | %12s %12s\n", "procs",
-				"unopt 16io", "unopt 64io", "opt 16io", "opt 64io")
-			for i, p := range procs {
-				fmt.Fprintf(w, "%6d | %12s %12s | %12s %12s\n", p,
-					hms(reps[4*i].ExecSec), hms(reps[4*i+1].ExecSec),
-					hms(reps[4*i+2].ExecSec), hms(reps[4*i+3].ExecSec))
-			}
-			return nil
 		},
 	})
 }

@@ -4,18 +4,14 @@ import (
 	"fmt"
 	"io"
 
-	"pario/internal/apps/btio"
 	"pario/internal/chart"
 	"pario/internal/core"
-	"pario/internal/machine"
+	"pario/internal/request"
 )
 
-// btioClass shrinks the class at Quick scale.
-func btioClass(s Scale, c btio.Class) btio.Class {
-	if s == Full {
-		return c
-	}
-	return btio.Class{Name: c.Name + "(quick)", N: 16, Dumps: 3}
+// btio is the canonical BTIO request for class cls at scale s.
+func btio(s Scale, cls string, procs int, collective bool) request.Request {
+	return at(s, request.Request{App: "btio", Procs: procs, Class: cls, Opt: collective})
 }
 
 func init() {
@@ -24,50 +20,34 @@ func init() {
 		Title: "BTIO Class A on the SP-2: I/O and total time vs. processors",
 		Expect: "unoptimized I/O time is high and erratic (hump near 36 procs); two-phase I/O is " +
 			"flat and low; total time drops ~46%/49% at 36/64 procs",
-		Run: func(w io.Writer, s Scale) error {
+		Plan: func(s Scale) ([]request.Request, func(io.Writer, []core.Report)) {
 			procs := []int{4, 9, 16, 25, 36, 49, 64}
 			if s == Quick {
 				procs = []int{4, 16}
 			}
-			cls := btioClass(s, btio.ClassA)
-			type job struct {
-				p          int
-				collective bool
-			}
-			var jobs []job
+			var reqs []request.Request
 			for _, p := range procs {
-				jobs = append(jobs, job{p, false}, job{p, true})
+				reqs = append(reqs, btio(s, "A", p, false), btio(s, "A", p, true))
 			}
-			reps, err := sweep(jobs, func(j job) (core.Report, error) {
-				m, err := machine.SP2()
-				if err != nil {
-					return core.Report{}, err
+			return reqs, func(w io.Writer, reps []core.Report) {
+				fmt.Fprintf(w, "%6s | %10s %10s | %10s %10s | %8s\n", "procs",
+					"unopt I/O", "unopt tot", "opt I/O", "opt tot", "tot red.")
+				ch := &chart.Chart{
+					Title: "I/O time vs compute nodes (log y)", YLabel: "procs",
+					LogY:   true,
+					Series: []chart.Series{{Name: "unopt"}, {Name: "two-phase"}},
 				}
-				return btio.Run(btio.Config{
-					Machine: m, Procs: j.p, Class: cls, Collective: j.collective,
-				})
-			})
-			if err != nil {
-				return err
+				for i, p := range procs {
+					un, op := reps[2*i], reps[2*i+1]
+					red := 100 * (1 - op.ExecSec/un.ExecSec)
+					fmt.Fprintf(w, "%6d | %10s %10s | %10s %10s | %7.1f%%\n", p,
+						hms(un.IOMaxSec), hms(un.ExecSec), hms(op.IOMaxSec), hms(op.ExecSec), red)
+					ch.XLabels = append(ch.XLabels, fmt.Sprint(p))
+					ch.Series[0].Values = append(ch.Series[0].Values, un.IOMaxSec)
+					ch.Series[1].Values = append(ch.Series[1].Values, op.IOMaxSec)
+				}
+				fmt.Fprintf(w, "\n%s", ch.Render(10))
 			}
-			fmt.Fprintf(w, "%6s | %10s %10s | %10s %10s | %8s\n", "procs",
-				"unopt I/O", "unopt tot", "opt I/O", "opt tot", "tot red.")
-			ch := &chart.Chart{
-				Title: "I/O time vs compute nodes (log y)", YLabel: "procs",
-				LogY:   true,
-				Series: []chart.Series{{Name: "unopt"}, {Name: "two-phase"}},
-			}
-			for i, p := range procs {
-				un, op := reps[2*i], reps[2*i+1]
-				red := 100 * (1 - op.ExecSec/un.ExecSec)
-				fmt.Fprintf(w, "%6d | %10s %10s | %10s %10s | %7.1f%%\n", p,
-					hms(un.IOMaxSec), hms(un.ExecSec), hms(op.IOMaxSec), hms(op.ExecSec), red)
-				ch.XLabels = append(ch.XLabels, fmt.Sprint(p))
-				ch.Series[0].Values = append(ch.Series[0].Values, un.IOMaxSec)
-				ch.Series[1].Values = append(ch.Series[1].Values, op.IOMaxSec)
-			}
-			fmt.Fprintf(w, "\n%s", ch.Render(10))
-			return nil
 		},
 	})
 
@@ -75,57 +55,37 @@ func init() {
 		ID:     "fig7",
 		Title:  "BTIO I/O bandwidths, Class A and Class B",
 		Expect: "original 0.97-1.5 MB/s; optimized 6.6-31.4 MB/s",
-		Run: func(w io.Writer, s Scale) error {
-			type row struct {
-				cls   btio.Class
-				dumps int // override for the big class; 0 = class default
-			}
-			rows := []row{
-				{btioClass(s, btio.ClassA), 0},
-				// Class B dumps are statistically identical; 8 of 40 give
-				// the same steady-state bandwidth at a fifth of the cost.
-				{btioClass(s, btio.ClassB), 8},
-			}
+		Plan: func(s Scale) ([]request.Request, func(io.Writer, []core.Report)) {
+			classes := []string{"A", "B"}
 			procs := []int{16, 36, 64}
 			if s == Quick {
 				procs = []int{4, 16}
-				rows = rows[:1]
+				classes = classes[:1]
 			}
-			type job struct {
-				r          row
-				p          int
-				collective bool
-			}
-			var jobs []job
-			for _, r := range rows {
+			var reqs []request.Request
+			for _, cls := range classes {
 				for _, p := range procs {
-					jobs = append(jobs, job{r, p, false}, job{r, p, true})
+					un, op := btio(s, cls, p, false), btio(s, cls, p, true)
+					if cls == "B" {
+						// Class B dumps are statistically identical; 8 of 40
+						// give the same steady-state bandwidth at a fifth of
+						// the cost.
+						un.Dumps, op.Dumps = 8, 8
+					}
+					reqs = append(reqs, un, op)
 				}
 			}
-			reps, err := sweep(jobs, func(j job) (core.Report, error) {
-				m, err := machine.SP2()
-				if err != nil {
-					return core.Report{}, err
+			return reqs, func(w io.Writer, reps []core.Report) {
+				fmt.Fprintf(w, "%8s %6s | %14s %14s\n", "class", "procs", "orig MB/s", "opt MB/s")
+				name := "%s"
+				if s == Quick {
+					name = "%s(quick)"
 				}
-				return btio.Run(btio.Config{
-					Machine: m, Procs: j.p, Class: j.r.cls,
-					Collective: j.collective, DumpsOverride: j.r.dumps,
-				})
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%8s %6s | %14s %14s\n", "class", "procs", "orig MB/s", "opt MB/s")
-			i := 0
-			for _, r := range rows {
-				for _, p := range procs {
-					un, op := reps[i], reps[i+1]
-					i += 2
+				for i := 0; i < len(reqs); i += 2 {
 					fmt.Fprintf(w, "%8s %6d | %14.2f %14.2f\n",
-						r.cls.Name, p, un.BandwidthMBs(), op.BandwidthMBs())
+						fmt.Sprintf(name, reqs[i].Class), reqs[i].Procs, reps[i].BandwidthMBs(), reps[i+1].BandwidthMBs())
 				}
 			}
-			return nil
 		},
 	})
 }

@@ -6,9 +6,13 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
+
+	"pario/internal/core"
+	"pario/internal/request"
 )
 
 // Scale selects the experiment size.
@@ -41,6 +45,12 @@ type Experiment struct {
 	Expect string
 	// Run executes the experiment, writing its rows/series to w.
 	Run func(w io.Writer, s Scale) error
+	// Plan, set for the artifacts that are app runs, returns the artifact's
+	// runs at scale s as canonical requests — each point's key is the /run
+	// key that reproduces it — and the formatter that prints their reports,
+	// given in list order. register derives Run from it. The artifacts
+	// that drive the stack below the app layer set Run alone.
+	Plan func(s Scale) ([]request.Request, func(w io.Writer, reps []core.Report))
 }
 
 var registry = map[string]*Experiment{}
@@ -50,7 +60,41 @@ func register(e *Experiment) {
 	if _, dup := registry[e.ID]; dup {
 		panic("exp: duplicate experiment " + e.ID)
 	}
+	if e.Plan != nil {
+		e.Run = func(w io.Writer, s Scale) error {
+			reqs, format := e.Plan(s)
+			reps, err := sweep(reqs, func(r request.Request) (core.Report, error) {
+				return request.Run(context.Background(), r)
+			})
+			if err != nil {
+				return err
+			}
+			format(w, reps)
+			return nil
+		}
+	}
 	registry[e.ID] = e
+}
+
+// at returns r at scale s: r itself at Full scale, and at Quick scale its
+// stand-in — a 48-function SCF deck, a 512-point FFT with a 512 KB buffer,
+// a 16-point BTIO grid with 3 dumps, a 256-point AST grid with 2 dumps of
+// 2 arrays.
+func at(s Scale, r request.Request) request.Request {
+	if s == Full {
+		return r
+	}
+	switch r.App {
+	case "scf11", "scf30":
+		r.N = 48
+	case "fft":
+		r.N, r.BufferKB = 512, 512
+	case "btio":
+		r.N, r.Dumps = 16, 3
+	case "ast":
+		r.N, r.Arrays, r.Dumps = 256, 2, 2
+	}
+	return r
 }
 
 // ByID returns the experiment with the given ID, or nil.

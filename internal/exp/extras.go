@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"pario/internal/apps/scf"
 	"pario/internal/core"
 	"pario/internal/machine"
 	"pario/internal/ooc"
@@ -18,48 +17,6 @@ import (
 // DESIGN.md §5 lists for ablation.
 
 func init() {
-	register(&Experiment{
-		ID:    "scfmode",
-		Title: "SCF 1.1 disk-based vs direct (recompute) vs processors",
-		Expect: "paper §5 (prose): at small processor counts users run the disk-based version; " +
-			"at large counts the I/O version collapses and they switch to the re-compute version",
-		Run: func(w io.Writer, s Scale) error {
-			in := scfInput(s, scf.Large)
-			procs := []int{4, 16, 64, 256}
-			if s == Quick {
-				procs = []int{2, 8, 32}
-			}
-			m, err := machine.ParagonLarge(16)
-			if err != nil {
-				return err
-			}
-			type job struct {
-				p int
-				v scf.Version
-			}
-			var jobs []job
-			for _, p := range procs {
-				jobs = append(jobs, job{p, scf.Original}, job{p, scf.Direct})
-			}
-			reps, err := sweep(jobs, func(j job) (core.Report, error) {
-				return scf.Run11(scf.Config11{Machine: m, Input: in, Procs: j.p, Version: j.v})
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%6s %16s %16s %12s\n", "procs", "disk-based exec", "direct exec", "winner")
-			for i, p := range procs {
-				disk, direct := reps[2*i], reps[2*i+1]
-				winner := "disk-based"
-				if direct.ExecSec < disk.ExecSec {
-					winner = "direct"
-				}
-				fmt.Fprintf(w, "%6d %16s %16s %12s\n", p, hms(disk.ExecSec), hms(direct.ExecSec), winner)
-			}
-			return nil
-		},
-	})
-
 	register(&Experiment{
 		ID:    "modes",
 		Title: "PFS shared-file access modes on a shared-append workload",

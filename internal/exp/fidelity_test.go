@@ -12,13 +12,12 @@ package exp
 // -short; `go test ./internal/exp` runs it, `go test -short` does not.
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"pario/internal/apps/btio"
-	"pario/internal/apps/scf"
 	"pario/internal/core"
-	"pario/internal/machine"
+	"pario/internal/request"
 	"pario/internal/trace"
 )
 
@@ -42,7 +41,7 @@ func TestFidelityTable2(t *testing.T) {
 		t.Skip("full-scale paper run")
 	}
 	t.Parallel()
-	rep, err := runSCF11(Full, scf.Large, scf.Original, 4, 64, 64, 12)
+	rep, err := request.Run(context.Background(), scf11(Full, "LARGE", "original", 4, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func TestFidelityTable3(t *testing.T) {
 		t.Skip("full-scale paper run")
 	}
 	t.Parallel()
-	rep, err := runSCF11(Full, scf.Large, scf.Passion, 4, 64, 64, 12)
+	rep, err := request.Run(context.Background(), scf11(Full, "LARGE", "passion", 4, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,22 +80,22 @@ func TestFidelityFig2Crossover(t *testing.T) {
 		t.Skip("full-scale paper run")
 	}
 	t.Parallel()
-	run := func(v scf.Version, p, nio int) core.Report {
+	run := func(v string, p, nio int) core.Report {
 		t.Helper()
-		rep, err := runSCF11(Full, scf.Large, v, p, 64, 64, nio)
+		rep, err := request.Run(context.Background(), scf11(Full, "LARGE", v, p, nio))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	unopt4 := run(scf.Original, 4, 64)
-	opt4 := run(scf.PassionPrefetch, 4, 16)
+	unopt4 := run("original", 4, 64)
+	opt4 := run("prefetch", 4, 16)
 	if opt4.ExecSec >= unopt4.ExecSec {
 		t.Errorf("at 4 procs optimized/16io should win: opt %.0fs vs unopt %.0fs",
 			opt4.ExecSec, unopt4.ExecSec)
 	}
-	unopt256 := run(scf.Original, 256, 64)
-	opt256 := run(scf.PassionPrefetch, 256, 16)
+	unopt256 := run("original", 256, 64)
+	opt256 := run("prefetch", 256, 16)
 	if unopt256.ExecSec >= opt256.ExecSec {
 		t.Errorf("at 256 procs unoptimized/64io should win: unopt %.0fs vs opt %.0fs",
 			unopt256.ExecSec, opt256.ExecSec)
@@ -117,13 +116,7 @@ func TestFidelityFig7Bandwidth(t *testing.T) {
 	for _, p := range []int{16, 64} {
 		var bw [2]float64
 		for i, collective := range []bool{false, true} {
-			m, err := machine.SP2()
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := btio.Run(btio.Config{
-				Machine: m, Procs: p, Class: btio.ClassA, Collective: collective,
-			})
+			rep, err := request.Run(context.Background(), btio(Full, "A", p, collective))
 			if err != nil {
 				t.Fatal(err)
 			}

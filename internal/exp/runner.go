@@ -233,20 +233,3 @@ func sweep[J, R any](jobs []J, fn func(J) (R, error)) ([]R, error) {
 	res, _, err := Map(jobs, Workers(), fn)
 	return res, err
 }
-
-// runList executes a list of independent closures as one sweep, results in
-// list order — for artifacts whose points differ in shape (table5).
-func runList[R any](fns []func() (R, error)) ([]R, error) {
-	return sweep(fns, func(f func() (R, error)) (R, error) { return f() })
-}
-
-// one runs a single simulation as a one-point sweep, so even
-// single-configuration artifacts (tables 2-3) report uniform stats.
-func one[R any](fn func() (R, error)) (R, error) {
-	res, err := runList([]func() (R, error){fn})
-	if err != nil {
-		var zero R
-		return zero, err
-	}
-	return res[0], nil
-}

@@ -4,39 +4,19 @@ import (
 	"fmt"
 	"io"
 
-	"pario/internal/apps/scf"
 	"pario/internal/chart"
 	"pario/internal/core"
-	"pario/internal/machine"
+	"pario/internal/request"
 )
 
-// scfInput returns the LARGE input at Full scale and a small stand-in at
-// Quick scale.
-func scfInput(s Scale, in scf.Input) scf.Input {
-	if s == Full {
-		return in
-	}
-	return scf.Input{Name: in.Name + "(quick)", N: 48}
-}
-
-// runSCF11 runs one SCF 1.1 configuration against a given I/O partition.
-func runSCF11(s Scale, in scf.Input, v scf.Version, procs int, memKB, suKB int64, nio int) (core.Report, error) {
-	m, err := machine.ParagonLarge(nio)
-	if err != nil {
-		return core.Report{}, err
-	}
-	return scf.Run11(scf.Config11{
-		Machine:      m,
-		Input:        scfInput(s, in),
-		Version:      v,
-		Procs:        procs,
-		MemoryKB:     memKB,
-		StripeUnitKB: suKB,
-	})
+// scf11 is the canonical SCF 1.1 request on deck at scale s.
+func scf11(s Scale, deck, version string, procs, nio int) request.Request {
+	return at(s, request.Request{App: "scf11", Procs: procs, IONodes: nio, Input: deck, Version: version})
 }
 
 // printIOSummary writes the Tables 2-3 layout for one run.
-func printIOSummary(w io.Writer, rep core.Report) {
+func printIOSummary(w io.Writer, reps []core.Report) {
+	rep := reps[0]
 	// The paper's percentages are taken against execution time aggregated
 	// across the processors.
 	fmt.Fprint(w, rep.Trace.Table(rep.ExecSec*float64(rep.Procs)))
@@ -50,15 +30,8 @@ func init() {
 		Title: "I/O summary, original SCF 1.1, LARGE input, 4 processors",
 		Expect: "aggregated over 4 procs: ~566K reads / 37 GB / ~60,284 s; ~40K writes / 2.5 GB; " +
 			"~1K seeks; I/O ~54% of exec; total I/O 4.4 h per process",
-		Run: func(w io.Writer, s Scale) error {
-			rep, err := one(func() (core.Report, error) {
-				return runSCF11(s, scf.Large, scf.Original, 4, 64, 64, 12)
-			})
-			if err != nil {
-				return err
-			}
-			printIOSummary(w, rep)
-			return nil
+		Plan: func(s Scale) ([]request.Request, func(io.Writer, []core.Report)) {
+			return []request.Request{scf11(s, "LARGE", "original", 4, 12)}, printIOSummary
 		},
 	})
 
@@ -67,15 +40,8 @@ func init() {
 		Title: "I/O summary, PASSION SCF 1.1, LARGE input, 4 processors",
 		Expect: "reads drop to ~33,805 s (-45%), writes to ~1,381 s (-50%), seeks explode to " +
 			"~604K cheap calls; total I/O 2.5 h per process",
-		Run: func(w io.Writer, s Scale) error {
-			rep, err := one(func() (core.Report, error) {
-				return runSCF11(s, scf.Large, scf.Passion, 4, 64, 64, 12)
-			})
-			if err != nil {
-				return err
-			}
-			printIOSummary(w, rep)
-			return nil
+		Plan: func(s Scale) ([]request.Request, func(io.Writer, []core.Report)) {
+			return []request.Request{scf11(s, "LARGE", "passion", 4, 12)}, printIOSummary
 		},
 	})
 
@@ -84,57 +50,50 @@ func init() {
 		Title: "SCF 1.1 optimization tuples I-VII on SMALL/MEDIUM/LARGE",
 		Expect: "software factors (interface, prefetch: I->II->III) dominate; system factors " +
 			"(procs, memory, stripe unit, I/O nodes: IV-VII) matter much less at small P",
-		Run: func(w io.Writer, s Scale) error {
-			// The paper's tuples (V, P, M, Su, Sf); see Figure 1 caption.
+		Plan: func(s Scale) ([]request.Request, func(io.Writer, []core.Report)) {
+			// The paper's tuples (V, P, M, Su, Sf); see Figure 1 caption. M
+			// and Su are in KB; 0 spells their default, 64.
 			type tuple struct {
-				name string
-				v    scf.Version
-				p    int
-				mKB  int64
-				suKB int64
-				sf   int
+				name         string
+				v            string
+				p, m, su, sf int
 			}
 			tuples := []tuple{
-				{"I   (O,4,64,64,12)", scf.Original, 4, 64, 64, 12},
-				{"II  (P,4,64,64,12)", scf.Passion, 4, 64, 64, 12},
-				{"III (F,4,64,64,12)", scf.PassionPrefetch, 4, 64, 64, 12},
-				{"IV  (F,32,256,64,12)", scf.PassionPrefetch, 32, 256, 64, 12},
-				{"V   (F,32,256,64,16)", scf.PassionPrefetch, 32, 256, 64, 16},
-				{"VI  (F,32,256,128,12)", scf.PassionPrefetch, 32, 256, 128, 12},
-				{"VII (F,32,256,128,16)", scf.PassionPrefetch, 32, 256, 128, 16},
+				{"I   (O,4,64,64,12)", "original", 4, 0, 0, 12},
+				{"II  (P,4,64,64,12)", "passion", 4, 0, 0, 12},
+				{"III (F,4,64,64,12)", "prefetch", 4, 0, 0, 12},
+				{"IV  (F,32,256,64,12)", "prefetch", 32, 256, 0, 12},
+				{"V   (F,32,256,64,16)", "prefetch", 32, 256, 0, 16},
+				{"VI  (F,32,256,128,12)", "prefetch", 32, 256, 128, 12},
+				{"VII (F,32,256,128,16)", "prefetch", 32, 256, 128, 16},
 			}
-			inputs := []scf.Input{scf.Small, scf.Medium, scf.Large}
+			decks := []string{"SMALL", "MEDIUM", "LARGE"}
 			if s == Quick {
-				inputs = inputs[:1]
+				decks = decks[:1]
 			}
-			type job struct {
-				in scf.Input
-				tp tuple
-			}
-			var jobs []job
-			for _, in := range inputs {
+			var reqs []request.Request
+			for _, deck := range decks {
 				for _, tp := range tuples {
-					jobs = append(jobs, job{in, tp})
+					r := scf11(s, deck, tp.v, tp.p, tp.sf)
+					r.MemoryKB, r.StripeUnitKB = tp.m, tp.su
+					reqs = append(reqs, r)
 				}
 			}
-			reps, err := sweep(jobs, func(j job) (core.Report, error) {
-				return runSCF11(s, j.in, j.tp.v, j.tp.p, j.tp.mKB, j.tp.suKB, j.tp.sf)
-			})
-			if err != nil {
-				return err
-			}
-			i := 0
-			for _, in := range inputs {
-				fmt.Fprintf(w, "input %s (N=%d):\n", in.Name, scfInput(s, in).N)
-				fmt.Fprintf(w, "  %-24s %12s %12s\n", "tuple", "exec", "I/O")
-				for _, tp := range tuples {
-					rep := reps[i]
-					i++
-					fmt.Fprintf(w, "  %-24s %12s %12s\n", tp.name, hms(rep.ExecSec), hms(rep.IOMaxSec))
+			return reqs, func(w io.Writer, reps []core.Report) {
+				for i, deck := range decks {
+					n := reqs[i*len(tuples)].N
+					if n == 0 {
+						n = request.DeckN(deck)
+					}
+					fmt.Fprintf(w, "input %s (N=%d):\n", deck, n)
+					fmt.Fprintf(w, "  %-24s %12s %12s\n", "tuple", "exec", "I/O")
+					for k, tp := range tuples {
+						rep := reps[i*len(tuples)+k]
+						fmt.Fprintf(w, "  %-24s %12s %12s\n", tp.name, hms(rep.ExecSec), hms(rep.IOMaxSec))
+					}
+					fmt.Fprintln(w)
 				}
-				fmt.Fprintln(w)
 			}
-			return nil
 		},
 	})
 
@@ -143,45 +102,33 @@ func init() {
 		Title: "SCF 1.1 LARGE: exec and I/O time vs. compute nodes",
 		Expect: "optimized (PASSION+prefetch, 16 I/O nodes) wins below ~64 procs; beyond that the " +
 			"unoptimized version on 64 I/O nodes wins (architecture must catch up)",
-		Run: func(w io.Writer, s Scale) error {
+		Plan: func(s Scale) ([]request.Request, func(io.Writer, []core.Report)) {
 			procs := []int{4, 8, 16, 32, 64, 128, 256}
 			if s == Quick {
 				procs = []int{4, 16, 64}
 			}
-			type job struct {
-				p   int
-				opt bool
-			}
-			var jobs []job
+			var reqs []request.Request
 			for _, p := range procs {
-				jobs = append(jobs, job{p, false}, job{p, true})
+				reqs = append(reqs, scf11(s, "LARGE", "original", p, 64), scf11(s, "LARGE", "prefetch", p, 16))
 			}
-			reps, err := sweep(jobs, func(j job) (core.Report, error) {
-				if j.opt {
-					return runSCF11(s, scf.Large, scf.PassionPrefetch, j.p, 64, 64, 16)
+			return reqs, func(w io.Writer, reps []core.Report) {
+				fmt.Fprintf(w, "%6s %16s %16s %16s %16s\n", "procs",
+					"unopt64 exec", "unopt64 I/O", "opt16 exec", "opt16 I/O")
+				ch := &chart.Chart{
+					Title: "execution time vs compute nodes (log y)", YLabel: "procs",
+					LogY:   true,
+					Series: []chart.Series{{Name: "unopt64"}, {Name: "opt16"}},
 				}
-				return runSCF11(s, scf.Large, scf.Original, j.p, 64, 64, 64)
-			})
-			if err != nil {
-				return err
+				for i, p := range procs {
+					un, op := reps[2*i], reps[2*i+1]
+					fmt.Fprintf(w, "%6d %16s %16s %16s %16s\n", p,
+						hms(un.ExecSec), hms(un.IOMaxSec), hms(op.ExecSec), hms(op.IOMaxSec))
+					ch.XLabels = append(ch.XLabels, fmt.Sprint(p))
+					ch.Series[0].Values = append(ch.Series[0].Values, un.ExecSec)
+					ch.Series[1].Values = append(ch.Series[1].Values, op.ExecSec)
+				}
+				fmt.Fprintf(w, "\n%s", ch.Render(10))
 			}
-			fmt.Fprintf(w, "%6s %16s %16s %16s %16s\n", "procs",
-				"unopt64 exec", "unopt64 I/O", "opt16 exec", "opt16 I/O")
-			ch := &chart.Chart{
-				Title: "execution time vs compute nodes (log y)", YLabel: "procs",
-				LogY:   true,
-				Series: []chart.Series{{Name: "unopt64"}, {Name: "opt16"}},
-			}
-			for i, p := range procs {
-				un, op := reps[2*i], reps[2*i+1]
-				fmt.Fprintf(w, "%6d %16s %16s %16s %16s\n", p,
-					hms(un.ExecSec), hms(un.IOMaxSec), hms(op.ExecSec), hms(op.IOMaxSec))
-				ch.XLabels = append(ch.XLabels, fmt.Sprint(p))
-				ch.Series[0].Values = append(ch.Series[0].Values, un.ExecSec)
-				ch.Series[1].Values = append(ch.Series[1].Values, op.ExecSec)
-			}
-			fmt.Fprintf(w, "\n%s", ch.Render(10))
-			return nil
 		},
 	})
 
@@ -190,44 +137,60 @@ func init() {
 		Title: "SCF 1.1 LARGE: effect of the number of I/O nodes",
 		Expect: "with few procs the I/O partition barely matters; with many procs, 64 I/O nodes " +
 			"clearly beat 16 and 12 (reduced contention)",
-		Run: func(w io.Writer, s Scale) error {
+		Plan: func(s Scale) ([]request.Request, func(io.Writer, []core.Report)) {
 			procs := []int{16, 64, 256}
 			if s == Quick {
 				procs = []int{4, 16}
 			}
 			nios := []int{12, 16, 64}
-			type job struct {
-				p   int
-				nio int
-			}
-			var jobs []job
+			var reqs []request.Request
 			for _, p := range procs {
 				for _, nio := range nios {
-					jobs = append(jobs, job{p, nio})
+					reqs = append(reqs, scf11(s, "LARGE", "passion", p, nio))
 				}
 			}
-			reps, err := sweep(jobs, func(j job) (core.Report, error) {
-				return runSCF11(s, scf.Large, scf.Passion, j.p, 64, 64, j.nio)
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%6s", "procs")
-			for _, nio := range nios {
-				fmt.Fprintf(w, " %10s %10s", fmt.Sprintf("%dio exec", nio), fmt.Sprintf("%dio I/O", nio))
-			}
-			fmt.Fprintln(w)
-			i := 0
-			for _, p := range procs {
-				fmt.Fprintf(w, "%6d", p)
-				for range nios {
-					rep := reps[i]
-					i++
-					fmt.Fprintf(w, " %10s %10s", hms(rep.ExecSec), hms(rep.IOMaxSec))
+			return reqs, func(w io.Writer, reps []core.Report) {
+				fmt.Fprintf(w, "%6s", "procs")
+				for _, nio := range nios {
+					fmt.Fprintf(w, " %10s %10s", fmt.Sprintf("%dio exec", nio), fmt.Sprintf("%dio I/O", nio))
 				}
 				fmt.Fprintln(w)
+				for i, p := range procs {
+					fmt.Fprintf(w, "%6d", p)
+					for _, rep := range reps[i*len(nios) : (i+1)*len(nios)] {
+						fmt.Fprintf(w, " %10s %10s", hms(rep.ExecSec), hms(rep.IOMaxSec))
+					}
+					fmt.Fprintln(w)
+				}
 			}
-			return nil
+		},
+	})
+
+	register(&Experiment{
+		ID:    "scfmode",
+		Title: "SCF 1.1 disk-based vs direct (recompute) vs processors",
+		Expect: "paper §5 (prose): at small processor counts users run the disk-based version; " +
+			"at large counts the I/O version collapses and they switch to the re-compute version",
+		Plan: func(s Scale) ([]request.Request, func(io.Writer, []core.Report)) {
+			procs := []int{4, 16, 64, 256}
+			if s == Quick {
+				procs = []int{2, 8, 32}
+			}
+			var reqs []request.Request
+			for _, p := range procs {
+				reqs = append(reqs, scf11(s, "LARGE", "original", p, 16), scf11(s, "LARGE", "direct", p, 16))
+			}
+			return reqs, func(w io.Writer, reps []core.Report) {
+				fmt.Fprintf(w, "%6s %16s %16s %12s\n", "procs", "disk-based exec", "direct exec", "winner")
+				for i, p := range procs {
+					disk, direct := reps[2*i], reps[2*i+1]
+					winner := "disk-based"
+					if direct.ExecSec < disk.ExecSec {
+						winner = "direct"
+					}
+					fmt.Fprintf(w, "%6d %16s %16s %12s\n", p, hms(disk.ExecSec), hms(direct.ExecSec), winner)
+				}
+			}
 		},
 	})
 }

@@ -4,10 +4,19 @@ import (
 	"fmt"
 	"io"
 
-	"pario/internal/apps/scf"
 	"pario/internal/core"
-	"pario/internal/machine"
+	"pario/internal/request"
 )
+
+// scf30 is the canonical SCF 3.0 request on deck at scale s with cachedPct
+// of the integrals on disk; 0% is the direct version.
+func scf30(s Scale, deck string, procs, nio, cachedPct int) request.Request {
+	r := request.Request{App: "scf30", Procs: procs, IONodes: nio, Input: deck, CachedPct: cachedPct}
+	if cachedPct == 0 {
+		r.Version = "direct"
+	}
+	return at(s, r)
+}
 
 func init() {
 	register(&Experiment{
@@ -15,8 +24,7 @@ func init() {
 		Title: "SCF 3.0 MEDIUM: %% cached integrals x processors x I/O partition",
 		Expect: "at 0% cached adding processors helps a lot; at 100% cached it barely matters; " +
 			"the I/O partition size (16 vs 64) is nearly irrelevant",
-		Run: func(w io.Writer, s Scale) error {
-			in := scfInput(s, scf.Medium)
+		Plan: func(s Scale) ([]request.Request, func(io.Writer, []core.Report)) {
 			procs := []int{32, 64, 128, 256}
 			cached := []int{0, 25, 50, 75, 90, 100}
 			if s == Quick {
@@ -24,49 +32,34 @@ func init() {
 				cached = []int{0, 50, 100}
 			}
 			nios := []int{16, 64}
-			type job struct {
-				nio, cached, procs int
-			}
-			var jobs []job
+			var reqs []request.Request
 			for _, nio := range nios {
 				for _, c := range cached {
 					for _, p := range procs {
-						jobs = append(jobs, job{nio, c, p})
+						reqs = append(reqs, scf30(s, "MEDIUM", p, nio, c))
 					}
 				}
 			}
-			reps, err := sweep(jobs, func(j job) (core.Report, error) {
-				m, err := machine.ParagonLarge(j.nio)
-				if err != nil {
-					return core.Report{}, err
-				}
-				return scf.Run30(scf.Config30{
-					Machine: m, Input: in, Procs: j.procs,
-					CachedPct: j.cached, Balance: true,
-				})
-			})
-			if err != nil {
-				return err
-			}
-			i := 0
-			for _, nio := range nios {
-				fmt.Fprintf(w, "%d I/O nodes — execution time:\n", nio)
-				fmt.Fprintf(w, "  %8s", "cached%")
-				for _, p := range procs {
-					fmt.Fprintf(w, " %10s", fmt.Sprintf("P=%d", p))
-				}
-				fmt.Fprintln(w)
-				for _, c := range cached {
-					fmt.Fprintf(w, "  %8d", c)
-					for range procs {
-						fmt.Fprintf(w, " %10s", hms(reps[i].ExecSec))
-						i++
+			return reqs, func(w io.Writer, reps []core.Report) {
+				i := 0
+				for _, nio := range nios {
+					fmt.Fprintf(w, "%d I/O nodes — execution time:\n", nio)
+					fmt.Fprintf(w, "  %8s", "cached%")
+					for _, p := range procs {
+						fmt.Fprintf(w, " %10s", fmt.Sprintf("P=%d", p))
+					}
+					fmt.Fprintln(w)
+					for _, c := range cached {
+						fmt.Fprintf(w, "  %8d", c)
+						for range procs {
+							fmt.Fprintf(w, " %10s", hms(reps[i].ExecSec))
+							i++
+						}
+						fmt.Fprintln(w)
 					}
 					fmt.Fprintln(w)
 				}
-				fmt.Fprintln(w)
 			}
-			return nil
 		},
 	})
 }

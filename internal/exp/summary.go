@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"pario/internal/apps/ast"
-	"pario/internal/apps/btio"
-	"pario/internal/apps/fft"
-	"pario/internal/apps/scf"
 	"pario/internal/core"
-	"pario/internal/machine"
+	"pario/internal/request"
 )
 
 // improvement returns the fractional execution-time reduction going from
@@ -27,119 +23,76 @@ func init() {
 		Title: "Applications and effective optimization techniques",
 		Expect: "SCF 1.1: interface+prefetch; SCF 3.0: interface+prefetch+balanced I/O; " +
 			"FFT: file layout; BTIO: collective I/O; AST: collective I/O",
-		Run: func(w io.Writer, s Scale) error {
+		Plan: func(s Scale) ([]request.Request, func(io.Writer, []core.Report)) {
 			// Each cell is measured: an optimization is "effective" for an
 			// application when enabling it cuts execution time by >= 10%
 			// in a representative configuration. Quick-scale inputs keep
 			// this cheap; the verdicts match the full-scale runs.
-			const threshold = 0.10
-			in := scfInput(Quick, scf.Large)
-			procsSCF := 4
+			deck, procs := "LARGE", 4
 			if s == Full {
-				in = scf.Medium // full-scale check stays affordable
-				procsSCF = 8
+				deck, procs = "MEDIUM", 8 // full-scale check stays affordable
 			}
-			pl16, err := machine.ParagonLarge(16)
-			if err != nil {
-				return err
+			var reqs []request.Request
+			for _, v := range []string{"original", "passion", "prefetch"} {
+				reqs = append(reqs, scf11(s, deck, v, procs, 16)) // 0-2
 			}
-			fftN, fftBuf := int64(512), int64(512<<10)
-			if s == Full {
-				fftN, fftBuf = 2048, 4<<20
-			}
-			cls := btioClass(Quick, btio.ClassA)
-			if s == Full {
-				cls = btio.Class{Name: "A", N: 64, Dumps: 10}
-			}
-
-			scf11 := func(v scf.Version) func() (core.Report, error) {
-				return func() (core.Report, error) {
-					return scf.Run11(scf.Config11{Machine: pl16, Input: in, Procs: procsSCF, Version: v})
+			// 3: all-recompute, 4: well balanced.
+			reqs = append(reqs, scf30(s, deck, procs, 16, 0), scf30(s, deck, procs, 16, 90))
+			for _, opt := range []bool{false, true} {
+				r := at(s, request.Request{App: "fft", Procs: 4, IONodes: 2, Opt: opt}) // 5-6
+				if s == Full {
+					r.N, r.BufferKB = 2048, 4096
 				}
+				reqs = append(reqs, r)
 			}
-			scf30 := func(cachedPct int) func() (core.Report, error) {
-				return func() (core.Report, error) {
-					return scf.Run30(scf.Config30{Machine: pl16, Input: in, Procs: procsSCF, CachedPct: cachedPct, Balance: true})
+			for _, opt := range []bool{false, true} {
+				r := btio(s, "A", 16, opt) // 7-8
+				if s == Full {
+					r.Dumps = 10
 				}
+				reqs = append(reqs, r)
 			}
-			fftRun := func(opt bool) func() (core.Report, error) {
-				return func() (core.Report, error) {
-					ps2, err := machine.ParagonSmall(2)
-					if err != nil {
-						return core.Report{}, err
-					}
-					return fft.Run(fft.Config{Machine: ps2, Procs: 4, N: fftN, BufferBytes: fftBuf, OptimizedLayout: opt})
-				}
+			for _, opt := range []bool{false, true} {
+				reqs = append(reqs, at(Quick, request.Request{App: "ast", Procs: 8, IONodes: 16, Opt: opt})) // 9-10
 			}
-			btioRun := func(coll bool) func() (core.Report, error) {
-				return func() (core.Report, error) {
-					sp2, err := machine.SP2()
-					if err != nil {
-						return core.Report{}, err
-					}
-					return btio.Run(btio.Config{Machine: sp2, Procs: 16, Class: cls, Collective: coll})
-				}
-			}
-			astRun := func(opt bool) func() (core.Report, error) {
-				return func() (core.Report, error) {
-					cfg, err := astCfg(Quick, 8, 16, opt)
-					if err != nil {
-						return core.Report{}, err
-					}
-					return ast.Run(cfg)
-				}
-			}
-
-			reps, err := runList([]func() (core.Report, error){
-				scf11(scf.Original),        // 0
-				scf11(scf.Passion),         // 1
-				scf11(scf.PassionPrefetch), // 2
-				scf30(0),                   // 3: all-recompute
-				scf30(90),                  // 4: well balanced
-				fftRun(false),              // 5
-				fftRun(true),               // 6
-				btioRun(false),             // 7
-				btioRun(true),              // 8
-				astRun(false),              // 9
-				astRun(true),               // 10
-			})
-			if err != nil {
-				return err
-			}
-
-			// SCF 1.1: interface and prefetch.
-			scf11Iface := improvement(reps[0].ExecSec, reps[1].ExecSec) >= threshold
-			scf11Pref := improvement(reps[1].ExecSec, reps[2].ExecSec) >= threshold
-			// SCF 3.0: interface/prefetch inherited from the same runtime.
-			// "Balanced I/O" (§4.3) is the cached-vs-recompute ratio knob:
-			// effective when choosing a good ratio beats a bad one.
-			scf30Bal := improvement(reps[3].ExecSec, reps[4].ExecSec) >= threshold
-			// FFT: file layout.
-			fftLayout := improvement(reps[5].ExecSec, reps[6].ExecSec) >= threshold
-			// BTIO: collective I/O.
-			btioColl := improvement(reps[7].ExecSec, reps[8].ExecSec) >= threshold
-			// AST: collective I/O.
-			astColl := improvement(reps[9].ExecSec, reps[10].ExecSec) >= threshold
-
-			tick := func(b bool) string {
-				if b {
-					return "x"
-				}
-				return "-"
-			}
-			fmt.Fprintf(w, "%-8s %12s %8s %11s %12s %10s\n",
-				"app", "collective", "layout", "interface", "prefetching", "balanced")
-			fmt.Fprintf(w, "%-8s %12s %8s %11s %12s %10s\n",
-				"SCF 1.1", "-", "-", tick(scf11Iface), tick(scf11Pref), "-")
-			fmt.Fprintf(w, "%-8s %12s %8s %11s %12s %10s\n",
-				"SCF 3.0", "-", "-", tick(scf11Iface), tick(scf11Pref), tick(scf30Bal))
-			fmt.Fprintf(w, "%-8s %12s %8s %11s %12s %10s\n",
-				"FFT", "-", tick(fftLayout), "-", "-", "-")
-			fmt.Fprintf(w, "%-8s %12s %8s %11s %12s %10s\n",
-				"BTIO", tick(btioColl), "-", "-", "-", "-")
-			fmt.Fprintf(w, "%-8s %12s %8s %11s %12s %10s\n",
-				"AST", tick(astColl), "-", "-", "-", "-")
-			return nil
+			return reqs, printTable5
 		},
 	})
+}
+
+// printTable5 prints Table 5's verdicts from its eleven runs.
+func printTable5(w io.Writer, reps []core.Report) {
+	const threshold = 0.10
+	// SCF 1.1: interface and prefetch.
+	scf11Iface := improvement(reps[0].ExecSec, reps[1].ExecSec) >= threshold
+	scf11Pref := improvement(reps[1].ExecSec, reps[2].ExecSec) >= threshold
+	// SCF 3.0: interface/prefetch inherited from the same runtime.
+	// "Balanced I/O" (§4.3) is the cached-vs-recompute ratio knob:
+	// effective when choosing a good ratio beats a bad one.
+	scf30Bal := improvement(reps[3].ExecSec, reps[4].ExecSec) >= threshold
+	// FFT: file layout.
+	fftLayout := improvement(reps[5].ExecSec, reps[6].ExecSec) >= threshold
+	// BTIO: collective I/O.
+	btioColl := improvement(reps[7].ExecSec, reps[8].ExecSec) >= threshold
+	// AST: collective I/O.
+	astColl := improvement(reps[9].ExecSec, reps[10].ExecSec) >= threshold
+
+	tick := func(b bool) string {
+		if b {
+			return "x"
+		}
+		return "-"
+	}
+	fmt.Fprintf(w, "%-8s %12s %8s %11s %12s %10s\n",
+		"app", "collective", "layout", "interface", "prefetching", "balanced")
+	fmt.Fprintf(w, "%-8s %12s %8s %11s %12s %10s\n",
+		"SCF 1.1", "-", "-", tick(scf11Iface), tick(scf11Pref), "-")
+	fmt.Fprintf(w, "%-8s %12s %8s %11s %12s %10s\n",
+		"SCF 3.0", "-", "-", tick(scf11Iface), tick(scf11Pref), tick(scf30Bal))
+	fmt.Fprintf(w, "%-8s %12s %8s %11s %12s %10s\n",
+		"FFT", "-", tick(fftLayout), "-", "-", "-")
+	fmt.Fprintf(w, "%-8s %12s %8s %11s %12s %10s\n",
+		"BTIO", tick(btioColl), "-", "-", "-", "-")
+	fmt.Fprintf(w, "%-8s %12s %8s %11s %12s %10s\n",
+		"AST", tick(astColl), "-", "-", "-", "-")
 }

@@ -8,6 +8,7 @@ package machine
 
 import (
 	"fmt"
+	"strconv"
 
 	"pario/internal/disk"
 	"pario/internal/ionode"
@@ -168,7 +169,7 @@ func ParagonSmall(nio int) (*Config, error) {
 		return nil, fmt.Errorf("machine: small Paragon has 2- or 4-node I/O partitions, not %d", nio)
 	}
 	c := &Config{
-		Name: fmt.Sprintf("paragon-small-%dio", nio),
+		Name: "paragon-small-" + strconv.Itoa(nio) + "io",
 		Kind: topology.Mesh2D,
 		Rows: 16, Cols: 4, // 56 compute + I/O + service fit a 16x4 mesh
 		NumCompute:        56,
@@ -194,7 +195,7 @@ func ParagonLarge(nio int) (*Config, error) {
 		return nil, fmt.Errorf("machine: large Paragon has 12/16/64-node I/O partitions, not %d", nio)
 	}
 	c := &Config{
-		Name: fmt.Sprintf("paragon-large-%dio", nio),
+		Name: "paragon-large-" + strconv.Itoa(nio) + "io",
 		Kind: topology.Mesh2D,
 		Rows: 37, Cols: 16, // 512 compute + up to 64 I/O + service
 		NumCompute:        512,

@@ -30,7 +30,7 @@ func (m *Model) scf11(in Input) ([]Phase, int64, int64, int64, error) {
 	P := float64(in.Procs)
 	total := float64(scf.StoredBytes(scfIn))
 	perProc := total / P
-	chunk := float64(int64(scf.DefaultMemoryKB11) << 10)
+	chunk := float64(in.MemoryKB << 10)
 	nChunks := math.Ceil(perProc / chunk)
 
 	par := m.Interface("fortran")
@@ -145,8 +145,7 @@ func (m *Model) scf30(in Input) ([]Phase, int64, int64, int64, error) {
 }
 
 func (m *Model) fft(in Input) ([]Phase, int64, int64, int64, error) {
-	const n = int64(fft.DefaultN)
-	const buf = int64(fft.DefaultBufferBytes)
+	n, buf := in.N, in.BufferBytes
 	if int64(in.Procs) > n {
 		return nil, 0, 0, 0, fmt.Errorf("roofline: fft needs procs <= %d", n)
 	}
@@ -258,12 +257,12 @@ func (m *Model) btio(in Input) ([]Phase, int64, int64, int64, error) {
 }
 
 func (m *Model) ast(in Input) ([]Phase, int64, int64, int64, error) {
-	n := float64(ast.DefaultN)
+	n := float64(in.N)
 	if float64(in.Procs) > n {
-		return nil, 0, 0, 0, fmt.Errorf("roofline: ast needs procs <= %d", int(n))
+		return nil, 0, 0, 0, fmt.Errorf("roofline: ast needs procs <= %d", in.N)
 	}
-	arrays := float64(ast.DefaultArrays)
-	dumps := float64(ast.DefaultDumps)
+	arrays := float64(in.Arrays)
+	dumps := float64(in.Dumps)
 	P := float64(in.Procs)
 	snap := arrays * n * n * ast.ElemBytes
 	compute := dumps * m.computeSec(ast.SolverFlopsPerPoint*n*n*arrays/P)

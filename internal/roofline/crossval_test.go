@@ -27,8 +27,8 @@ import (
 	"sync"
 	"testing"
 
+	"pario/internal/request"
 	"pario/internal/roofline"
-	"pario/internal/serve"
 )
 
 var (
@@ -37,12 +37,12 @@ var (
 )
 
 type cvPoint struct {
-	Artifact   string        `json:"artifact"`
-	Name       string        `json:"name"`
-	Request    serve.Request `json:"request"`
-	Band       float64       `json:"band"`
-	Bottleneck string        `json:"bottleneck,omitempty"`
-	Note       string        `json:"note,omitempty"`
+	Artifact   string          `json:"artifact"`
+	Name       string          `json:"name"`
+	Request    request.Request `json:"request"`
+	Band       float64         `json:"band"`
+	Bottleneck string          `json:"bottleneck,omitempty"`
+	Note       string          `json:"note,omitempty"`
 }
 
 type cvFile struct {
@@ -85,19 +85,19 @@ func runAll(t *testing.T, points []cvPoint) []cvResult {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			res := cvResult{point: p}
-			canon, err := serve.Canonicalize(p.Request)
+			canon, err := request.Canonicalize(p.Request)
 			if err != nil {
 				res.err = fmt.Errorf("canonicalize: %w", err)
 				results[i] = res
 				return
 			}
-			res.est, err = serve.EstimateFor(canon)
+			res.est, err = request.Estimate(canon)
 			if err != nil {
 				res.err = fmt.Errorf("estimate: %w", err)
 				results[i] = res
 				return
 			}
-			rep, err := serve.Execute(context.Background(), canon)
+			rep, err := request.Run(context.Background(), canon)
 			if err != nil {
 				res.err = fmt.Errorf("simulate: %w", err)
 				results[i] = res

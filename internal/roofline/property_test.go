@@ -12,21 +12,23 @@ import (
 	"sort"
 	"testing"
 
+	"pario/internal/apps/ast"
 	"pario/internal/apps/scf"
 	"pario/internal/machine"
+	"pario/internal/request"
 	"pario/internal/roofline"
 	"pario/internal/serve"
 )
 
 // validPoints expands a one-axis ionodes sweep through the sweep grammar
 // and returns the canonical requests sorted by ascending partition size.
-func validPoints(t *testing.T, spec serve.SweepSpec) []serve.Request {
+func validPoints(t *testing.T, spec serve.SweepSpec) []request.Request {
 	t.Helper()
 	points, _, _, err := serve.ExpandSweep(spec, 256)
 	if err != nil {
 		t.Fatalf("ExpandSweep(%+v): %v", spec, err)
 	}
-	reqs := make([]serve.Request, len(points))
+	reqs := make([]request.Request, len(points))
 	for i, p := range points {
 		reqs[i] = p.Req
 	}
@@ -34,9 +36,9 @@ func validPoints(t *testing.T, spec serve.SweepSpec) []serve.Request {
 	return reqs
 }
 
-func estimateOf(t *testing.T, r serve.Request) *roofline.Estimate {
+func estimateOf(t *testing.T, r request.Request) *roofline.Estimate {
 	t.Helper()
-	est, err := serve.EstimateFor(r)
+	est, err := request.Estimate(r)
 	if err != nil {
 		t.Fatalf("estimate %+v: %v", r, err)
 	}
@@ -89,11 +91,11 @@ func TestMonotoneInSpindles(t *testing.T) {
 		t.Fatal(err)
 	}
 	inputs := []roofline.Input{
-		{App: "scf11", Procs: 16, Input: scf.Large, Version: scf.Original},
-		{App: "scf11", Procs: 16, Input: scf.Large, Version: scf.PassionPrefetch},
+		{App: "scf11", Procs: 16, Input: scf.Large, Version: scf.Original, MemoryKB: scf.DefaultMemoryKB11},
+		{App: "scf11", Procs: 16, Input: scf.Large, Version: scf.PassionPrefetch, MemoryKB: scf.DefaultMemoryKB11},
 		{App: "scf30", Procs: 32, Input: scf.Medium, CachedPct: 90},
-		{App: "ast", Procs: 64},
-		{App: "ast", Procs: 64, Opt: true},
+		{App: "ast", Procs: 64, N: ast.DefaultN, Arrays: ast.DefaultArrays, Dumps: ast.DefaultDumps},
+		{App: "ast", Procs: 64, Opt: true, N: ast.DefaultN, Arrays: ast.DefaultArrays, Dumps: ast.DefaultDumps},
 	}
 	for _, in := range inputs {
 		prev := -1.0
@@ -119,7 +121,7 @@ func TestMonotoneInProblemSize(t *testing.T) {
 	t.Run("scf11-inputs", func(t *testing.T) {
 		var prev float64
 		for _, input := range []string{"SMALL", "MEDIUM", "LARGE"} {
-			est := estimateOf(t, mustCanon(t, serve.Request{App: "scf11", Procs: 8, Input: input}))
+			est := estimateOf(t, mustCanon(t, request.Request{App: "scf11", Procs: 8, Input: input}))
 			if est.ElapsedSec < prev {
 				t.Errorf("scf11 %s predicted faster than the smaller input (%.2fs < %.2fs)", input, est.ElapsedSec, prev)
 			}
@@ -129,7 +131,7 @@ func TestMonotoneInProblemSize(t *testing.T) {
 	t.Run("scf30-inputs", func(t *testing.T) {
 		var prev float64
 		for _, input := range []string{"SMALL", "MEDIUM", "LARGE"} {
-			est := estimateOf(t, mustCanon(t, serve.Request{App: "scf30", Procs: 8, Input: input}))
+			est := estimateOf(t, mustCanon(t, request.Request{App: "scf30", Procs: 8, Input: input}))
 			if est.ElapsedSec < prev {
 				t.Errorf("scf30 %s predicted faster than the smaller input (%.2fs < %.2fs)", input, est.ElapsedSec, prev)
 			}
@@ -137,17 +139,17 @@ func TestMonotoneInProblemSize(t *testing.T) {
 		}
 	})
 	t.Run("btio-classes", func(t *testing.T) {
-		a := estimateOf(t, mustCanon(t, serve.Request{App: "btio", Procs: 16, Class: "A"}))
-		b := estimateOf(t, mustCanon(t, serve.Request{App: "btio", Procs: 16, Class: "B"}))
+		a := estimateOf(t, mustCanon(t, request.Request{App: "btio", Procs: 16, Class: "A"}))
+		b := estimateOf(t, mustCanon(t, request.Request{App: "btio", Procs: 16, Class: "B"}))
 		if b.ElapsedSec <= a.ElapsedSec {
 			t.Errorf("btio class B (%.2fs) should be slower than class A (%.2fs)", b.ElapsedSec, a.ElapsedSec)
 		}
 	})
 }
 
-func mustCanon(t *testing.T, r serve.Request) serve.Request {
+func mustCanon(t *testing.T, r request.Request) request.Request {
 	t.Helper()
-	c, err := serve.Canonicalize(r)
+	c, err := request.Canonicalize(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"pario/internal/request"
 	"pario/internal/roofline"
-	"pario/internal/serve"
 )
 
 // TestEstimateRequestErrors walks the estimate path's refusal surface: fault
@@ -15,26 +15,26 @@ import (
 func TestEstimateRequestErrors(t *testing.T) {
 	cases := []struct {
 		name string
-		req  serve.Request
+		req  request.Request
 	}{
-		{"faults", serve.Request{App: "scf11", Input: "SMALL", Faults: "disk:0:fail@t=1s"}},
-		{"unknown-app", serve.Request{App: "lu"}},
-		{"bad-partition", serve.Request{App: "scf11", IONodes: 7, Input: "SMALL"}},
-		{"bad-input", serve.Request{App: "scf11", Input: "TINY"}},
-		{"fft-too-many-procs", serve.Request{App: "fft", Procs: 8192}},
-		{"btio-non-square", serve.Request{App: "btio", Procs: 3}},
-		{"ast-too-many-procs", serve.Request{App: "ast", Procs: 4096}},
-		{"scf30-bad-input", serve.Request{App: "scf30", Input: "HUGE"}},
+		{"faults", request.Request{App: "scf11", Input: "SMALL", Faults: "disk:0:fail@t=1s"}},
+		{"unknown-app", request.Request{App: "lu"}},
+		{"bad-partition", request.Request{App: "scf11", IONodes: 7, Input: "SMALL"}},
+		{"bad-input", request.Request{App: "scf11", Input: "TINY"}},
+		{"fft-too-many-procs", request.Request{App: "fft", Procs: 8192}},
+		{"btio-non-square", request.Request{App: "btio", Procs: 3}},
+		{"ast-too-many-procs", request.Request{App: "ast", Procs: 4096}},
+		{"scf30-bad-input", request.Request{App: "scf30", Input: "HUGE"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := serve.EstimateFor(tc.req); err == nil {
+			if _, err := request.Estimate(tc.req); err == nil {
 				t.Fatalf("EstimateFor(%+v) succeeded, want error", tc.req)
 			}
 		})
 	}
-	faulted := mustCanon(t, serve.Request{App: "ast", Faults: "disk:0:fail@t=1s"})
-	if _, err := serve.EstimateFor(faulted); !errors.Is(err, roofline.ErrUnsupported) {
+	faulted := mustCanon(t, request.Request{App: "ast", Faults: "disk:0:fail@t=1s"})
+	if _, err := request.Estimate(faulted); !errors.Is(err, roofline.ErrUnsupported) {
 		t.Fatalf("fault plan error = %v, want ErrUnsupported", err)
 	}
 }
@@ -43,7 +43,7 @@ func TestEstimateRequestErrors(t *testing.T) {
 // the sum of phases, IO is the non-compute remainder, bandwidth follows
 // client bytes.
 func TestEstimateAccounting(t *testing.T) {
-	for _, r := range []serve.Request{
+	for _, r := range []request.Request{
 		{App: "scf11", Input: "SMALL"},
 		{App: "scf30", Procs: 8, Input: "SMALL", CachedPct: 50},
 		{App: "fft", Opt: true},

@@ -50,9 +50,10 @@ const (
 )
 
 // Input is the resolved request the estimator prices: the app parameters
-// serve resolves a canonical request to (per-app defaults applied, the deck,
-// version and class resolved to the app packages' own values, irrelevant
-// fields zero). The machine is resolved alongside it and handed to NewModel.
+// internal/request resolves a canonical request to (per-app defaults
+// applied, the deck, version and class resolved to the app packages' own
+// values with the request's sizes, irrelevant fields zero). The machine is
+// resolved alongside it and handed to NewModel.
 type Input struct {
 	App       string
 	Procs     int
@@ -61,6 +62,14 @@ type Input struct {
 	Version   scf.Version
 	CachedPct int
 	Class     btio.Class
+	// MemoryKB is scf11's per-process I/O buffer.
+	MemoryKB int64
+	// N is the fft matrix order or the ast grid edge.
+	N int64
+	// BufferBytes is fft's in-core buffer.
+	BufferBytes int64
+	// Arrays and Dumps size an ast dump series.
+	Arrays, Dumps int
 }
 
 // Phase is one priced application phase.
@@ -113,7 +122,7 @@ type Estimate struct {
 }
 
 // Estimate prices a resolved request against this model. The model's
-// machine must be the one the request resolves to (serve.EstimateFor
+// machine must be the one the request resolves to (request.Estimate
 // guarantees that; tests may deliberately mismatch to probe scaling).
 func (m *Model) Estimate(in Input) (*Estimate, error) {
 	if in.Procs < 1 {

@@ -14,6 +14,7 @@ import (
 
 	"pario/internal/cluster"
 	"pario/internal/core"
+	"pario/internal/request"
 )
 
 // Cluster mode: N pariod instances consistent-hash the content-address
@@ -69,7 +70,7 @@ func (s *Server) SetCluster(ring *cluster.Ring) { s.ring.Store(ring) }
 // the effective timeout, and the admission lane. The caller owns the
 // response. Transport failures and 502/503 answers come back wrapped in
 // errPeerUnavailable.
-func (s *Server) fetchFromOwner(ctx context.Context, owner cluster.Node, canon Request, timeout time.Duration, ln Lane) (*http.Response, error) {
+func (s *Server) fetchFromOwner(ctx context.Context, owner cluster.Node, canon request.Request, timeout time.Duration, ln Lane) (*http.Response, error) {
 	if canon.App == "trace" {
 		// Forward the trace bytes alongside the hash: the owner may never
 		// have seen this upload. TraceData is transport, not identity — the
@@ -168,7 +169,7 @@ func (e *ownerError) relay(w http.ResponseWriter) {
 // the owner's X-Pario-Cache as the source. Any other answer comes back as
 // an *ownerError; an unreachable owner or a body that dies mid-read as
 // errPeerUnavailable.
-func (s *Server) fromOwner(ctx context.Context, owner cluster.Node, req Request, key string, timeout time.Duration, ln Lane) ([]byte, string, error) {
+func (s *Server) fromOwner(ctx context.Context, owner cluster.Node, req request.Request, key string, timeout time.Duration, ln Lane) ([]byte, string, error) {
 	resp, err := s.fetchFromOwner(ctx, owner, req, timeout, ln)
 	if err != nil {
 		return nil, "", err

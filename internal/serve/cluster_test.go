@@ -14,6 +14,7 @@ import (
 
 	"pario/internal/cluster"
 	"pario/internal/diskcache"
+	"pario/internal/request"
 )
 
 // clusterPair boots two in-process servers wired into one two-node ring.
@@ -50,8 +51,8 @@ func clusterPair(t *testing.T, node0 ...Options) (srvs [2]*Server, tss [2]*httpt
 func keyOwnedBy(t *testing.T, ring *cluster.Ring, ownerURL string) (reqBody, key string) {
 	t.Helper()
 	for p := 1; p <= 64; p++ {
-		req := Request{App: "fft", Procs: p}
-		canon, err := Canonicalize(req)
+		req := request.Request{App: "fft", Procs: p}
+		canon, err := request.Canonicalize(req)
 		if err != nil {
 			continue
 		}
@@ -387,7 +388,7 @@ func TestClusterHeaderTimeoutPlumbing(t *testing.T) {
 	}
 	s.SetCluster(ring)
 
-	canon, err := Canonicalize(Request{App: "fft"})
+	canon, err := request.Canonicalize(request.Request{App: "fft"})
 	if err != nil {
 		t.Fatal(err)
 	}

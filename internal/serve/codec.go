@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 
 	"pario/internal/core"
+	"pario/internal/request"
 	"pario/internal/stats"
 	"pario/internal/trace"
 )
@@ -16,8 +17,8 @@ import (
 // quarantined to zero here and travels out of band (the daemon's
 // X-Pario-Wall-Sec header).
 type Result struct {
-	Request Request `json:"request"`
-	Report  Report  `json:"report"`
+	Request request.Request `json:"request"`
+	Report  Report          `json:"report"`
 }
 
 // Report is the JSON projection of core.Report.
@@ -99,7 +100,7 @@ func NewReport(rep core.Report) Report {
 
 // Encode renders the shared response body: indented JSON plus a trailing
 // newline. req must be canonical; rep the run it produced.
-func Encode(req Request, rep core.Report) ([]byte, error) {
+func Encode(req request.Request, rep core.Report) ([]byte, error) {
 	b, err := json.MarshalIndent(Result{Request: req, Report: NewReport(rep)}, "", "  ")
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pario/internal/core"
+	"pario/internal/request"
 	"pario/internal/roofline"
 )
 
@@ -20,32 +21,11 @@ import (
 // content address, disjoint from the exact keys, so each mode's bodies
 // stay byte-identical and neither mode can alias the other.
 
-// EstimateFor prices a canonical request analytically against the machine
-// the request resolves to — the one its exact run simulates. Requests
-// carrying fault plans are outside the model's domain and are refused with
-// an error classified estimate_unsupported (HTTP 422 at the handler).
-func EstimateFor(canon Request) (*roofline.Estimate, error) {
-	if canon.App == "trace" {
-		// A trace replay's cost lives in the event log, not in closed-form
-		// app parameters; the roofline model has no analytic shape for it.
-		return nil, core.Classify("estimate_unsupported",
-			fmt.Errorf("serve: estimate mode does not model trace replays"))
-	}
-	_, b, err := resolve(canon)
-	if err != nil {
-		return nil, err
-	}
-	if b.plan != nil {
-		return nil, core.Classify("estimate_unsupported", roofline.ErrUnsupported)
-	}
-	return roofline.NewModel(b.m).Estimate(b.est)
-}
-
 // estimateKey is the estimate-mode content address: the hex SHA-256 of the
 // canonical JSON prefixed with a mode marker. The exact Key() hashes the
 // bare JSON (which always starts with '{'), so the two key spaces cannot
 // collide and a cache entry answers exactly one mode.
-func estimateKey(r Request) string {
+func estimateKey(r request.Request) string {
 	b, err := json.Marshal(r)
 	if err != nil {
 		// Request is a plain struct of scalars; Marshal cannot fail.
@@ -60,13 +40,13 @@ func estimateKey(r Request) string {
 // EstimateResult is the deterministic estimate-mode response body: the
 // canonical request followed by the prediction.
 type EstimateResult struct {
-	Request  Request            `json:"request"`
+	Request  request.Request    `json:"request"`
 	Estimate *roofline.Estimate `json:"estimate"`
 }
 
 // EncodeEstimate renders the estimate response body: indented JSON plus a
 // trailing newline, mirroring Encode's determinism contract.
-func EncodeEstimate(req Request, est *roofline.Estimate) ([]byte, error) {
+func EncodeEstimate(req request.Request, est *roofline.Estimate) ([]byte, error) {
 	b, err := json.MarshalIndent(EstimateResult{Request: req, Estimate: est}, "", "  ")
 	if err != nil {
 		return nil, err
@@ -89,12 +69,12 @@ func parseMode(v string) (estimate bool, err error) {
 
 // estimateBody serves one estimate: cache first, then the closed form,
 // filling the cache so repeated estimates are byte-identical.
-func (s *Server) estimateBody(canon Request) (body []byte, source, key string, err error) {
+func (s *Server) estimateBody(canon request.Request) (body []byte, source, key string, err error) {
 	key = estimateKey(canon)
 	if body, ok := s.cache.Get(key); ok {
 		return body, "hit", key, nil
 	}
-	est, err := EstimateFor(canon)
+	est, err := request.Estimate(canon)
 	if err != nil {
 		return nil, "", key, err
 	}
@@ -108,7 +88,7 @@ func (s *Server) estimateBody(canon Request) (body []byte, source, key string, e
 
 // handleEstimate is /run's estimate-mode branch: inline, scheduler-free,
 // counted by its own request and latency metrics.
-func (s *Server) handleEstimate(w http.ResponseWriter, canon Request) {
+func (s *Server) handleEstimate(w http.ResponseWriter, canon request.Request) {
 	start := time.Now()
 	s.estimates.Add(1)
 	body, source, key, err := s.estimateBody(canon)

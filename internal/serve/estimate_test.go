@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"pario/internal/request"
 )
 
 // postMode issues a POST /run with an explicit ?mode= selector.
@@ -287,17 +289,66 @@ func TestSweepEstimateFaultPointsStreamErrors(t *testing.T) {
 // TestEstimateKeyDisjointFromExact is the key-space unit check behind the
 // handler test: for any canonical request the two addresses differ.
 func TestEstimateKeyDisjointFromExact(t *testing.T) {
-	reqs := []Request{
+	reqs := []request.Request{
 		{App: "scf11", Procs: 4, IONodes: 12, Input: "SMALL", Version: "original"},
 		{App: "btio", Procs: 16, Class: "A", Opt: true},
 	}
 	for _, r := range reqs {
-		canon, err := Canonicalize(r)
+		canon, err := request.Canonicalize(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if canon.Key() == estimateKey(canon) {
 			t.Fatalf("exact and estimate keys collide for %+v", canon)
 		}
+	}
+}
+
+// TestRunTakesSizeFieldsByGetAndPost: the size fields reach /run by query
+// parameter and by JSON body alike and key identically; a field the
+// estimator does not price answers 422, and a btio process count near
+// MaxInt is refused at once.
+func TestRunTakesSizeFieldsByGetAndPost(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.sched.Close()
+	get := func(query string) (*http.Response, []byte) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/run?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, b
+	}
+
+	gresp, gbody := get("mode=estimate&app=ast&n=256&arrays=2&dumps=2")
+	presp, pbody := postMode(t, ts, "estimate", `{"app":"ast","n":256,"arrays":2,"dumps":2}`)
+	if gresp.StatusCode != http.StatusOK || presp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %d %s / POST %d %s", gresp.StatusCode, gbody, presp.StatusCode, pbody)
+	}
+	if gk, pk := gresp.Header.Get("X-Pario-Key"), presp.Header.Get("X-Pario-Key"); gk != pk || !bytes.Equal(gbody, pbody) {
+		t.Fatalf("GET and POST disagree: keys %s / %s", gk, pk)
+	}
+	_, dbody := postMode(t, ts, "estimate", `{"app":"ast"}`)
+	if bytes.Equal(dbody, pbody) {
+		t.Fatal("a non-default ast size answered the default-size estimate")
+	}
+
+	if resp, b := get("mode=estimate&app=scf11&stripe_unit_kb=128"); resp.StatusCode != http.StatusUnprocessableEntity ||
+		!strings.Contains(string(b), "estimate_unsupported") {
+		t.Fatalf("unpriced stripe unit: %d %s, want 422 estimate_unsupported", resp.StatusCode, b)
+	}
+	if resp, b := get("app=btio&procs=9223372036854775807"); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(b), "square process count") {
+		t.Fatalf("btio at MaxInt procs: %d %s, want 400 naming the square process count", resp.StatusCode, b)
+	}
+	if resp, b := get("app=fft&buffer_kb=-1"); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("negative buffer_kb: %d %s, want 400", resp.StatusCode, b)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"pario/internal/request"
 )
 
 // TestCanonicalizeResolvesDefaults verifies bare requests and
@@ -14,28 +16,28 @@ import (
 func TestCanonicalizeResolvesDefaults(t *testing.T) {
 	cases := []struct {
 		name string
-		a, b Request
+		a, b request.Request
 	}{
-		{"scf11 defaults", Request{App: "scf11"},
-			Request{App: "SCF11", Procs: 4, IONodes: 12, Input: "medium", Version: "ORIGINAL"}},
-		{"scf11 opt is prefetch", Request{App: "scf11", Opt: true},
-			Request{App: "scf11", Version: "prefetch"}},
-		{"scf30 defaults", Request{App: "scf30"},
-			Request{App: "scf30", Procs: 4, IONodes: 16, Input: "MEDIUM", CachedPct: 90}},
-		{"fft ignores scf fields", Request{App: "fft"},
-			Request{App: "fft", Input: "LARGE", Version: "passion", CachedPct: 50, Class: "B"}},
-		{"btio ignores ionodes", Request{App: "btio"},
-			Request{App: "btio", IONodes: 16, Class: "a"}},
-		{"ast defaults", Request{App: "ast"},
-			Request{App: "AST", Procs: 4, IONodes: 16}},
+		{"scf11 defaults", request.Request{App: "scf11"},
+			request.Request{App: "SCF11", Procs: 4, IONodes: 12, Input: "medium", Version: "ORIGINAL"}},
+		{"scf11 opt is prefetch", request.Request{App: "scf11", Opt: true},
+			request.Request{App: "scf11", Version: "prefetch"}},
+		{"scf30 defaults", request.Request{App: "scf30"},
+			request.Request{App: "scf30", Procs: 4, IONodes: 16, Input: "MEDIUM", CachedPct: 90}},
+		{"fft ignores scf fields", request.Request{App: "fft"},
+			request.Request{App: "fft", Input: "LARGE", Version: "passion", CachedPct: 50, Class: "B"}},
+		{"btio ignores ionodes", request.Request{App: "btio"},
+			request.Request{App: "btio", IONodes: 16, Class: "a"}},
+		{"ast defaults", request.Request{App: "ast"},
+			request.Request{App: "AST", Procs: 4, IONodes: 16}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			ca, err := Canonicalize(c.a)
+			ca, err := request.Canonicalize(c.a)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cb, err := Canonicalize(c.b)
+			cb, err := request.Canonicalize(c.b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +54,7 @@ func TestCanonicalizeResolvesDefaults(t *testing.T) {
 // TestCanonicalizeRejectsBadRequests pins the validation surface: every
 // rejection happens before a request could reach the scheduler.
 func TestCanonicalizeRejectsBadRequests(t *testing.T) {
-	for _, req := range []Request{
+	for _, req := range []request.Request{
 		{App: "warp"},
 		{},
 		{App: "scf11", Procs: -1},
@@ -66,7 +68,7 @@ func TestCanonicalizeRejectsBadRequests(t *testing.T) {
 		{App: "btio", Class: "C"},
 		{App: "ast", IONodes: 7},
 	} {
-		if _, err := Canonicalize(req); err == nil {
+		if _, err := request.Canonicalize(req); err == nil {
 			t.Errorf("%+v accepted", req)
 		}
 	}
@@ -75,8 +77,8 @@ func TestCanonicalizeRejectsBadRequests(t *testing.T) {
 // TestKeyDistinguishesConfigurations verifies distinct configurations get
 // distinct content addresses.
 func TestKeyDistinguishesConfigurations(t *testing.T) {
-	seen := map[string]Request{}
-	for _, req := range []Request{
+	seen := map[string]request.Request{}
+	for _, req := range []request.Request{
 		{App: "scf11"},
 		{App: "scf11", Procs: 8},
 		{App: "scf11", Input: "LARGE"},
@@ -90,7 +92,7 @@ func TestKeyDistinguishesConfigurations(t *testing.T) {
 		{App: "btio", Class: "B"},
 		{App: "ast"},
 	} {
-		c, err := Canonicalize(req)
+		c, err := request.Canonicalize(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,18 +107,18 @@ func TestKeyDistinguishesConfigurations(t *testing.T) {
 // TestExecuteRunsEveryApp smoke-tests the shared execution path per app at
 // small sizes and checks report plausibility plus encode determinism.
 func TestExecuteRunsEveryApp(t *testing.T) {
-	for _, req := range []Request{
+	for _, req := range []request.Request{
 		{App: "scf11", Input: "SMALL"},
 		{App: "scf30", Input: "SMALL"},
 		{App: "fft"},
 		{App: "btio", Opt: true},
 		{App: "ast", Opt: true},
 	} {
-		c, err := Canonicalize(req)
+		c, err := request.Canonicalize(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Execute(context.Background(), c)
+		rep, err := request.Run(context.Background(), c)
 		if err != nil {
 			t.Fatalf("%s: %v", c.App, err)
 		}
@@ -142,14 +144,14 @@ func TestExecuteRunsEveryApp(t *testing.T) {
 // it down promptly with the context's error — the contract that lets the
 // daemon's timeouts free pool slots instead of leaking workers.
 func TestExecuteHonorsCancellation(t *testing.T) {
-	c, err := Canonicalize(Request{App: "fft", Procs: 16})
+	c, err := request.Canonicalize(request.Request{App: "fft", Procs: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = Execute(ctx, c)
+	_, err = request.Run(ctx, c)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

@@ -15,6 +15,7 @@ import (
 
 	"pario/internal/cluster"
 	"pario/internal/core"
+	"pario/internal/request"
 )
 
 // pointEnv is one differential-test fixture: a two-node cluster where node
@@ -34,7 +35,7 @@ type pointEnv struct {
 var (
 	seamOK    = fakeRun(nil, closedChan())
 	seamBlock = fakeRun(nil, make(chan struct{}))
-	seamFail  = func(context.Context, Request) (core.Report, error) {
+	seamFail  = func(context.Context, request.Request) (core.Report, error) {
 		return core.Report{}, core.Classify("disk_failed", errors.New("disk 0 failed at t=1ms"))
 	}
 )
@@ -45,7 +46,7 @@ func closedChan() chan struct{} {
 	return c
 }
 
-func newPointEnv(t *testing.T, run func(context.Context, Request) (core.Report, error), opts ...Options) *pointEnv {
+func newPointEnv(t *testing.T, run func(context.Context, request.Request) (core.Report, error), opts ...Options) *pointEnv {
 	t.Helper()
 	e := &pointEnv{}
 	var rings [2]*cluster.Ring
@@ -56,7 +57,7 @@ func newPointEnv(t *testing.T, run func(context.Context, Request) (core.Report, 
 		}
 	}
 	for p := 1; p <= 64 && e.key == ""; p++ {
-		canon, err := Canonicalize(Request{App: "fft", Procs: p})
+		canon, err := request.Canonicalize(request.Request{App: "fft", Procs: p})
 		if err != nil || rings[0].Owner(canon.Key()).URL != e.tss[0].URL {
 			continue
 		}
@@ -68,7 +69,7 @@ func newPointEnv(t *testing.T, run func(context.Context, Request) (core.Report, 
 	}
 	for i := 1; i <= 64 && e.tkey == ""; i++ {
 		h := fmt.Sprintf("%064x", i)
-		canon, err := Canonicalize(Request{App: "trace", Trace: h})
+		canon, err := request.Canonicalize(request.Request{App: "trace", Trace: h})
 		if err == nil && rings[0].Owner(canon.Key()).URL == e.tss[0].URL {
 			e.trace, e.tkey = h, canon.Key()
 		}
@@ -250,7 +251,7 @@ func TestPointPathsAgree(t *testing.T) {
 
 	rows := []struct {
 		name string
-		seam func(context.Context, Request) (core.Report, error) // nil: production seam
+		seam func(context.Context, request.Request) (core.Report, error) // nil: production seam
 		opts []Options
 		// setup runs before the "before" counter snapshot.
 		setup func(t *testing.T, e *pointEnv)

@@ -18,6 +18,7 @@ import (
 	"pario/internal/core"
 	"pario/internal/diskcache"
 	"pario/internal/exp"
+	"pario/internal/request"
 	"pario/internal/stats"
 )
 
@@ -117,9 +118,9 @@ type Server struct {
 	ring          atomic.Pointer[cluster.Ring]
 	peerTransport *http.Transport
 
-	// run is the execution seam: Execute in production, replaceable in
+	// run is the execution seam: request.Run in production, replaceable in
 	// tests that need slow or failing runs.
-	run func(ctx context.Context, req Request) (core.Report, error)
+	run func(ctx context.Context, req request.Request) (core.Report, error)
 
 	httpSrv  *http.Server
 	started  time.Time
@@ -231,7 +232,7 @@ func New(opts Options) *Server {
 		started:       time.Now(),
 	}
 	// The production seam resolves app-"trace" requests against the upload
-	// store; everything else goes straight to Execute. Tests still
+	// store; everything else goes straight to request.Run. Tests still
 	// replace s.run wholesale.
 	s.run = s.executeRun
 	s.SetCluster(opts.Cluster)
@@ -312,10 +313,10 @@ func (s *Server) cachePut(key string, body []byte) {
 // same contract as the sweep harness. A failed run returns the run's own
 // error, not the runner's "sweep point 0:" wrap of it: the point index
 // means nothing to a /run client, or on a /sweep line of another index.
-func (s *Server) runJob(ctx context.Context, req Request, key string) ([]byte, error) {
+func (s *Server) runJob(ctx context.Context, req request.Request, key string) ([]byte, error) {
 	start := time.Now()
 	var runErr error
-	reps, st, _ := exp.Map([]Request{req}, 1, func(r Request) (core.Report, error) {
+	reps, st, _ := exp.Map([]request.Request{req}, 1, func(r request.Request) (core.Report, error) {
 		rep, err := s.run(ctx, r)
 		runErr = err
 		return rep, err
@@ -367,14 +368,14 @@ func parseTimeoutSec(v string) (time.Duration, error) {
 
 // decodeRequest reads a run request from JSON body (POST) or query
 // parameters (GET), plus the optional ?timeout_sec= override.
-func decodeRequest(r *http.Request) (Request, time.Duration, error) {
-	var req Request
+func decodeRequest(r *http.Request) (request.Request, time.Duration, error) {
+	var req request.Request
 	switch r.Method {
 	case http.MethodPost:
 		dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			return Request{}, 0, fmt.Errorf("decoding request body: %w", err)
+			return request.Request{}, 0, fmt.Errorf("decoding request body: %w", err)
 		}
 	case http.MethodGet:
 		q := r.URL.Query()
@@ -389,11 +390,13 @@ func decodeRequest(r *http.Request) (Request, time.Duration, error) {
 		for _, p := range []struct {
 			name string
 			dst  *int
-		}{{"procs", &req.Procs}, {"ionodes", &req.IONodes}, {"cached_pct", &req.CachedPct}} {
+		}{{"procs", &req.Procs}, {"ionodes", &req.IONodes}, {"cached_pct", &req.CachedPct}, {"n", &req.N},
+			{"memory_kb", &req.MemoryKB}, {"stripe_unit_kb", &req.StripeUnitKB}, {"buffer_kb", &req.BufferKB},
+			{"dumps", &req.Dumps}, {"arrays", &req.Arrays}} {
 			if v := q.Get(p.name); v != "" {
 				n, err := strconv.Atoi(v)
 				if err != nil {
-					return Request{}, 0, fmt.Errorf("parameter %s: %w", p.name, err)
+					return request.Request{}, 0, fmt.Errorf("parameter %s: %w", p.name, err)
 				}
 				*p.dst = n
 			}
@@ -401,16 +404,16 @@ func decodeRequest(r *http.Request) (Request, time.Duration, error) {
 		if v := q.Get("opt"); v != "" {
 			b, err := strconv.ParseBool(v)
 			if err != nil {
-				return Request{}, 0, fmt.Errorf("parameter opt: %w", err)
+				return request.Request{}, 0, fmt.Errorf("parameter opt: %w", err)
 			}
 			req.Opt = b
 		}
 	default:
-		return Request{}, 0, fmt.Errorf("method %s not allowed", r.Method)
+		return request.Request{}, 0, fmt.Errorf("method %s not allowed", r.Method)
 	}
 	timeout, err := parseTimeoutSec(r.URL.Query().Get("timeout_sec"))
 	if err != nil {
-		return Request{}, 0, err
+		return request.Request{}, 0, err
 	}
 	return req, timeout, nil
 }
@@ -431,7 +434,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, r, err)
 		return
 	}
-	canon, err := Canonicalize(req)
+	canon, err := request.Canonicalize(req)
 	if err != nil {
 		s.badRequest(w, r, err)
 		return
@@ -520,7 +523,7 @@ func cached(source string) bool { return source == "hit" || source == "l2" }
 // interactive deadline covers singleflight, queue wait and the run; the
 // batch lane blocks for admission — its queue bound is the sweep's flow
 // control — and starts the deadline with the simulation.
-func (s *Server) point(ctx context.Context, req Request, key string, timeout time.Duration, ln Lane, forwarded bool) (body []byte, source string, relayed bool, err error) {
+func (s *Server) point(ctx context.Context, req request.Request, key string, timeout time.Duration, ln Lane, forwarded bool) (body []byte, source string, relayed bool, err error) {
 	if body, source, ok := s.cacheGet(key); ok {
 		return body, source, false, nil
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"pario/internal/core"
+	"pario/internal/request"
 )
 
 // postRun issues a POST /run against ts and returns the response.
@@ -163,8 +164,8 @@ func TestServerEquivalentRequestsShareOneRun(t *testing.T) {
 
 // fakeRun installs a controllable execution seam; each distinct request
 // blocks until release closes (or its ctx ends).
-func fakeRun(started chan<- string, release <-chan struct{}) func(context.Context, Request) (core.Report, error) {
-	return func(ctx context.Context, req Request) (core.Report, error) {
+func fakeRun(started chan<- string, release <-chan struct{}) func(context.Context, request.Request) (core.Report, error) {
+	return func(ctx context.Context, req request.Request) (core.Report, error) {
 		if started != nil {
 			started <- req.App
 		}
@@ -282,7 +283,7 @@ func TestServerTimeoutFreesWorker(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 2})
 	// procs=4 wedges until its ctx ends (a run that would outlive any
 	// deadline); procs=8 completes instantly.
-	s.run = func(ctx context.Context, req Request) (core.Report, error) {
+	s.run = func(ctx context.Context, req request.Request) (core.Report, error) {
 		if req.Procs == 4 {
 			<-ctx.Done()
 			return core.Report{}, ctx.Err()
@@ -327,7 +328,7 @@ func TestServerTimeoutFreesWorker(t *testing.T) {
 func TestServerErrorsAreNotCached(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 2})
 	calls := 0
-	s.run = func(ctx context.Context, req Request) (core.Report, error) {
+	s.run = func(ctx context.Context, req request.Request) (core.Report, error) {
 		calls++
 		if calls == 1 {
 			return core.Report{}, fmt.Errorf("transient failure")
@@ -604,15 +605,15 @@ func TestRetryAfterGrowsUnderOverload(t *testing.T) {
 // healthy run — a degraded result can never be served for a healthy request
 // or vice versa.
 func TestFaultSpecCanonicalizedIntoKey(t *testing.T) {
-	a, err := Canonicalize(Request{App: "fft", Faults: "disk:0:degrade=8@t=1500ms..4s"})
+	a, err := request.Canonicalize(request.Request{App: "fft", Faults: "disk:0:degrade=8@t=1500ms..4s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Canonicalize(Request{App: "fft", Faults: "disk:0:degrade=8x@t=1.5s..4s"})
+	b, err := request.Canonicalize(request.Request{App: "fft", Faults: "disk:0:degrade=8x@t=1.5s..4s"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := Canonicalize(Request{App: "fft"})
+	healthy, err := request.Canonicalize(request.Request{App: "fft"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,7 +623,7 @@ func TestFaultSpecCanonicalizedIntoKey(t *testing.T) {
 	if a.Key() == healthy.Key() {
 		t.Fatal("faulted request aliases the healthy cache entry")
 	}
-	if _, err := Canonicalize(Request{App: "fft", Faults: "disk:warp"}); err == nil {
+	if _, err := request.Canonicalize(request.Request{App: "fft", Faults: "disk:warp"}); err == nil {
 		t.Fatal("invalid fault spec accepted")
 	}
 }

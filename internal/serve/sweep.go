@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pario/internal/core"
+	"pario/internal/request"
 )
 
 // SweepSpec names a grid of simulation runs: every field is a term list
@@ -55,7 +56,7 @@ type SweepPoint struct {
 	// field on its streamed result line.
 	Index int
 	// Req is the canonical request; Key its content address.
-	Req Request
+	Req request.Request
 	Key string
 }
 
@@ -109,12 +110,12 @@ func ExpandSweep(spec SweepSpec, maxPoints int) (points []SweepPoint, skipped, d
 						for _, v := range versions {
 							for _, cp := range cachedPct {
 								for _, cl := range classes {
-									req := Request{
+									req := request.Request{
 										App: app, Procs: p, IONodes: n, Opt: o,
 										Input: in, Version: v, CachedPct: cp, Class: cl,
 										Faults: spec.Faults, Trace: spec.Trace,
 									}
-									c, cerr := Canonicalize(req)
+									c, cerr := request.Canonicalize(req)
 									if cerr != nil {
 										if firstErr == nil {
 											firstErr = cerr

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"pario/internal/core"
+	"pario/internal/request"
 )
 
 func TestParseIntTerms(t *testing.T) {
@@ -516,7 +517,7 @@ func TestSweepClientDisconnectCancelsQueued(t *testing.T) {
 func TestSweepAllCacheHitsNoRuns(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 2})
 	var calls atomic.Int64
-	s.run = func(ctx context.Context, req Request) (core.Report, error) {
+	s.run = func(ctx context.Context, req request.Request) (core.Report, error) {
 		calls.Add(1)
 		return core.Report{Machine: "fake", Procs: req.Procs, ExecSec: 1}, nil
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"pario/internal/core"
+	"pario/internal/request"
 )
 
 // Trace serving: pariod accepts I/O traces by upload (POST /trace, or
@@ -20,8 +21,8 @@ import (
 // routing work unchanged, and a repeated replay never re-simulates.
 
 // executeRun is the production run seam: resolve app-"trace" requests
-// against the upload store, run everything else through Execute.
-func (s *Server) executeRun(ctx context.Context, req Request) (core.Report, error) {
+// against the upload store, run everything else through request.Run.
+func (s *Server) executeRun(ctx context.Context, req request.Request) (core.Report, error) {
 	if req.App == "trace" {
 		t, ok := s.traces.Get(req.Trace)
 		if !ok {
@@ -29,9 +30,9 @@ func (s *Server) executeRun(ctx context.Context, req Request) (core.Report, erro
 			return core.Report{}, core.Classify("trace_unknown",
 				fmt.Errorf("serve: trace %s has not been uploaded to this node", req.Trace))
 		}
-		return ExecuteTrace(ctx, req, 0, t)
+		return request.RunTrace(ctx, req, t)
 	}
-	return Execute(ctx, req)
+	return request.Run(ctx, req)
 }
 
 // traceUploadResult is the POST /trace response body.
@@ -74,7 +75,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(append(b, '\n'))
 	case http.MethodGet:
 		hash := strings.ToLower(strings.TrimSpace(r.URL.Query().Get("trace")))
-		if !isTraceHash(hash) {
+		if !request.IsTraceHash(hash) {
 			s.badRequest(w, r, errors.New("parameter trace: want a 64-hex content hash"))
 			return
 		}
@@ -97,7 +98,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // canonicalization: decode the base64, register the trace exactly as
 // POST /trace would, and resolve the request's hash. A mismatched
 // explicit hash is refused — the caller named one trace and sent another.
-func (s *Server) registerInlineTrace(req *Request) error {
+func (s *Server) registerInlineTrace(req *request.Request) error {
 	if !strings.EqualFold(strings.TrimSpace(req.App), "trace") || req.TraceData == "" {
 		return nil
 	}

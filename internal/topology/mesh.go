@@ -19,27 +19,6 @@ const (
 	Switched
 )
 
-// Partition identifies the role a node plays.
-type Partition int
-
-const (
-	Compute Partition = iota
-	IO
-	Service
-)
-
-func (p Partition) String() string {
-	switch p {
-	case Compute:
-		return "compute"
-	case IO:
-		return "io"
-	case Service:
-		return "service"
-	}
-	return "unknown"
-}
-
 // Topology describes a machine's node layout. Node indices are global:
 // compute nodes first, then I/O nodes, then service nodes.
 type Topology struct {

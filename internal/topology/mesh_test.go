@@ -137,9 +137,3 @@ func TestCoordRowMajor(t *testing.T) {
 		t.Fatalf("Coord(7) = (%d,%d), want (1,2)", r, c)
 	}
 }
-
-func TestPartitionString(t *testing.T) {
-	if Compute.String() != "compute" || IO.String() != "io" || Service.String() != "service" {
-		t.Fatal("Partition.String mismatch")
-	}
-}
