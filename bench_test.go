@@ -19,6 +19,7 @@ import (
 	"pario/internal/apps/btio"
 	"pario/internal/apps/fft"
 	"pario/internal/apps/scf"
+	"pario/internal/core"
 	"pario/internal/exp"
 	"pario/internal/machine"
 )
@@ -107,10 +108,8 @@ func BenchmarkAblationPrefetchDepth(b *testing.B) {
 		b.Run(benchName("depth", depth), func(b *testing.B) {
 			var io float64
 			for i := 0; i < b.N; i++ {
-				rep, err := scf.Run11(scf.Config11{
-					Machine: m, Input: in, Procs: 4,
-					Version: scf.PassionPrefetch, PrefetchDepth: depth,
-				})
+				cfg := scf.Config11{Input: in, Version: scf.PassionPrefetch, PrefetchDepth: depth}
+				rep, err := core.Run(nil, core.Spec{Machine: m, Procs: 4}, cfg.Setup)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -136,10 +135,8 @@ func BenchmarkAblationStripeUnit(b *testing.B) {
 		b.Run(benchName("suKB", int(su)), func(b *testing.B) {
 			var io float64
 			for i := 0; i < b.N; i++ {
-				rep, err := scf.Run11(scf.Config11{
-					Machine: m, Input: in, Procs: 4,
-					Version: scf.Passion, StripeUnitKB: su,
-				})
+				cfg := scf.Config11{Input: in, Version: scf.Passion, StripeUnitKB: su}
+				rep, err := core.Run(nil, core.Spec{Machine: m, Procs: 4}, cfg.Setup)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -172,7 +169,7 @@ func BenchmarkAblationWriteBehind(b *testing.B) {
 				if !cache {
 					m.Node.CacheBytes = 0
 				}
-				rep, err := btio.Run(btio.Config{Machine: m, Procs: 16, Class: cls})
+				rep, err := core.Run(nil, core.Spec{Machine: m, Procs: 16}, btio.Config{Class: cls}.Setup)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -200,7 +197,7 @@ func BenchmarkAblationSeekPenalty(b *testing.B) {
 				}
 				m.Node.Disk.SeekMin *= scale
 				m.Node.Disk.SeekMax *= scale
-				rep, err := fft.Run(fft.Config{Machine: m, Procs: 4, N: n, BufferBytes: buf})
+				rep, err := core.Run(nil, core.Spec{Machine: m, Procs: 4}, fft.Config{N: n, BufferBytes: buf}.Setup)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -230,9 +227,7 @@ func BenchmarkAblationBalancedFiles(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var execSec float64
 			for i := 0; i < b.N; i++ {
-				rep, err := scf.Run30(scf.Config30{
-					Machine: m, Input: in, Procs: 8, CachedPct: 100, Balance: bal,
-				})
+				rep, err := core.Run(nil, core.Spec{Machine: m, Procs: 8}, scf.Config30{Input: in, CachedPct: 100, Balance: bal}.Setup)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -17,13 +17,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
-	"pario/internal/core"
 	"pario/internal/machine"
 	"pario/internal/pio"
-	"pario/internal/sim"
 	"pario/internal/trace"
 	"pario/internal/workload"
 )
@@ -102,7 +99,7 @@ func main() {
 		pat, len(reqs), *req, 100**writeFrac, *procs, cfg.Name)
 	fmt.Printf("%-12s %12s %14s %14s\n", "interface", "exec", "per-proc I/O", "app MB/s")
 	for _, iface := range []pio.ClientParams{cfg.Fortran, cfg.Passion, cfg.Native} {
-		rep, err := replay(cfg, iface, *procs, reqs)
+		rep, err := workload.Replay(cfg, iface, *procs, reqs)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "iogen: %v\n", err)
 			os.Exit(1)
@@ -121,29 +118,6 @@ func writeTrace(path string, t *trace.Trace) {
 	}
 	fmt.Printf("%s: %d ranks, %d events, %d bytes of I/O\ntrace:%s\n",
 		path, len(t.Ranks), t.Events(), t.Bytes(), t.Hash())
-}
-
-// replay runs the request stream on each of procs ranks (each rank has a
-// private copy of the stream in its own file).
-func replay(cfg *machine.Config, iface pio.ClientParams, procs int, reqs []workload.Request) (core.Report, error) {
-	sys, err := core.NewSystem(cfg, procs)
-	if err != nil {
-		return core.Report{}, err
-	}
-	extent := workload.MaxExtent(reqs)
-	wall, err := sys.RunRanks(func(p *sim.Proc, rank int) {
-		f, ferr := sys.FS.Create("gen."+strconv.Itoa(rank), sys.DefaultLayout(), extent)
-		if ferr != nil {
-			panic(ferr)
-		}
-		h := sys.Client(rank, iface).Open(p, f)
-		workload.Replay(p, h, reqs, 0, cfg.CPUFlops)
-		h.Close(p)
-	})
-	if err != nil {
-		return core.Report{}, err
-	}
-	return sys.MakeReport(wall), nil
 }
 
 // parseSize parses 64, 64K, 4M, 1G via the shared hardened parser;

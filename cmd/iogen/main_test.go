@@ -45,7 +45,7 @@ func TestReplaySmokes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, iface := range []pio.ClientParams{cfg.Fortran, cfg.Passion, cfg.Native} {
-		rep, err := replay(cfg, iface, 2, reqs)
+		rep, err := workload.Replay(cfg, iface, 2, reqs)
 		if err != nil {
 			t.Fatalf("%s: %v", iface.Name, err)
 		}

@@ -36,10 +36,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if *capture != "" {
-		core.SetDefaultCapture(true)
-	}
-	req, rep, err := run(request.Request{App: *app, Procs: *procs, Input: *input, Version: *version, Opt: *opt})
+	req, rep, err := run(request.Request{App: *app, Procs: *procs, Input: *input, Version: *version, Opt: *opt}, *capture != "")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iotrace: %v\n", err)
 		os.Exit(1)
@@ -86,12 +83,17 @@ func captureIface(req request.Request) string {
 }
 
 // run canonicalizes req and simulates it through the service's shared
-// path, returning the canonical request with the report.
-func run(req request.Request) (request.Request, core.Report, error) {
+// path, capturing per-operation logs when asked, and returns the canonical
+// request with the report.
+func run(req request.Request, capture bool) (request.Request, core.Report, error) {
 	c, err := request.Canonicalize(req)
 	if err != nil {
 		return request.Request{}, core.Report{}, err
 	}
-	rep, err := request.Run(context.Background(), c)
+	runner := request.Run
+	if capture {
+		runner = request.RunCaptured
+	}
+	rep, err := runner(context.Background(), c)
 	return c, rep, err
 }

@@ -11,9 +11,12 @@ import (
 )
 
 func TestRunAppProducesTrace(t *testing.T) {
-	_, rep, err := run(request.Request{App: "fft", Procs: 2, Input: "SMALL", Version: "original"})
+	_, rep, err := run(request.Request{App: "fft", Procs: 2, Input: "SMALL", Version: "original"}, true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(rep.Captured) != 2 || len(rep.Captured[0]) == 0 {
+		t.Fatalf("-capture run captured %d ranks", len(rep.Captured))
 	}
 	if rep.Trace == nil {
 		t.Fatal("no trace recorder on report")
@@ -27,7 +30,7 @@ func TestRunAppProducesTrace(t *testing.T) {
 }
 
 func TestRunAppUnknown(t *testing.T) {
-	if _, _, err := run(request.Request{App: "nope", Procs: 2}); err == nil {
+	if _, _, err := run(request.Request{App: "nope", Procs: 2}, false); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 }
@@ -37,10 +40,10 @@ func TestRunAppUnknown(t *testing.T) {
 // original, and -opt runs the prefetch version, exactly as iosim and
 // pariod do.
 func TestRunResolvesLikeTheService(t *testing.T) {
-	if _, _, err := run(request.Request{App: "scf11", Input: "SMALL", Version: "bogus"}); err == nil {
+	if _, _, err := run(request.Request{App: "scf11", Input: "SMALL", Version: "bogus"}, false); err == nil {
 		t.Fatal("unknown scf11 version accepted")
 	}
-	req, rep, err := run(request.Request{App: "scf11", Input: "SMALL", Version: "original", Opt: true})
+	req, rep, err := run(request.Request{App: "scf11", Input: "SMALL", Version: "original", Opt: true}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

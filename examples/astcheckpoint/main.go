@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"pario/internal/apps/ast"
+	"pario/internal/core"
 	"pario/internal/machine"
 )
 
@@ -41,10 +42,8 @@ func run(w io.Writer, base ast.Config, procCounts []int) error {
 					return err
 				}
 				cfg := base
-				cfg.Machine = m
-				cfg.Procs = procs
 				cfg.Optimized = opt
-				rep, err := ast.Run(cfg)
+				rep, err := core.Run(nil, core.Spec{Machine: m, Procs: procs}, cfg.Setup)
 				if err != nil {
 					return err
 				}

@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"pario/internal/apps/btio"
+	"pario/internal/core"
 	"pario/internal/machine"
 	"pario/internal/trace"
 )
@@ -38,11 +39,12 @@ func run(w io.Writer, cls btio.Class, procCounts []int) error {
 	fmt.Fprintf(w, "%6s | %10s %10s %12s | %10s %10s %12s | %8s\n", "procs",
 		"unopt I/O", "unopt tot", "unopt writes", "opt I/O", "opt tot", "opt writes", "speedup")
 	for _, procs := range procCounts {
-		un, err := btio.Run(btio.Config{Machine: m, Procs: procs, Class: cls})
+		spec := core.Spec{Machine: m, Procs: procs}
+		un, err := core.Run(nil, spec, btio.Config{Class: cls}.Setup)
 		if err != nil {
 			return err
 		}
-		op, err := btio.Run(btio.Config{Machine: m, Procs: procs, Class: cls, Collective: true})
+		op, err := core.Run(nil, spec, btio.Config{Class: cls, Collective: true}.Setup)
 		if err != nil {
 			return err
 		}

@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"pario/internal/apps/fft"
+	"pario/internal/core"
 	"pario/internal/machine"
 )
 
@@ -47,10 +48,8 @@ func run(w io.Writer, n, buf int64, procCounts []int) error {
 			if err != nil {
 				return err
 			}
-			rep, err := fft.Run(fft.Config{
-				Machine: m, Procs: procs, N: n,
-				OptimizedLayout: c.opt, BufferBytes: buf,
-			})
+			rep, err := core.Run(nil, core.Spec{Machine: m, Procs: procs},
+				fft.Config{N: n, OptimizedLayout: c.opt, BufferBytes: buf}.Setup)
 			if err != nil {
 				return err
 			}

@@ -46,33 +46,32 @@ func main() {
 }
 
 func run(m *machine.Config, procs, ops int, opBytes int64, mode pio.Mode) (float64, error) {
-	sys, err := core.NewSystem(m, procs)
-	if err != nil {
-		return 0, err
-	}
-	f, err := sys.FS.Create("modes.demo", sys.DefaultLayout(), int64(procs*ops)*opBytes)
-	if err != nil {
-		return 0, err
-	}
-	handles := make([]*pio.Handle, procs)
-	var sf *pio.SharedFile
-	return sys.RunRanks(func(p *sim.Proc, rank int) {
-		handles[rank] = sys.Client(rank, m.Native).Open(p, f)
-		sys.Comm.Barrier(p, rank)
-		if rank == 0 {
-			s, serr := pio.NewSharedFile(sys.Comm, handles, mode, opBytes)
-			if serr != nil {
-				panic(serr)
-			}
-			sf = s
+	rep, err := core.Run(nil, core.Spec{Machine: m, Procs: procs}, func(sys *core.System) (core.Body, error) {
+		f, err := sys.FS.Create("modes.demo", sys.DefaultLayout(), int64(procs*ops)*opBytes)
+		if err != nil {
+			return nil, err
 		}
-		sys.Comm.Barrier(p, rank)
-		for i := 0; i < ops; i++ {
-			if mode == pio.ModeGlobal {
-				sf.Read(p, rank, opBytes)
-			} else {
-				sf.Write(p, rank, opBytes)
+		handles := make([]*pio.Handle, procs)
+		var sf *pio.SharedFile
+		return func(p *sim.Proc, rank int) {
+			handles[rank] = sys.Client(rank, m.Native).Open(p, f)
+			sys.Comm.Barrier(p, rank)
+			if rank == 0 {
+				s, serr := pio.NewSharedFile(sys.Comm, handles, mode, opBytes)
+				if serr != nil {
+					panic(serr)
+				}
+				sf = s
 			}
-		}
+			sys.Comm.Barrier(p, rank)
+			for i := 0; i < ops; i++ {
+				if mode == pio.ModeGlobal {
+					sf.Read(p, rank, opBytes)
+				} else {
+					sf.Write(p, rank, opBytes)
+				}
+			}
+		}, nil
 	})
+	return rep.ExecSec, err
 }

@@ -11,6 +11,7 @@ import (
 
 	"pario/internal/core"
 	"pario/internal/machine"
+	"pario/internal/pfs"
 	"pario/internal/pio"
 	"pario/internal/sim"
 )
@@ -43,34 +44,32 @@ func runWorkload(cfg *machine.Config, iface pio.ClientParams) (core.Report, erro
 		chunk    = 64 << 10
 		passes   = 3
 	)
-	sys, err := core.NewSystem(cfg, procs)
-	if err != nil {
-		return core.Report{}, err
-	}
-	// One private file per rank, striped over the whole I/O partition.
-	layout := sys.DefaultLayout()
-	wall, err := sys.RunRanks(func(p *sim.Proc, rank int) {
-		f, ferr := sys.FS.Create(fmt.Sprintf("data.%d", rank), layout, fileSize)
-		if ferr != nil {
-			panic(ferr)
-		}
-		cl := sys.Client(rank, iface)
-		h := cl.Open(p, f)
-		for off := int64(0); off < fileSize; off += chunk {
-			sys.Compute(p, 1e6) // produce the chunk
-			h.WriteAt(p, off, chunk)
-		}
-		h.Flush(p)
-		for pass := 0; pass < passes; pass++ {
-			for off := int64(0); off < fileSize; off += chunk {
-				h.ReadAt(p, off, chunk)
-				sys.Compute(p, 2e6) // consume the chunk
+	// core.Run builds the machine, lets setup create the files, runs the
+	// returned body once per rank and reports.
+	return core.Run(nil, core.Spec{Machine: cfg, Procs: procs}, func(sys *core.System) (core.Body, error) {
+		// One private file per rank, striped over the whole I/O partition.
+		files := make([]*pfs.File, procs)
+		for r := range files {
+			f, err := sys.FS.Create(fmt.Sprintf("data.%d", r), sys.DefaultLayout(), fileSize)
+			if err != nil {
+				return nil, err
 			}
+			files[r] = f
 		}
-		h.Close(p)
+		return func(p *sim.Proc, rank int) {
+			h := sys.Client(rank, iface).Open(p, files[rank])
+			for off := int64(0); off < fileSize; off += chunk {
+				sys.Compute(p, 1e6) // produce the chunk
+				h.WriteAt(p, off, chunk)
+			}
+			h.Flush(p)
+			for pass := 0; pass < passes; pass++ {
+				for off := int64(0); off < fileSize; off += chunk {
+					h.ReadAt(p, off, chunk)
+					sys.Compute(p, 2e6) // consume the chunk
+				}
+			}
+			h.Close(p)
+		}, nil
 	})
-	if err != nil {
-		return core.Report{}, err
-	}
-	return sys.MakeReport(wall), nil
 }

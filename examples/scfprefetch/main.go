@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"pario/internal/apps/scf"
+	"pario/internal/core"
 	"pario/internal/machine"
 )
 
@@ -35,8 +36,9 @@ func run(w io.Writer, in scf.Input, depths []int) error {
 	fmt.Fprintf(w, "integral file: %.1f MB per run, re-read %d times\n\n",
 		float64(scf.StoredBytes(in))/1e6, 15)
 
+	spec := core.Spec{Machine: m, Procs: 4}
 	for _, v := range []scf.Version{scf.Original, scf.Passion, scf.PassionPrefetch} {
-		rep, err := scf.Run11(scf.Config11{Machine: m, Input: in, Procs: 4, Version: v})
+		rep, err := core.Run(nil, spec, scf.Config11{Input: in, Version: v}.Setup)
 		if err != nil {
 			return err
 		}
@@ -46,10 +48,7 @@ func run(w io.Writer, in scf.Input, depths []int) error {
 
 	fmt.Fprintln(w, "\nprefetch depth sweep (PASSION interface):")
 	for _, depth := range depths {
-		rep, err := scf.Run11(scf.Config11{
-			Machine: m, Input: in, Procs: 4,
-			Version: scf.PassionPrefetch, PrefetchDepth: depth,
-		})
+		rep, err := core.Run(nil, spec, scf.Config11{Input: in, Version: scf.PassionPrefetch, PrefetchDepth: depth}.Setup)
 		if err != nil {
 			return err
 		}

@@ -32,27 +32,27 @@ func runAll(t *testing.T) map[string]core.Report {
 		t.Fatal(err)
 	}
 	out := map[string]core.Report{}
-	r, err := scf.Run11(scf.Config11{Machine: pl, Input: scf.Input{Name: "t", N: 32}, Procs: 4, Version: scf.Passion})
+	r, err := core.Run(nil, core.Spec{Machine: pl, Procs: 4}, scf.Config11{Input: scf.Input{Name: "t", N: 32}, Version: scf.Passion}.Setup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["scf11"] = r
-	r, err = scf.Run30(scf.Config30{Machine: pl, Input: scf.Input{Name: "t", N: 32}, Procs: 4, CachedPct: 50, Balance: true})
+	r, err = core.Run(nil, core.Spec{Machine: pl, Procs: 4}, scf.Config30{Input: scf.Input{Name: "t", N: 32}, CachedPct: 50, Balance: true}.Setup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["scf30"] = r
-	r, err = fft.Run(fft.Config{Machine: ps, Procs: 4, N: 256, BufferBytes: 256 << 10})
+	r, err = core.Run(nil, core.Spec{Machine: ps, Procs: 4}, fft.Config{N: 256, BufferBytes: 256 << 10}.Setup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["fft"] = r
-	r, err = btio.Run(btio.Config{Machine: sp, Procs: 4, Class: btio.Class{Name: "t", N: 16, Dumps: 3}})
+	r, err = core.Run(nil, core.Spec{Machine: sp, Procs: 4}, btio.Config{Class: btio.Class{Name: "t", N: 16, Dumps: 3}}.Setup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out["btio"] = r
-	r, err = ast.Run(ast.Config{Machine: pl, Procs: 4, N: 256, Arrays: 2, Dumps: 2})
+	r, err = core.Run(nil, core.Spec{Machine: pl, Procs: 4}, ast.Config{N: 256, Arrays: 2, Dumps: 2}.Setup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,37 +123,37 @@ func TestOptimizationsNeverIncreaseExecTime(t *testing.T) {
 		{
 			"scf11 interface+prefetch",
 			func() (core.Report, error) {
-				return scf.Run11(scf.Config11{Machine: pl, Input: scf.Input{Name: "t", N: 32}, Procs: 4, Version: scf.Original})
+				return core.Run(nil, core.Spec{Machine: pl, Procs: 4}, scf.Config11{Input: scf.Input{Name: "t", N: 32}, Version: scf.Original}.Setup)
 			},
 			func() (core.Report, error) {
-				return scf.Run11(scf.Config11{Machine: pl, Input: scf.Input{Name: "t", N: 32}, Procs: 4, Version: scf.PassionPrefetch})
+				return core.Run(nil, core.Spec{Machine: pl, Procs: 4}, scf.Config11{Input: scf.Input{Name: "t", N: 32}, Version: scf.PassionPrefetch}.Setup)
 			},
 		},
 		{
 			"fft layout",
 			func() (core.Report, error) {
-				return fft.Run(fft.Config{Machine: ps, Procs: 4, N: 256, BufferBytes: 256 << 10})
+				return core.Run(nil, core.Spec{Machine: ps, Procs: 4}, fft.Config{N: 256, BufferBytes: 256 << 10}.Setup)
 			},
 			func() (core.Report, error) {
-				return fft.Run(fft.Config{Machine: ps, Procs: 4, N: 256, BufferBytes: 256 << 10, OptimizedLayout: true})
+				return core.Run(nil, core.Spec{Machine: ps, Procs: 4}, fft.Config{N: 256, BufferBytes: 256 << 10, OptimizedLayout: true}.Setup)
 			},
 		},
 		{
 			"btio collective",
 			func() (core.Report, error) {
-				return btio.Run(btio.Config{Machine: sp, Procs: 16, Class: btio.Class{Name: "t", N: 16, Dumps: 3}})
+				return core.Run(nil, core.Spec{Machine: sp, Procs: 16}, btio.Config{Class: btio.Class{Name: "t", N: 16, Dumps: 3}}.Setup)
 			},
 			func() (core.Report, error) {
-				return btio.Run(btio.Config{Machine: sp, Procs: 16, Class: btio.Class{Name: "t", N: 16, Dumps: 3}, Collective: true})
+				return core.Run(nil, core.Spec{Machine: sp, Procs: 16}, btio.Config{Class: btio.Class{Name: "t", N: 16, Dumps: 3}, Collective: true}.Setup)
 			},
 		},
 		{
 			"ast collective",
 			func() (core.Report, error) {
-				return ast.Run(ast.Config{Machine: pl, Procs: 8, N: 256, Arrays: 2, Dumps: 2})
+				return core.Run(nil, core.Spec{Machine: pl, Procs: 8}, ast.Config{N: 256, Arrays: 2, Dumps: 2}.Setup)
 			},
 			func() (core.Report, error) {
-				return ast.Run(ast.Config{Machine: pl, Procs: 8, N: 256, Arrays: 2, Dumps: 2, Optimized: true})
+				return core.Run(nil, core.Spec{Machine: pl, Procs: 8}, ast.Config{N: 256, Arrays: 2, Dumps: 2, Optimized: true}.Setup)
 			},
 		},
 	}
@@ -177,8 +177,8 @@ func TestOptimizationsNeverIncreaseExecTime(t *testing.T) {
 // write-dominant app (no loss or duplication through pio/pfs/ionode).
 func TestVolumeConservationAcrossStack(t *testing.T) {
 	sp, _ := machine.SP2()
-	cfg := btio.Config{Machine: sp, Procs: 4, Class: btio.Class{Name: "t", N: 16, Dumps: 3}}
-	rep, err := btio.Run(cfg)
+	cfg := btio.Config{Class: btio.Class{Name: "t", N: 16, Dumps: 3}}
+	rep, err := core.Run(nil, core.Spec{Machine: sp, Procs: 4}, cfg.Setup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestMoreIONodesNeverHurtLargeScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := scf.Run11(scf.Config11{Machine: m, Input: scf.Input{Name: "t", N: 48}, Procs: 32, Version: scf.Passion})
+		rep, err := core.Run(nil, core.Spec{Machine: m, Procs: 32}, scf.Config11{Input: scf.Input{Name: "t", N: 48}, Version: scf.Passion}.Setup)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,12 +12,9 @@
 package ast
 
 import (
-	"context"
 	"fmt"
 
 	"pario/internal/core"
-	"pario/internal/fault"
-	"pario/internal/machine"
 	"pario/internal/ooc"
 	"pario/internal/pfs"
 	"pario/internal/pio"
@@ -39,16 +36,9 @@ const (
 	solverFlopsPerPoint = 60
 )
 
-// Config describes one AST run.
+// Config describes one AST run; the machine and process count are the
+// run's core.Spec.
 type Config struct {
-	// Ctx, when non-nil, bounds the run: cancellation tears the
-	// simulation down promptly (see core.System.RunRanksCtx).
-	Ctx context.Context
-	// Faults, when non-nil, schedules the plan's injections on the run
-	// and enables PFS client resilience (see core.System.InstallFaults).
-	Faults  *fault.Plan
-	Machine *machine.Config
-	Procs   int
 	// N is the square array dimension; the paper's "reasonably large
 	// input" is 2K x 2K.
 	N int64
@@ -65,10 +55,7 @@ type Config struct {
 	Restart bool
 }
 
-func (c *Config) defaults() error {
-	if c.Machine == nil || c.Procs < 1 {
-		return fmt.Errorf("ast: incomplete config %+v", c)
-	}
+func (c *Config) defaults() {
 	if c.N == 0 {
 		c.N = 2048
 	}
@@ -78,36 +65,27 @@ func (c *Config) defaults() error {
 	if c.Dumps == 0 {
 		c.Dumps = 12
 	}
-	if c.N < int64(c.Procs) {
-		return fmt.Errorf("ast: N=%d smaller than %d procs", c.N, c.Procs)
-	}
-	return nil
 }
 
 // TotalIOBytes returns the configured run's dump volume.
 func (c Config) TotalIOBytes() int64 {
-	cc := c
-	_ = cc.defaults()
-	return int64(cc.Dumps) * int64(cc.Arrays) * cc.N * cc.N * elemBytes
+	c.defaults()
+	return int64(c.Dumps) * int64(c.Arrays) * c.N * c.N * elemBytes
 }
 
-// Run simulates the AST run and returns its report.
-func Run(cfg Config) (core.Report, error) {
-	if err := cfg.defaults(); err != nil {
-		return core.Report{}, err
+// Setup creates the AST dump file on sys and returns its rank body; run it
+// with core.Run.
+func (cfg Config) Setup(sys *core.System) (core.Body, error) {
+	cfg.defaults()
+	procs := sys.Procs
+	if cfg.N < int64(procs) {
+		return nil, fmt.Errorf("ast: N=%d smaller than %d procs", cfg.N, procs)
 	}
-	sys, err := core.NewSystem(cfg.Machine, cfg.Procs)
-	if err != nil {
-		return core.Report{}, err
-	}
-	if err := sys.InstallFaults(cfg.Faults); err != nil {
-		return core.Report{}, err
-	}
-	layout := pfs.Layout{StripeUnit: cfg.Machine.DefaultStripeUnit, StripeFactor: sys.FS.NumIONodes()}
+	layout := pfs.Layout{StripeUnit: sys.Cfg.DefaultStripeUnit, StripeFactor: sys.FS.NumIONodes()}
 	snapBytes := int64(cfg.Arrays) * cfg.N * cfg.N * elemBytes
 	file, err := sys.FS.Create("ast.dump", layout, int64(cfg.Dumps)*snapBytes)
 	if err != nil {
-		return core.Report{}, err
+		return nil, err
 	}
 
 	// Each array is stored column-major; processes own block column
@@ -117,13 +95,13 @@ func Run(cfg Config) (core.Report, error) {
 	for a := range arrays {
 		arr, aerr := ooc.NewArray2D(cfg.N, cfg.N, elemBytes, ooc.ColMajor, int64(a)*cfg.N*cfg.N*elemBytes)
 		if aerr != nil {
-			return core.Report{}, aerr
+			return nil, aerr
 		}
 		arrays[a] = arr
 	}
 	colsOf := func(rank int) (int64, int64) {
-		per := cfg.N / int64(cfg.Procs)
-		rem := cfg.N % int64(cfg.Procs)
+		per := cfg.N / int64(procs)
+		rem := cfg.N % int64(procs)
 		c0 := int64(rank)*per + min64(int64(rank), rem)
 		c1 := c0 + per
 		if int64(rank) < rem {
@@ -132,15 +110,15 @@ func Run(cfg Config) (core.Report, error) {
 		return c0, c1
 	}
 
-	pointsPerProc := float64(cfg.N) * float64(cfg.N) * float64(cfg.Arrays) / float64(cfg.Procs)
+	pointsPerProc := float64(cfg.N) * float64(cfg.N) * float64(cfg.Arrays) / float64(procs)
 	computePerDump := solverFlopsPerPoint * pointsPerProc
 
-	handles := make([]*pio.Handle, cfg.Procs)
+	handles := make([]*pio.Handle, procs)
 	var coll *pio.Collective
 	var funnel *pio.Funnel
 
-	wall, err := sys.RunRanksCtx(cfg.Ctx, func(p *sim.Proc, rank int) {
-		cl := sys.Client(rank, cfg.Machine.Passion)
+	return func(p *sim.Proc, rank int) {
+		cl := sys.Client(rank, sys.Cfg.Passion)
 		h := cl.Open(p, file)
 		handles[rank] = h
 		sys.Comm.Barrier(p, rank)
@@ -158,7 +136,7 @@ func Run(cfg Config) (core.Report, error) {
 				}
 				// The per-chunk packing cost on the owning compute node is
 				// the Fortran write-call path the library goes through.
-				f.SetCallCost(cfg.Machine.Fortran.WriteCallSec)
+				f.SetCallCost(sys.Cfg.Fortran.WriteCallSec)
 				f.SetRecorders(sys.Recorders)
 				funnel = f
 			}
@@ -194,11 +172,7 @@ func Run(cfg Config) (core.Report, error) {
 			}
 		}
 		h.Close(p)
-	})
-	if err != nil {
-		return core.Report{}, err
-	}
-	return sys.MakeReport(wall), nil
+	}, nil
 }
 
 func min64(a, b int64) int64 {

@@ -3,6 +3,7 @@ package ast
 import (
 	"testing"
 
+	"pario/internal/core"
 	"pario/internal/machine"
 	"pario/internal/trace"
 )
@@ -16,20 +17,24 @@ func paragon(t *testing.T, nio int) *machine.Config {
 	return m
 }
 
+// testRun is one test run: the spec it runs under and the app config.
+type testRun struct {
+	spec core.Spec
+	Config
+}
+
+func run(r testRun) (core.Report, error) { return core.Run(nil, r.spec, r.Config.Setup) }
+
 // testCfg is a reduced problem (256x256, 2 arrays, 2 dumps) for fast tests.
-func testCfg(t *testing.T, procs, nio int, opt bool) Config {
-	return Config{
-		Machine:   paragon(t, nio),
-		Procs:     procs,
-		N:         256,
-		Arrays:    2,
-		Dumps:     2,
-		Optimized: opt,
+func testCfg(t *testing.T, procs, nio int, opt bool) testRun {
+	return testRun{
+		spec:   core.Spec{Machine: paragon(t, nio), Procs: procs},
+		Config: Config{N: 256, Arrays: 2, Dumps: 2, Optimized: opt},
 	}
 }
 
 func TestRunCompletes(t *testing.T) {
-	rep, err := Run(testCfg(t, 4, 16, false))
+	rep, err := run(testCfg(t, 4, 16, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +45,7 @@ func TestRunCompletes(t *testing.T) {
 
 func TestWriteVolume(t *testing.T) {
 	cfg := testCfg(t, 4, 16, false)
-	rep, err := Run(cfg)
+	rep, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +56,11 @@ func TestWriteVolume(t *testing.T) {
 
 func TestOptimizedMuchFaster(t *testing.T) {
 	// Table 4's direction: two-phase beats the funnel by a large factor.
-	un, err := Run(testCfg(t, 8, 16, false))
+	un, err := run(testCfg(t, 8, 16, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := Run(testCfg(t, 8, 16, true))
+	op, err := run(testCfg(t, 8, 16, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +72,11 @@ func TestOptimizedMuchFaster(t *testing.T) {
 func TestUnoptimizedExecDecreasesWithProcs(t *testing.T) {
 	// Table 4 unoptimized column: 2557 -> 1203 -> 638 going 16 -> 32 -> 64
 	// processes (the per-process packing work parallelizes).
-	few, err := Run(testCfg(t, 2, 16, false))
+	few, err := run(testCfg(t, 2, 16, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Run(testCfg(t, 8, 16, false))
+	many, err := run(testCfg(t, 8, 16, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +88,11 @@ func TestUnoptimizedExecDecreasesWithProcs(t *testing.T) {
 func TestExtraIONodesMarginal(t *testing.T) {
 	// Table 4: 64 I/O nodes improve only marginally over 16 — the
 	// bottleneck is the access pattern, not the I/O partition.
-	io16, err := Run(testCfg(t, 8, 16, false))
+	io16, err := run(testCfg(t, 8, 16, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	io64, err := Run(testCfg(t, 8, 64, false))
+	io64, err := run(testCfg(t, 8, 64, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +105,7 @@ func TestExtraIONodesMarginal(t *testing.T) {
 
 func TestFunnelConcentratesWritesAtRankZero(t *testing.T) {
 	cfg := testCfg(t, 4, 16, false)
-	rep, err := Run(cfg)
+	rep, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,33 +119,31 @@ func TestFunnelConcentratesWritesAtRankZero(t *testing.T) {
 
 func TestOptimizedFewRequests(t *testing.T) {
 	cfg := testCfg(t, 4, 16, true)
-	rep, err := Run(cfg)
+	rep, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two-phase: at most P requests per dump.
-	max := int64(cfg.Procs * cfg.Dumps)
+	max := int64(cfg.spec.Procs * cfg.Dumps)
 	if got := rep.Trace.Get(trace.Write).Count; got > max {
 		t.Fatalf("optimized write ops = %d, want <= %d", got, max)
 	}
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := run(testRun{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
 	cfg := testCfg(t, 4, 16, false)
 	cfg.N = 2
-	if _, err := Run(cfg); err == nil {
+	if _, err := run(cfg); err == nil {
 		t.Fatal("N < procs accepted")
 	}
 }
 
 func TestDefaults(t *testing.T) {
-	cfg := Config{Machine: paragon(t, 16), Procs: 16}
-	if err := cfg.defaults(); err != nil {
-		t.Fatal(err)
-	}
+	var cfg Config
+	cfg.defaults()
 	if cfg.N != 2048 || cfg.Arrays != 5 || cfg.Dumps != 12 {
 		t.Fatalf("defaults = %+v", cfg)
 	}
@@ -148,12 +151,12 @@ func TestDefaults(t *testing.T) {
 
 func TestRestartAddsReads(t *testing.T) {
 	base := testCfg(t, 4, 16, false)
-	noRestart, err := Run(base)
+	noRestart, err := run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.Restart = true
-	withRestart, err := Run(base)
+	withRestart, err := run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +176,12 @@ func TestRestartAddsReads(t *testing.T) {
 func TestRestartOptimizedUsesCollectiveRead(t *testing.T) {
 	cfg := testCfg(t, 4, 16, true)
 	cfg.Restart = true
-	rep, err := Run(cfg)
+	rep, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Collective restart: at most P large read requests.
-	if got := rep.Trace.Get(trace.Read).Count; got > int64(cfg.Procs) {
-		t.Fatalf("collective restart reads = %d, want <= %d", got, cfg.Procs)
+	if got := rep.Trace.Get(trace.Read).Count; got > int64(cfg.spec.Procs) {
+		t.Fatalf("collective restart reads = %d, want <= %d", got, cfg.spec.Procs)
 	}
 }

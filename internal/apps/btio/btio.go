@@ -14,13 +14,10 @@
 package btio
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"pario/internal/core"
-	"pario/internal/fault"
-	"pario/internal/machine"
 	"pario/internal/ooc"
 	"pario/internal/pfs"
 	"pario/internal/pio"
@@ -63,17 +60,10 @@ const (
 	stepFlopsPerPoint = 20000
 )
 
-// Config describes one BTIO run.
+// Config describes one BTIO run; the machine and process count are the
+// run's core.Spec, whose process count must be a perfect square (BT
+// requirement).
 type Config struct {
-	// Ctx, when non-nil, bounds the run: cancellation tears the
-	// simulation down promptly (see core.System.RunRanksCtx).
-	Ctx context.Context
-	// Faults, when non-nil, schedules the plan's injections on the run
-	// and enables PFS client resilience (see core.System.InstallFaults).
-	Faults  *fault.Plan
-	Machine *machine.Config
-	// Procs must be a perfect square (BT requirement).
-	Procs int
 	Class Class
 	// Collective selects the two-phase optimized version.
 	Collective bool
@@ -104,50 +94,42 @@ func cellRuns(arr *ooc.Array3D, pi, pj, k, q int, n int64) []ooc.Run {
 	return arr.SectionRuns(x0, x1, y0, y1, z0, z1)
 }
 
-// Run simulates the BTIO run and returns its report.
-func Run(cfg Config) (core.Report, error) {
-	if cfg.Machine == nil || cfg.Procs < 1 {
-		return core.Report{}, fmt.Errorf("btio: incomplete config %+v", cfg)
-	}
-	q := int(math.Round(math.Sqrt(float64(cfg.Procs))))
-	if q*q != cfg.Procs {
-		return core.Report{}, fmt.Errorf("btio: %d processes is not a perfect square", cfg.Procs)
+// Setup creates the BTIO solution file on sys and returns its rank body;
+// run it with core.Run.
+func (cfg Config) Setup(sys *core.System) (core.Body, error) {
+	procs := sys.Procs
+	q := int(math.Round(math.Sqrt(float64(procs))))
+	if q*q != procs {
+		return nil, fmt.Errorf("btio: %d processes is not a perfect square", procs)
 	}
 	if cfg.Class.N == 0 {
-		return core.Report{}, fmt.Errorf("btio: missing class")
+		return nil, fmt.Errorf("btio: missing class")
 	}
 	dumps := cfg.Class.Dumps
-	sys, err := core.NewSystem(cfg.Machine, cfg.Procs)
-	if err != nil {
-		return core.Report{}, err
-	}
-	if err := sys.InstallFaults(cfg.Faults); err != nil {
-		return core.Report{}, err
-	}
 	n := cfg.Class.N
 	arr, err := ooc.NewArray3D(n, n, n, comp, elemBytes, 0)
 	if err != nil {
-		return core.Report{}, err
+		return nil, err
 	}
-	layout := pfs.Layout{StripeUnit: cfg.Machine.DefaultStripeUnit, StripeFactor: sys.FS.NumIONodes()}
+	layout := pfs.Layout{StripeUnit: sys.Cfg.DefaultStripeUnit, StripeFactor: sys.FS.NumIONodes()}
 	file, err := sys.FS.Create("btio.solution", layout, int64(dumps)*arr.SizeBytes())
 	if err != nil {
-		return core.Report{}, err
+		return nil, err
 	}
 
 	// Each dump appends a full solution snapshot; dump d's array starts at
 	// d * SizeBytes.
 	snapBytes := arr.SizeBytes()
 
-	pointsPerProc := float64(n*n*n) / float64(cfg.Procs)
+	pointsPerProc := float64(n*n*n) / float64(procs)
 	computePerDump := stepsPerDump * stepFlopsPerPoint * pointsPerProc
 
 	// Pre-build the collective once (shared across all ranks' closures).
-	handles := make([]*pio.Handle, cfg.Procs)
+	handles := make([]*pio.Handle, procs)
 	var coll *pio.Collective
 
-	wall, err := sys.RunRanksCtx(cfg.Ctx, func(p *sim.Proc, rank int) {
-		cl := sys.Client(rank, cfg.Machine.Unix)
+	return func(p *sim.Proc, rank int) {
+		cl := sys.Client(rank, sys.Cfg.Unix)
 		h := cl.Open(p, file)
 		handles[rank] = h
 		sys.Comm.Barrier(p, rank)
@@ -200,9 +182,5 @@ func Run(cfg Config) (core.Report, error) {
 			sys.Comm.Allreduce(p, rank, 8)
 		}
 		h.Close(p)
-	})
-	if err != nil {
-		return core.Report{}, err
-	}
-	return sys.MakeReport(wall), nil
+	}, nil
 }

@@ -3,6 +3,7 @@ package btio
 import (
 	"testing"
 
+	"pario/internal/core"
 	"pario/internal/machine"
 	"pario/internal/ooc"
 	"pario/internal/trace"
@@ -17,11 +18,16 @@ func sp2(t *testing.T) *machine.Config {
 	return m
 }
 
+// run runs cfg on procs ranks of the SP-2.
+func run(t *testing.T, procs int, cfg Config) (core.Report, error) {
+	return core.Run(nil, core.Spec{Machine: sp2(t), Procs: procs}, cfg.Setup)
+}
+
 // tinyClass keeps tests fast; mechanisms are scale-free.
 var tinyClass = Class{Name: "T", N: 16, Dumps: 3}
 
 func TestRunCompletes(t *testing.T) {
-	rep, err := Run(Config{Machine: sp2(t), Procs: 4, Class: tinyClass})
+	rep, err := run(t, 4, Config{Class: tinyClass})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +37,8 @@ func TestRunCompletes(t *testing.T) {
 }
 
 func TestWriteVolumeMatchesClass(t *testing.T) {
-	cfg := Config{Machine: sp2(t), Procs: 4, Class: tinyClass}
-	rep, err := Run(cfg)
+	cfg := Config{Class: tinyClass}
+	rep, err := run(t, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +50,8 @@ func TestWriteVolumeMatchesClass(t *testing.T) {
 func TestCollectiveWritesSameVolume(t *testing.T) {
 	// Two-phase writes whole stripe-aligned domains, so it may write
 	// padding, but never less than the data.
-	cfg := Config{Machine: sp2(t), Procs: 4, Class: tinyClass, Collective: true}
-	rep, err := Run(cfg)
+	cfg := Config{Class: tinyClass, Collective: true}
+	rep, err := run(t, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +64,7 @@ func TestUnoptimizedRequestCountGrowsWithSqrtP(t *testing.T) {
 	// §4.5: the total number of I/O calls grows with the processor count
 	// in the unoptimized version.
 	count := func(procs int) int64 {
-		rep, err := Run(Config{Machine: sp2(t), Procs: procs, Class: tinyClass})
+		rep, err := run(t, procs, Config{Class: tinyClass})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +77,7 @@ func TestUnoptimizedRequestCountGrowsWithSqrtP(t *testing.T) {
 }
 
 func TestCollectiveRequestCountIsPPerDump(t *testing.T) {
-	rep, err := Run(Config{Machine: sp2(t), Procs: 4, Class: tinyClass, Collective: true})
+	rep, err := run(t, 4, Config{Class: tinyClass, Collective: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +92,11 @@ func TestCollectiveRequestCountIsPPerDump(t *testing.T) {
 }
 
 func TestCollectiveReducesIOTime(t *testing.T) {
-	un, err := Run(Config{Machine: sp2(t), Procs: 16, Class: tinyClass})
+	un, err := run(t, 16, Config{Class: tinyClass})
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := Run(Config{Machine: sp2(t), Procs: 16, Class: tinyClass, Collective: true})
+	op, err := run(t, 16, Config{Class: tinyClass, Collective: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +111,11 @@ func TestCollectiveReducesIOTime(t *testing.T) {
 func TestBandwidthImprovement(t *testing.T) {
 	// Figure 7's direction: optimized bandwidth is a large multiple of the
 	// original's.
-	un, err := Run(Config{Machine: sp2(t), Procs: 16, Class: tinyClass})
+	un, err := run(t, 16, Config{Class: tinyClass})
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := Run(Config{Machine: sp2(t), Procs: 16, Class: tinyClass, Collective: true})
+	op, err := run(t, 16, Config{Class: tinyClass, Collective: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,16 +126,16 @@ func TestBandwidthImprovement(t *testing.T) {
 }
 
 func TestNonSquareProcsRejected(t *testing.T) {
-	if _, err := Run(Config{Machine: sp2(t), Procs: 6, Class: tinyClass}); err == nil {
+	if _, err := run(t, 6, Config{Class: tinyClass}); err == nil {
 		t.Fatal("non-square process count accepted")
 	}
 }
 
 func TestMissingClassRejected(t *testing.T) {
-	if _, err := Run(Config{Machine: sp2(t), Procs: 4}); err == nil {
+	if _, err := run(t, 4, Config{}); err == nil {
 		t.Fatal("missing class accepted")
 	}
-	if _, err := Run(Config{}); err == nil {
+	if _, err := core.Run(nil, core.Spec{}, Config{}.Setup); err == nil {
 		t.Fatal("empty config accepted")
 	}
 }
@@ -137,13 +143,13 @@ func TestMissingClassRejected(t *testing.T) {
 func TestDumpsOverride(t *testing.T) {
 	// A class with fewer dumps than the paper's shortens a run: it writes
 	// that many dumps' worth and no more.
-	full := Config{Machine: sp2(t), Procs: 4, Class: tinyClass}
+	full := Config{Class: tinyClass}
 	short := full
 	short.Class.Dumps = 1
 	if short.TotalIOBytes() != full.TotalIOBytes()/int64(tinyClass.Dumps) {
 		t.Fatalf("one-dump volume = %d, want a %dth of %d", short.TotalIOBytes(), tinyClass.Dumps, full.TotalIOBytes())
 	}
-	rep, err := Run(short)
+	rep, err := run(t, 4, short)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +206,13 @@ func TestBoundsPartition(t *testing.T) {
 }
 
 func TestVerifyAddsReadBack(t *testing.T) {
-	cfg := Config{Machine: sp2(t), Procs: 4, Class: tinyClass}
-	plain, err := Run(cfg)
+	cfg := Config{Class: tinyClass}
+	plain, err := run(t, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Verify = true
-	verified, err := Run(cfg)
+	verified, err := run(t, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +230,8 @@ func TestVerifyAddsReadBack(t *testing.T) {
 }
 
 func TestVerifyCollectiveReads(t *testing.T) {
-	cfg := Config{Machine: sp2(t), Procs: 4, Class: tinyClass, Collective: true, Verify: true}
-	rep, err := Run(cfg)
+	cfg := Config{Class: tinyClass, Collective: true, Verify: true}
+	rep, err := run(t, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,13 +16,10 @@
 package fft
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"pario/internal/core"
-	"pario/internal/fault"
-	"pario/internal/machine"
 	"pario/internal/ooc"
 	"pario/internal/pfs"
 	"pario/internal/sim"
@@ -36,16 +33,9 @@ func fftFlops(n int64) float64 {
 	return 5 * float64(n) * math.Log2(float64(n))
 }
 
-// Config describes one FFT run.
+// Config describes one FFT run; the machine and process count are the
+// run's core.Spec.
 type Config struct {
-	// Ctx, when non-nil, bounds the run: cancellation tears the
-	// simulation down promptly (see core.System.RunRanksCtx).
-	Ctx context.Context
-	// Faults, when non-nil, schedules the plan's injections on the run
-	// and enables PFS client resilience (see core.System.InstallFaults).
-	Faults  *fault.Plan
-	Machine *machine.Config
-	Procs   int
 	// N is the array dimension; the paper's 1.5 GB total I/O corresponds
 	// to N = 4096 (6 passes x 256 MB).
 	N int64
@@ -58,15 +48,12 @@ type Config struct {
 	BufferBytes int64
 }
 
-func (c *Config) defaults() error {
-	if c.Machine == nil || c.Procs < 1 {
-		return fmt.Errorf("fft: incomplete config %+v", c)
-	}
+func (c *Config) defaults(procs int) error {
 	if c.N == 0 {
 		c.N = 4096
 	}
-	if c.N < int64(c.Procs) {
-		return fmt.Errorf("fft: N=%d smaller than %d procs", c.N, c.Procs)
+	if c.N < int64(procs) {
+		return fmt.Errorf("fft: N=%d smaller than %d procs", c.N, procs)
 	}
 	if c.BufferBytes == 0 {
 		c.BufferBytes = 8 << 20
@@ -81,35 +68,30 @@ func (c *Config) defaults() error {
 // array), for reporting.
 func TotalIOBytes(n int64) int64 { return 6 * n * n * elemBytes }
 
-// Run simulates the FFT and returns its report.
-func Run(cfg Config) (core.Report, error) {
-	if err := cfg.defaults(); err != nil {
-		return core.Report{}, err
+// Setup creates the FFT's two arrays on sys and returns its rank body; run
+// it with core.Run.
+func (cfg Config) Setup(sys *core.System) (core.Body, error) {
+	if err := cfg.defaults(sys.Procs); err != nil {
+		return nil, err
 	}
-	sys, err := core.NewSystem(cfg.Machine, cfg.Procs)
-	if err != nil {
-		return core.Report{}, err
-	}
-	if err := sys.InstallFaults(cfg.Faults); err != nil {
-		return core.Report{}, err
-	}
+	procs := sys.Procs
 	nio := sys.FS.NumIONodes()
-	layout := pfs.Layout{StripeUnit: cfg.Machine.DefaultStripeUnit, StripeFactor: nio}
+	layout := pfs.Layout{StripeUnit: sys.Cfg.DefaultStripeUnit, StripeFactor: nio}
 
 	arrBytes := cfg.N * cfg.N * elemBytes
 	fileA, err := sys.FS.Create("fft.A", layout, arrBytes)
 	if err != nil {
-		return core.Report{}, err
+		return nil, err
 	}
 	fileB, err := sys.FS.Create("fft.B", layout, arrBytes)
 	if err != nil {
-		return core.Report{}, err
+		return nil, err
 	}
 
 	// Per-process column ownership (block distribution).
 	colsOf := func(rank int) (int64, int64) {
-		per := cfg.N / int64(cfg.Procs)
-		rem := cfg.N % int64(cfg.Procs)
+		per := cfg.N / int64(procs)
+		rem := cfg.N % int64(procs)
 		c0 := int64(rank)*per + min64(int64(rank), rem)
 		c1 := c0 + per
 		if int64(rank) < rem {
@@ -146,31 +128,31 @@ func Run(cfg Config) (core.Report, error) {
 	orderB := ooc.ColMajor
 	if cfg.OptimizedLayout {
 		var writes []ooc.Access
-		for rank := 0; rank < cfg.Procs; rank++ {
+		for rank := 0; rank < procs; rank++ {
 			c0, c1 := colsOf(rank)
 			for c := c0; c < c1; c += tPanel {
 				writes = append(writes, ooc.Access{R0: c, R1: min64(c+tPanel, c1), C0: 0, C1: cfg.N, Times: 1})
 			}
 		}
 		if orderB, _, _, err = ooc.ChooseOrder(cfg.N, cfg.N, writes); err != nil {
-			return core.Report{}, err
+			return nil, err
 		}
 	}
 	arrA, err := ooc.NewArray2D(cfg.N, cfg.N, elemBytes, ooc.ColMajor, 0)
 	if err != nil {
-		return core.Report{}, err
+		return nil, err
 	}
 	arrB, err := ooc.NewArray2D(cfg.N, cfg.N, elemBytes, orderB, 0)
 	if err != nil {
-		return core.Report{}, err
+		return nil, err
 	}
 
 	colFFTFlops := fftFlops(cfg.N)
 
-	wall, err := sys.RunRanksCtx(cfg.Ctx, func(p *sim.Proc, rank int) {
+	return func(p *sim.Proc, rank int) {
 		// Hand-written code driving PFS directly: the client path is
 		// cheap, so the I/O nodes set the pace (paper §4.4).
-		cl := sys.Client(rank, cfg.Machine.Native)
+		cl := sys.Client(rank, sys.Cfg.Native)
 		hA := cl.Open(p, fileA)
 		hB := cl.Open(p, fileB)
 		c0, c1 := colsOf(rank)
@@ -230,11 +212,7 @@ func Run(cfg Config) (core.Report, error) {
 		}
 		hA.Close(p)
 		hB.Close(p)
-	})
-	if err != nil {
-		return core.Report{}, err
-	}
-	return sys.MakeReport(wall), nil
+	}, nil
 }
 
 func min64(a, b int64) int64 {

@@ -1,8 +1,11 @@
 package fft
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
+	"pario/internal/core"
 	"pario/internal/machine"
 	"pario/internal/trace"
 )
@@ -16,20 +19,25 @@ func paragonSmall(t *testing.T, nio int) *machine.Config {
 	return m
 }
 
+// testRun is one test run: the spec it runs under and the app config.
+type testRun struct {
+	spec core.Spec
+	Config
+}
+
+func run(r testRun) (core.Report, error) { return core.Run(nil, r.spec, r.Config.Setup) }
+
 // testCfg is a reduced problem (256x256, 256 KB buffers) so tests run
 // quickly; the layout effect is scale-free.
-func testCfg(t *testing.T, procs, nio int, opt bool) Config {
-	return Config{
-		Machine:         paragonSmall(t, nio),
-		Procs:           procs,
-		N:               256,
-		OptimizedLayout: opt,
-		BufferBytes:     256 << 10,
+func testCfg(t *testing.T, procs, nio int, opt bool) testRun {
+	return testRun{
+		spec:   core.Spec{Machine: paragonSmall(t, nio), Procs: procs},
+		Config: Config{N: 256, OptimizedLayout: opt, BufferBytes: 256 << 10},
 	}
 }
 
 func TestRunCompletes(t *testing.T) {
-	rep, err := Run(testCfg(t, 4, 2, false))
+	rep, err := run(testCfg(t, 4, 2, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +47,7 @@ func TestRunCompletes(t *testing.T) {
 }
 
 func TestIOVolumeIsSixPasses(t *testing.T) {
-	rep, err := Run(testCfg(t, 2, 2, false))
+	rep, err := run(testCfg(t, 2, 2, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +63,11 @@ func TestIOVolumeIsSixPasses(t *testing.T) {
 }
 
 func TestLayoutOptimizationReducesRequests(t *testing.T) {
-	un, err := Run(testCfg(t, 2, 2, false))
+	un, err := run(testCfg(t, 2, 2, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := Run(testCfg(t, 2, 2, true))
+	op, err := run(testCfg(t, 2, 2, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +79,11 @@ func TestLayoutOptimizationReducesRequests(t *testing.T) {
 }
 
 func TestLayoutOptimizationReducesIOTime(t *testing.T) {
-	un, err := Run(testCfg(t, 2, 2, false))
+	un, err := run(testCfg(t, 2, 2, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := Run(testCfg(t, 2, 2, true))
+	op, err := run(testCfg(t, 2, 2, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +100,11 @@ func TestOptimized2IOBeatsUnoptimized4IO(t *testing.T) {
 	// program on 2 I/O nodes beats the unoptimized one on 4 I/O nodes for
 	// all processor counts.
 	for _, procs := range []int{1, 2, 4, 8} {
-		op2, err := Run(testCfg(t, procs, 2, true))
+		op2, err := run(testCfg(t, procs, 2, true))
 		if err != nil {
 			t.Fatal(err)
 		}
-		un4, err := Run(testCfg(t, procs, 4, false))
+		un4, err := run(testCfg(t, procs, 4, false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +117,7 @@ func TestOptimized2IOBeatsUnoptimized4IO(t *testing.T) {
 
 func TestIODominatesExecution(t *testing.T) {
 	// Paper §4.4: I/O is 90-95% of FFT execution time (unoptimized).
-	rep, err := Run(testCfg(t, 4, 2, false))
+	rep, err := run(testCfg(t, 4, 2, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +129,11 @@ func TestIODominatesExecution(t *testing.T) {
 func TestUnoptimizedIOTimeGrowsWithProcs(t *testing.T) {
 	// Figure 5(a): on 2 I/O nodes the unoptimized I/O time rises beyond a
 	// small processor count instead of scaling down.
-	few, err := Run(testCfg(t, 2, 2, false))
+	few, err := run(testCfg(t, 2, 2, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Run(testCfg(t, 16, 2, false))
+	many, err := run(testCfg(t, 16, 2, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,24 +144,24 @@ func TestUnoptimizedIOTimeGrowsWithProcs(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := run(testRun{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
 	cfg := testCfg(t, 2, 2, false)
 	cfg.BufferBytes = 1024 // cannot hold one column
-	if _, err := Run(cfg); err == nil {
+	if _, err := run(cfg); err == nil {
 		t.Fatal("tiny buffer accepted")
 	}
 	cfg = testCfg(t, 2, 2, false)
 	cfg.N = 1
-	if _, err := Run(cfg); err == nil {
+	if _, err := run(cfg); err == nil {
 		t.Fatal("N < procs accepted")
 	}
 }
 
 func TestDefaultN(t *testing.T) {
-	cfg := Config{Machine: paragonSmall(t, 2), Procs: 1}
-	if err := cfg.defaults(); err != nil {
+	var cfg Config
+	if err := cfg.defaults(1); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.N != 4096 || cfg.BufferBytes != 8<<20 {
@@ -162,5 +170,40 @@ func TestDefaultN(t *testing.T) {
 	// 4096 gives the paper's 1.5 GB total I/O.
 	if v := TotalIOBytes(4096); v < 1400<<20 || v > 1700<<20 {
 		t.Fatalf("default I/O volume = %d, want ~1.5 GB", v)
+	}
+}
+
+// TestCaptureIsPerRun runs a capturing and a non-capturing FFT at once:
+// capture is a choice of one run's Spec, so the first returns exactly the
+// per-rank logs of a capturing run made alone and the second captures
+// nothing.
+func TestCaptureIsPerRun(t *testing.T) {
+	capturing := testCfg(t, 4, 2, false)
+	capturing.spec.Capture = true
+	alone, err := run(capturing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(alone.Captured) != 4 || len(alone.Captured[0]) == 0 {
+		t.Fatalf("capturing run captured %d ranks", len(alone.Captured))
+	}
+	var wg sync.WaitGroup
+	var with, without core.Report
+	var errWith, errWithout error
+	wg.Add(2)
+	go func() { defer wg.Done(); with, errWith = run(capturing) }()
+	go func() { defer wg.Done(); without, errWithout = run(testCfg(t, 4, 2, false)) }()
+	wg.Wait()
+	if errWith != nil || errWithout != nil {
+		t.Fatal(errWith, errWithout)
+	}
+	if !reflect.DeepEqual(with.Captured, alone.Captured) {
+		t.Fatal("concurrent capturing run's logs differ from the run made alone")
+	}
+	if without.Captured != nil {
+		t.Fatalf("non-capturing run captured %d ranks", len(without.Captured))
+	}
+	if without.ExecSec != with.ExecSec {
+		t.Fatalf("capture changed the simulation: exec %g vs %g", without.ExecSec, with.ExecSec)
 	}
 }

@@ -1,7 +1,7 @@
 package scf
 
 // Exported closed-form workload counts. The analytic estimator
-// (internal/roofline) mirrors Run11/Run30's op and byte counts without
+// (internal/roofline) mirrors SCF 1.1's and 3.0's op and byte counts without
 // running them; exporting the calibrated constants here keeps the two in
 // lockstep — a recalibration in scf.go is picked up by the estimator (and
 // its cross-validation suite) automatically.

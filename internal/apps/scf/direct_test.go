@@ -7,7 +7,7 @@ import (
 )
 
 func TestDirectDoesNoIO(t *testing.T) {
-	rep, err := Run11(Config11{Machine: paragon(t, 12), Input: tiny, Procs: 4, Version: Direct})
+	rep, err := run11(t, 12, 4, Config11{Input: tiny, Version: Direct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,11 +23,11 @@ func TestDirectDoesNoIO(t *testing.T) {
 }
 
 func TestDirectScalesWithProcs(t *testing.T) {
-	few, err := Run11(Config11{Machine: paragon(t, 12), Input: tiny, Procs: 2, Version: Direct})
+	few, err := run11(t, 12, 2, Config11{Input: tiny, Version: Direct})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Run11(Config11{Machine: paragon(t, 12), Input: tiny, Procs: 16, Version: Direct})
+	many, err := run11(t, 12, 16, Config11{Input: tiny, Version: Direct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +40,11 @@ func TestDirectScalesWithProcs(t *testing.T) {
 func TestDiskBasedBeatsDirectAtSmallScale(t *testing.T) {
 	// The paper's §5 observation, small-P half: with few processors the
 	// disk-based version (integral reuse) wins over recomputation.
-	disk, err := Run11(Config11{Machine: paragon(t, 12), Input: tiny, Procs: 2, Version: Passion})
+	disk, err := run11(t, 12, 2, Config11{Input: tiny, Version: Passion})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Run11(Config11{Machine: paragon(t, 12), Input: tiny, Procs: 2, Version: Direct})
+	direct, err := run11(t, 12, 2, Config11{Input: tiny, Version: Direct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestDirectVersionString(t *testing.T) {
 }
 
 func TestDirectSeeksZero(t *testing.T) {
-	rep, err := Run11(Config11{Machine: paragon(t, 12), Input: tiny, Procs: 2, Version: Direct})
+	rep, err := run11(t, 12, 2, Config11{Input: tiny, Version: Direct})
 	if err != nil {
 		t.Fatal(err)
 	}

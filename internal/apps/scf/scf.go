@@ -17,12 +17,9 @@
 package scf
 
 import (
-	"context"
 	"fmt"
 
 	"pario/internal/core"
-	"pario/internal/fault"
-	"pario/internal/machine"
 	"pario/internal/pfs"
 	"pario/internal/pio"
 	"pario/internal/sim"
@@ -128,19 +125,11 @@ func (v Version) String() string {
 }
 
 // Config11 describes one SCF 1.1 run: the paper's five-tuple
-// (V, P, M, Su, Sf) plus the input.
+// (V, P, M, Su, Sf) plus the input. P and the machine (whose I/O
+// partition is Sf) are the run's core.Spec.
 type Config11 struct {
-	// Ctx, when non-nil, bounds the run: cancellation tears the
-	// simulation down promptly (see core.System.RunRanksCtx).
-	Ctx context.Context
-	// Faults, when non-nil, schedules the plan's injections on the run
-	// and enables PFS client resilience (see core.System.InstallFaults).
-	Faults  *fault.Plan
-	Machine *machine.Config
 	Input   Input
 	Version Version
-	// Procs is P.
-	Procs int
 	// MemoryKB is M, the I/O buffer memory per process (the read/write
 	// chunk size). The paper's default is 64.
 	MemoryKB int64
@@ -151,15 +140,15 @@ type Config11 struct {
 	PrefetchDepth int
 }
 
-func (c *Config11) defaults() error {
-	if c.Machine == nil || c.Procs < 1 || c.Input.N < 1 {
+func (c *Config11) defaults(sys *core.System) error {
+	if c.Input.N < 1 {
 		return fmt.Errorf("scf: incomplete config %+v", c)
 	}
 	if c.MemoryKB == 0 {
 		c.MemoryKB = 64
 	}
 	if c.StripeUnitKB == 0 {
-		c.StripeUnitKB = c.Machine.DefaultStripeUnit >> 10
+		c.StripeUnitKB = sys.Cfg.DefaultStripeUnit >> 10
 	}
 	if c.PrefetchDepth == 0 {
 		c.PrefetchDepth = 1
@@ -167,38 +156,28 @@ func (c *Config11) defaults() error {
 	return nil
 }
 
-// Run simulates the SCF 1.1 run and returns its report.
-func Run11(cfg Config11) (core.Report, error) {
-	if err := cfg.defaults(); err != nil {
-		return core.Report{}, err
+// Setup creates SCF 1.1's integral files on sys and returns its rank
+// body; run it with core.Run.
+func (cfg Config11) Setup(sys *core.System) (core.Body, error) {
+	if err := cfg.defaults(sys); err != nil {
+		return nil, err
 	}
-	sys, err := core.NewSystem(cfg.Machine, cfg.Procs)
-	if err != nil {
-		return core.Report{}, err
-	}
-	if err := sys.InstallFaults(cfg.Faults); err != nil {
-		return core.Report{}, err
-	}
-
+	procs := sys.Procs
 	total := StoredBytes(cfg.Input)
-	perProc := total / int64(cfg.Procs)
+	perProc := total / int64(procs)
 	chunk := cfg.MemoryKB << 10
 
 	if cfg.Version == Direct {
 		// No disk at all: every iteration re-evaluates the integrals.
 		nInt := integrals(cfg.Input.N)
-		evalWallFlops := nInt * evalFlopsPerIntegral / float64(cfg.Procs)
-		fockWallFlops := nInt * screenFrac * fockFlopsPerStored / float64(cfg.Procs)
-		wall, err := sys.RunRanksCtx(cfg.Ctx, func(p *sim.Proc, rank int) {
+		evalWallFlops := nInt * evalFlopsPerIntegral / float64(procs)
+		fockWallFlops := nInt * screenFrac * fockFlopsPerStored / float64(procs)
+		return func(p *sim.Proc, rank int) {
 			for it := 0; it <= readIterations; it++ {
 				sys.Compute(p, evalWallFlops+fockWallFlops)
 				sys.Comm.Allreduce(p, rank, int64(8*cfg.Input.N))
 			}
-		})
-		if err != nil {
-			return core.Report{}, err
-		}
-		return sys.MakeReport(wall), nil
+		}, nil
 	}
 
 	nio := sys.FS.NumIONodes()
@@ -209,26 +188,26 @@ func Run11(cfg Config11) (core.Report, error) {
 
 	// One private integral file per process, spread across the I/O
 	// partition with rotated first nodes.
-	files := make([]*pfs.File, cfg.Procs)
+	files := make([]*pfs.File, procs)
 	for r := range files {
 		l := layout
 		l.FirstNode = r % nio
 		f, err := sys.FS.Create(fmt.Sprintf("scf.ints.%d", r), l, perProc)
 		if err != nil {
-			return core.Report{}, err
+			return nil, err
 		}
 		files[r] = f
 	}
 
-	par := cfg.Machine.Fortran
+	par := sys.Cfg.Fortran
 	if cfg.Version != Original {
-		par = cfg.Machine.Passion
+		par = sys.Cfg.Passion
 	}
 
 	evalFlopsPerByte := evalFlopsPerIntegral / (screenFrac * integralBytes)
 	fockFlopsPerByte := float64(fockFlopsPerStored) / integralBytes
 
-	wall, err := sys.RunRanksCtx(cfg.Ctx, func(p *sim.Proc, rank int) {
+	return func(p *sim.Proc, rank int) {
 		cl := sys.Client(rank, par)
 		h := cl.Open(p, files[rank])
 		// The production code also touches a handful of control and
@@ -297,26 +276,14 @@ func Run11(cfg Config11) (core.Report, error) {
 			sys.Comm.Allreduce(p, rank, int64(8*cfg.Input.N)) // density convergence check
 		}
 		h.Close(p)
-	})
-	if err != nil {
-		return core.Report{}, err
-	}
-	return sys.MakeReport(wall), nil
+	}, nil
 }
 
 // Config30 describes one SCF 3.0 run (§4.3): the semi-direct scheme where
 // CachedPct of the integrals live on disk and the rest are re-evaluated
-// every iteration.
+// every iteration. The machine and process count are the run's core.Spec.
 type Config30 struct {
-	// Ctx, when non-nil, bounds the run: cancellation tears the
-	// simulation down promptly (see core.System.RunRanksCtx).
-	Ctx context.Context
-	// Faults, when non-nil, schedules the plan's injections on the run
-	// and enables PFS client resilience (see core.System.InstallFaults).
-	Faults  *fault.Plan
-	Machine *machine.Config
-	Input   Input
-	Procs   int
+	Input Input
 	// CachedPct is the percentage of integrals stored on disk (0-100).
 	CachedPct int
 	// MemoryKB is the I/O chunk size; default 256 (3.0 uses larger
@@ -330,13 +297,14 @@ type Config30 struct {
 	ImbalancePct int
 }
 
-// Run30 simulates the SCF 3.0 run.
-func Run30(cfg Config30) (core.Report, error) {
-	if cfg.Machine == nil || cfg.Procs < 1 || cfg.Input.N < 1 {
-		return core.Report{}, fmt.Errorf("scf: incomplete config %+v", cfg)
+// Setup creates SCF 3.0's integral files on sys and returns its rank
+// body; run it with core.Run.
+func (cfg Config30) Setup(sys *core.System) (core.Body, error) {
+	if cfg.Input.N < 1 {
+		return nil, fmt.Errorf("scf: incomplete config %+v", cfg)
 	}
 	if cfg.CachedPct < 0 || cfg.CachedPct > 100 {
-		return core.Report{}, fmt.Errorf("scf: cached %d%% out of range", cfg.CachedPct)
+		return nil, fmt.Errorf("scf: cached %d%% out of range", cfg.CachedPct)
 	}
 	if cfg.MemoryKB == 0 {
 		cfg.MemoryKB = 256
@@ -344,13 +312,7 @@ func Run30(cfg Config30) (core.Report, error) {
 	if cfg.ImbalancePct == 0 {
 		cfg.ImbalancePct = 30
 	}
-	sys, err := core.NewSystem(cfg.Machine, cfg.Procs)
-	if err != nil {
-		return core.Report{}, err
-	}
-	if err := sys.InstallFaults(cfg.Faults); err != nil {
-		return core.Report{}, err
-	}
+	procs := sys.Procs
 
 	nio := sys.FS.NumIONodes()
 	cached := float64(cfg.CachedPct) / 100
@@ -360,34 +322,34 @@ func Run30(cfg Config30) (core.Report, error) {
 	// Per-process file sizes: balanced to within a few percent, or skewed
 	// linearly across ranks when balancing is off (the slowest rank then
 	// gates every iteration).
-	sizes := make([]int64, cfg.Procs)
-	var even = total / float64(cfg.Procs)
+	sizes := make([]int64, procs)
+	var even = total / float64(procs)
 	for r := range sizes {
 		skew := 0.0
-		if !cfg.Balance && cfg.Procs > 1 {
-			frac := float64(r)/float64(cfg.Procs-1) - 0.5 // -0.5 .. +0.5
+		if !cfg.Balance && procs > 1 {
+			frac := float64(r)/float64(procs-1) - 0.5 // -0.5 .. +0.5
 			skew = 2 * frac * float64(cfg.ImbalancePct) / 100
 		}
 		sizes[r] = int64(even * (1 + skew))
 	}
 
-	files := make([]*pfs.File, cfg.Procs)
+	files := make([]*pfs.File, procs)
 	for r := range files {
-		l := pfs.Layout{StripeUnit: cfg.Machine.DefaultStripeUnit, StripeFactor: nio, FirstNode: r % nio}
+		l := pfs.Layout{StripeUnit: sys.Cfg.DefaultStripeUnit, StripeFactor: nio, FirstNode: r % nio}
 		f, err := sys.FS.Create(fmt.Sprintf("scf3.ints.%d", r), l, sizes[r])
 		if err != nil {
-			return core.Report{}, err
+			return nil, err
 		}
 		files[r] = f
 	}
 
 	nInt := integrals(cfg.Input.N)
-	evalAllFlops := nInt * evalFlopsPerIntegral / float64(cfg.Procs)
-	recomputeFlops := nInt * (1 - cached) * evalFlopsPerIntegral * recomputeCostFactor / float64(cfg.Procs)
-	fockFlops := nInt * screenFrac * fock30FlopsPerStored / float64(cfg.Procs)
+	evalAllFlops := nInt * evalFlopsPerIntegral / float64(procs)
+	recomputeFlops := nInt * (1 - cached) * evalFlopsPerIntegral * recomputeCostFactor / float64(procs)
+	fockFlops := nInt * screenFrac * fock30FlopsPerStored / float64(procs)
 
-	wall, err := sys.RunRanksCtx(cfg.Ctx, func(p *sim.Proc, rank int) {
-		cl := sys.Client(rank, cfg.Machine.Passion)
+	return func(p *sim.Proc, rank int) {
+		cl := sys.Client(rank, sys.Cfg.Passion)
 		h := cl.Open(p, files[rank])
 		perProc := sizes[rank]
 
@@ -401,7 +363,7 @@ func Run30(cfg Config30) (core.Report, error) {
 			h.WriteAt(p, off, n)
 		}
 		h.Flush(p)
-		if cfg.Balance && cfg.Procs > 1 {
+		if cfg.Balance && procs > 1 {
 			// File balancing redistributes integral records so that
 			// sizes agree within 10% or 1 MB; cost: one collective
 			// shuffle of the size delta.
@@ -427,11 +389,7 @@ func Run30(cfg Config30) (core.Report, error) {
 			sys.Comm.Allreduce(p, rank, int64(8*cfg.Input.N))
 		}
 		h.Close(p)
-	})
-	if err != nil {
-		return core.Report{}, err
-	}
-	return sys.MakeReport(wall), nil
+	}, nil
 }
 
 // balancedDeltas returns the per-peer byte volumes rank must ship during

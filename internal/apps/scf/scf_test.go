@@ -3,6 +3,7 @@ package scf
 import (
 	"testing"
 
+	"pario/internal/core"
 	"pario/internal/machine"
 	"pario/internal/trace"
 )
@@ -20,8 +21,18 @@ func paragon(t *testing.T, nio int) *machine.Config {
 	return m
 }
 
+// run11 and run30 run cfg on procs ranks of the large Paragon with nio
+// I/O nodes.
+func run11(t *testing.T, nio, procs int, cfg Config11) (core.Report, error) {
+	return core.Run(nil, core.Spec{Machine: paragon(t, nio), Procs: procs}, cfg.Setup)
+}
+
+func run30(t *testing.T, nio, procs int, cfg Config30) (core.Report, error) {
+	return core.Run(nil, core.Spec{Machine: paragon(t, nio), Procs: procs}, cfg.Setup)
+}
+
 func TestRun11Completes(t *testing.T) {
-	rep, err := Run11(Config11{Machine: paragon(t, 12), Input: tiny, Procs: 4, Version: Original})
+	rep, err := run11(t, 12, 4, Config11{Input: tiny, Version: Original})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +45,7 @@ func TestRun11Completes(t *testing.T) {
 }
 
 func TestRun11ReadVolumeIsIterationsTimesFile(t *testing.T) {
-	rep, err := Run11(Config11{Machine: paragon(t, 12), Input: tiny, Procs: 2, Version: Original})
+	rep, err := run11(t, 12, 2, Config11{Input: tiny, Version: Original})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +62,7 @@ func TestRun11InterfaceOrdering(t *testing.T) {
 	// Paper §4.2: original > PASSION > PASSION+prefetch in both I/O and
 	// execution time.
 	run := func(v Version) (float64, float64) {
-		rep, err := Run11(Config11{Machine: paragon(t, 12), Input: tiny, Procs: 4, Version: v})
+		rep, err := run11(t, 12, 4, Config11{Input: tiny, Version: v})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,11 +85,11 @@ func TestRun11InterfaceOrdering(t *testing.T) {
 func TestRun11SeekDisciplines(t *testing.T) {
 	// Table 2 vs Table 3: the original has few seeks; PASSION has about
 	// one per data call.
-	orig, err := Run11(Config11{Machine: paragon(t, 12), Input: tiny, Procs: 2, Version: Original})
+	orig, err := run11(t, 12, 2, Config11{Input: tiny, Version: Original})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass, err := Run11(Config11{Machine: paragon(t, 12), Input: tiny, Procs: 2, Version: Passion})
+	pass, err := run11(t, 12, 2, Config11{Input: tiny, Version: Passion})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +109,7 @@ func TestRun11SeekDisciplines(t *testing.T) {
 func TestRun11MetadataCountsMatchTable2(t *testing.T) {
 	// The aux-file model is fitted to reproduce Table 2 exactly at 4
 	// processes: 19 opens, 14 closes, 49 flushes.
-	rep, err := Run11(Config11{Machine: paragon(t, 12), Input: tiny, Procs: 4, Version: Original})
+	rep, err := run11(t, 12, 4, Config11{Input: tiny, Version: Original})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +125,11 @@ func TestRun11MetadataCountsMatchTable2(t *testing.T) {
 }
 
 func TestRun11LargerMemoryFewerReads(t *testing.T) {
-	small, err := Run11(Config11{Machine: paragon(t, 12), Input: tiny, Procs: 2, Version: Passion, MemoryKB: 64})
+	small, err := run11(t, 12, 2, Config11{Input: tiny, Version: Passion, MemoryKB: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Run11(Config11{Machine: paragon(t, 12), Input: tiny, Procs: 2, Version: Passion, MemoryKB: 256})
+	big, err := run11(t, 12, 2, Config11{Input: tiny, Version: Passion, MemoryKB: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +143,10 @@ func TestRun11LargerMemoryFewerReads(t *testing.T) {
 }
 
 func TestRun11BadConfig(t *testing.T) {
-	if _, err := Run11(Config11{}); err == nil {
+	if _, err := run11(t, 12, 1, Config11{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	if _, err := Run11(Config11{Machine: paragon(t, 12), Input: tiny, Procs: 0}); err == nil {
+	if _, err := run11(t, 12, 0, Config11{Input: tiny}); err == nil {
 		t.Fatal("zero procs accepted")
 	}
 }
@@ -152,10 +163,7 @@ func TestRun30RecomputeVsCached(t *testing.T) {
 	// Paper Figure 4: at 0%% cached, more processors help a lot; at 100%%
 	// cached, much less.
 	run := func(procs, cached int) float64 {
-		rep, err := Run30(Config30{
-			Machine: paragon(t, 16), Input: tiny, Procs: procs,
-			CachedPct: cached, Balance: true,
-		})
+		rep, err := run30(t, 16, procs, Config30{Input: tiny, CachedPct: cached, Balance: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,11 +182,11 @@ func TestRun30RecomputeVsCached(t *testing.T) {
 func TestRun30CachedReducesExec(t *testing.T) {
 	// On the Paragon the paper found caching more integrals preferable to
 	// adding processors (§4.3).
-	lo, err := Run30(Config30{Machine: paragon(t, 16), Input: tiny, Procs: 4, CachedPct: 0, Balance: true})
+	lo, err := run30(t, 16, 4, Config30{Input: tiny, CachedPct: 0, Balance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Run30(Config30{Machine: paragon(t, 16), Input: tiny, Procs: 4, CachedPct: 100, Balance: true})
+	hi, err := run30(t, 16, 4, Config30{Input: tiny, CachedPct: 100, Balance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +196,11 @@ func TestRun30CachedReducesExec(t *testing.T) {
 }
 
 func TestRun30BalanceHelps(t *testing.T) {
-	bal, err := Run30(Config30{Machine: paragon(t, 16), Input: tiny, Procs: 8, CachedPct: 100, Balance: true})
+	bal, err := run30(t, 16, 8, Config30{Input: tiny, CachedPct: 100, Balance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbal, err := Run30(Config30{Machine: paragon(t, 16), Input: tiny, Procs: 8, CachedPct: 100, Balance: false})
+	unbal, err := run30(t, 16, 8, Config30{Input: tiny, CachedPct: 100, Balance: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +210,7 @@ func TestRun30BalanceHelps(t *testing.T) {
 }
 
 func TestRun30ZeroCachedDoesNoDataIO(t *testing.T) {
-	rep, err := Run30(Config30{Machine: paragon(t, 16), Input: tiny, Procs: 2, CachedPct: 0, Balance: true})
+	rep, err := run30(t, 16, 2, Config30{Input: tiny, CachedPct: 0, Balance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +220,10 @@ func TestRun30ZeroCachedDoesNoDataIO(t *testing.T) {
 }
 
 func TestRun30Validation(t *testing.T) {
-	if _, err := Run30(Config30{Machine: paragon(t, 16), Input: tiny, Procs: 2, CachedPct: 101}); err == nil {
+	if _, err := run30(t, 16, 2, Config30{Input: tiny, CachedPct: 101}); err == nil {
 		t.Fatal("cached > 100 accepted")
 	}
-	if _, err := Run30(Config30{}); err == nil {
+	if _, err := run30(t, 16, 1, Config30{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
 }

@@ -8,26 +8,18 @@
 package tracerun
 
 import (
-	"context"
 	"fmt"
 
 	"pario/internal/core"
-	"pario/internal/fault"
-	"pario/internal/machine"
 	"pario/internal/pio"
 	"pario/internal/sim"
 	"pario/internal/trace"
 )
 
-// Config describes one trace replay.
+// Config describes one trace replay; the machine is the run's core.Spec.
 type Config struct {
-	// Ctx, when non-nil, bounds the run (see core.System.RunRanksCtx).
-	Ctx context.Context
-	// Faults, when non-nil, schedules the plan's injections on the run.
-	Faults  *fault.Plan
-	Machine *machine.Config
 	// Trace is the event log to replay; its rank count is the run's
-	// process count.
+	// process count (Spec.Procs = len(Trace.Ranks)).
 	Trace *trace.Trace
 	// Interface selects the client cost model ("fortran", "passion",
 	// "native", "unix"); empty uses the trace's own hint, falling back to
@@ -41,9 +33,9 @@ type Config struct {
 	Opt bool
 }
 
-func (c *Config) defaults() error {
-	if c.Machine == nil || c.Trace == nil {
-		return fmt.Errorf("tracerun: incomplete config")
+func (c *Config) defaults(procs int) error {
+	if c.Trace == nil {
+		return fmt.Errorf("tracerun: incomplete config: no trace")
 	}
 	if err := c.Trace.Validate(); err != nil {
 		return err
@@ -54,34 +46,27 @@ func (c *Config) defaults() error {
 	if c.Interface == "" {
 		c.Interface = "native"
 	}
-	if ranks := len(c.Trace.Ranks); ranks > c.Machine.NumCompute {
-		return fmt.Errorf("tracerun: trace has %d ranks but %s has %d compute nodes",
-			ranks, c.Machine.Name, c.Machine.NumCompute)
+	if ranks := len(c.Trace.Ranks); ranks != procs {
+		return fmt.Errorf("tracerun: trace has %d ranks but the run has %d procs", ranks, procs)
 	}
 	return nil
 }
 
-// Run replays the trace and returns its report. All ranks share one file
-// sized to the trace's extent — offsets in the trace are file offsets, so
-// overlapping ranks contend exactly as the original application did.
-func Run(cfg Config) (core.Report, error) {
-	if err := cfg.defaults(); err != nil {
-		return core.Report{}, err
-	}
-	sys, err := core.NewSystem(cfg.Machine, len(cfg.Trace.Ranks))
-	if err != nil {
-		return core.Report{}, err
-	}
-	if err := sys.InstallFaults(cfg.Faults); err != nil {
-		return core.Report{}, err
+// Setup creates the replay's file on sys and returns its rank body; run it
+// with core.Run. All ranks share one file sized to the trace's extent —
+// offsets in the trace are file offsets, so overlapping ranks contend
+// exactly as the original application did.
+func (cfg Config) Setup(sys *core.System) (core.Body, error) {
+	if err := cfg.defaults(sys.Procs); err != nil {
+		return nil, err
 	}
 	extent := cfg.Trace.MaxExtent()
 	file, err := sys.FS.Create("trace.dat", sys.DefaultLayout(), extent)
 	if err != nil {
-		return core.Report{}, err
+		return nil, err
 	}
-	iface := cfg.Machine.Interface(cfg.Interface)
-	wall, err := sys.RunRanksCtx(cfg.Ctx, func(p *sim.Proc, rank int) {
+	iface := sys.Cfg.Interface(cfg.Interface)
+	return func(p *sim.Proc, rank int) {
 		h := sys.Client(rank, iface).Open(p, file)
 		for _, ev := range cfg.Trace.Ranks[rank] {
 			var ar *pio.AsyncRead
@@ -103,9 +88,5 @@ func Run(cfg Config) (core.Report, error) {
 			}
 		}
 		h.Close(p)
-	})
-	if err != nil {
-		return core.Report{}, err
-	}
-	return sys.MakeReport(wall), nil
+	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pario/internal/core"
 	"pario/internal/machine"
 	"pario/internal/trace"
 )
@@ -17,21 +18,36 @@ func paragonLarge(t *testing.T) *machine.Config {
 	return m
 }
 
+// run replays cfg's trace on m, one rank per trace rank.
+func run(m *machine.Config, cfg Config) (core.Report, error) {
+	procs := 1
+	if cfg.Trace != nil {
+		procs = len(cfg.Trace.Ranks)
+	}
+	return core.Run(nil, core.Spec{Machine: m, Procs: procs}, cfg.Setup)
+}
+
 func TestRunRejectsIncompleteConfig(t *testing.T) {
 	tr := trace.AppendStorm(2, 2, 0)
-	for name, cfg := range map[string]Config{
-		"nil machine": {Trace: tr},
-		"nil trace":   {Machine: paragonLarge(t)},
+	for name, c := range map[string]struct {
+		m   *machine.Config
+		cfg Config
+	}{
+		"nil machine": {nil, Config{Trace: tr}},
+		"nil trace":   {paragonLarge(t), Config{}},
 	} {
-		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "incomplete config") {
-			t.Errorf("%s: err = %v, want incomplete config", name, err)
+		if _, err := run(c.m, c.cfg); err == nil || !strings.Contains(err.Error(), "incomplete") {
+			t.Errorf("%s: err = %v, want an incomplete spec or config", name, err)
 		}
 	}
 }
 
 func TestRunRejectsMoreRanksThanComputeNodes(t *testing.T) {
 	m := paragonLarge(t)
-	_, err := Run(Config{Machine: m, Trace: trace.AppendStorm(m.NumCompute+1, 1, 0)})
+	if _, err := run(m, Config{Trace: trace.AppendStorm(m.NumCompute+1, 1, 0)}); err == nil {
+		t.Fatal("a trace with more ranks than compute nodes ran")
+	}
+	_, err := core.Run(nil, core.Spec{Machine: m, Procs: 3}, Config{Trace: trace.AppendStorm(2, 1, 0)}.Setup)
 	if err == nil || !strings.Contains(err.Error(), "tracerun: trace has") {
 		t.Fatalf("err = %v, want a rank-count rejection", err)
 	}
@@ -39,7 +55,7 @@ func TestRunRejectsMoreRanksThanComputeNodes(t *testing.T) {
 
 func TestRunRejectsInvalidTrace(t *testing.T) {
 	bad := &trace.Trace{Ranks: [][]trace.Event{{{Off: -1, Bytes: 4096}}}}
-	if _, err := Run(Config{Machine: paragonLarge(t), Trace: bad}); err == nil || !strings.Contains(err.Error(), "bad extent") {
+	if _, err := run(paragonLarge(t), Config{Trace: bad}); err == nil || !strings.Contains(err.Error(), "bad extent") {
 		t.Fatalf("err = %v, want the trace's Validate error", err)
 	}
 }
@@ -67,7 +83,7 @@ func TestReplayAccountsTraceVolume(t *testing.T) {
 	}
 	for _, iface := range []string{"fortran", "passion", "native"} {
 		for _, opt := range []bool{false, true} {
-			rep, err := Run(Config{Machine: paragonLarge(t), Trace: tr, Interface: iface, Opt: opt})
+			rep, err := run(paragonLarge(t), Config{Trace: tr, Interface: iface, Opt: opt})
 			if err != nil {
 				t.Fatalf("%s opt=%v: %v", iface, opt, err)
 			}

@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"pario/internal/disk"
 	"pario/internal/fault"
@@ -42,21 +41,10 @@ type System struct {
 	Recorders []*trace.Recorder
 }
 
-// defaultCapture is the process-wide per-operation capture switch — the
-// knob behind the -capture / -emit-trace flags. When on, every rank
-// recorder of a newly built system logs its data operations with offsets,
-// and MakeReport fills Report.Captured. Atomic
-// because the experiment harness toggles it around an app run while
-// sibling artifacts execute concurrently; capture never alters simulation
-// results, only what gets recorded, so a mid-flight flip is benign.
-var defaultCapture atomic.Bool
-
-// SetDefaultCapture switches per-operation I/O capture on newly built
-// systems. Capture is off by default: it costs an append per data call
-// and is only wanted when a trace is being emitted.
-func SetDefaultCapture(on bool) { defaultCapture.Store(on) }
-
-// NewSystem builds a machine with procs application ranks.
+// NewSystem builds a machine with procs application ranks. Every run of
+// this module builds its system through Run; NewSystem stays exported for
+// the layer probes of the benchmark module (perfbench/probes.go), which
+// drive one layer at a time on a bare system.
 func NewSystem(cfg *machine.Config, procs int) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -85,25 +73,78 @@ func NewSystem(cfg *machine.Config, procs int) (*System, error) {
 		Cfg: cfg, Eng: eng, Topo: topo, Net: net, FS: fs, Comm: comm,
 		Procs: procs,
 	}
-	capture := defaultCapture.Load()
 	for i := 0; i < procs; i++ {
-		rec := trace.NewRecorder()
-		rec.SetCapture(capture)
-		s.Recorders = append(s.Recorders, rec)
+		s.Recorders = append(s.Recorders, trace.NewRecorder())
 	}
 	return s, nil
 }
 
-// InstallFaults schedules a fault plan's injections on the system and —
+// Body is one rank's program, run as that rank's simulated process.
+type Body func(p *sim.Proc, rank int)
+
+// Spec is what a run simulates on and how it is observed.
+type Spec struct {
+	Machine *machine.Config
+	// Procs is the number of application ranks; rank i lives on compute
+	// node i.
+	Procs int
+	// Faults, when non-empty, schedules the plan's injections on the run
+	// and enables PFS client resilience (see installFaults).
+	Faults *fault.Plan
+	// Capture logs every rank's data operations with their offsets into
+	// Report.Captured. It costs an append per data call and never alters
+	// the simulation.
+	Capture bool
+}
+
+// Run is the one lifecycle of a simulation. It checks ctx, builds the
+// system spec names and installs its fault plan, then calls setup, which
+// creates the run's files and returns the rank body. It runs the body once
+// per rank, bounded by ctx, and returns the run's report.
+//
+// A nil ctx is unbounded. When ctx is canceled or its deadline passes, the
+// simulation is torn down promptly (the engine polls ctx between event
+// batches) and the context's error is returned instead of a report.
+func Run(ctx context.Context, spec Spec, setup func(sys *System) (Body, error)) (Report, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return Report{}, err
+		}
+	}
+	if spec.Machine == nil {
+		return Report{}, errors.New("core: incomplete spec: no machine")
+	}
+	s, err := NewSystem(spec.Machine, spec.Procs)
+	if err != nil {
+		return Report{}, err
+	}
+	for _, rec := range s.Recorders {
+		rec.SetCapture(spec.Capture)
+	}
+	if err := s.installFaults(spec.Faults); err != nil {
+		return Report{}, err
+	}
+	body, err := setup(s)
+	if err != nil {
+		return Report{}, err
+	}
+	wall, err := s.runRanks(ctx, body)
+	if err != nil {
+		return Report{}, err
+	}
+	return s.makeReport(wall), nil
+}
+
+// installFaults schedules a fault plan's injections on the system and —
 // because a faulted run without client resilience would fail-stop on the
 // first transient — enables the PFS resilience defaults (2 retries, 1 ms
 // initial backoff, no timeout), overridden by whatever policy knobs the
 // plan sets. The policy runs inside the transfers' event chains: it adds
 // events only when it acts (a backoff, a timeout race) and never wakes a
 // rank more often than a healthy run does. A nil or empty plan changes
-// nothing: no events, no extra metrics, byte-identical output. Call it
-// after NewSystem and before the run starts.
-func (s *System) InstallFaults(pl *fault.Plan) error {
+// nothing: no events, no extra metrics, byte-identical output. Run calls
+// it before setup, so the plan is in place before any file exists.
+func (s *System) installFaults(pl *fault.Plan) error {
 	if pl.Empty() {
 		return nil
 	}
@@ -159,29 +200,16 @@ func (s *System) Compute(p *sim.Proc, flops float64) {
 	p.Delay(flops / s.Cfg.CPUFlops)
 }
 
-// RunRanks executes body once per rank (rank processes run concurrently in
+// runRanks executes body once per rank (rank processes run concurrently in
 // virtual time) and returns the wall-clock execution time: the finish time
 // of the slowest rank. The engine is run to completion, so asynchronous
-// activity (cache drains, prefetches) is fully accounted.
-func (s *System) RunRanks(body func(p *sim.Proc, rank int)) (float64, error) {
-	return s.RunRanksCtx(nil, body)
-}
-
-// RunRanksCtx is RunRanks bounded by ctx: when ctx is canceled or its
-// deadline passes, the simulation is torn down promptly (the engine polls
-// ctx between event batches) and the context's error is returned instead of
-// a result. A nil or never-canceled ctx behaves exactly like RunRanks. The
-// engine cannot be reused after a canceled run — it is stopped, like after
-// Stop — but its metrics registry remains inspectable.
-func (s *System) RunRanksCtx(ctx context.Context, body func(p *sim.Proc, rank int)) (float64, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		if ctx.Done() != nil {
-			s.Eng.SetInterrupt(ctx.Err)
-			defer s.Eng.SetInterrupt(nil)
-		}
+// activity (cache drains, prefetches) is fully accounted. A canceled ctx
+// stops the engine for good, but its metrics registry remains
+// inspectable.
+func (s *System) runRanks(ctx context.Context, body Body) (float64, error) {
+	if ctx != nil && ctx.Done() != nil {
+		s.Eng.SetInterrupt(ctx.Err)
+		defer s.Eng.SetInterrupt(nil)
 	}
 	finish := make([]float64, s.Procs)
 	for r := 0; r < s.Procs; r++ {
@@ -291,8 +319,8 @@ type Report struct {
 	Stats *stats.Snapshot
 
 	// Captured is each rank's per-operation I/O log, present only when the
-	// run's recorders were capturing (SetDefaultCapture). Feed it to
-	// trace.FromCaptured to emit a replayable trace.
+	// run's Spec asked for capture. Feed it to trace.FromCaptured to emit
+	// a replayable trace.
 	Captured [][]trace.CapturedOp
 }
 
@@ -355,8 +383,8 @@ func (r Report) IOPctOfExec() float64 {
 	return 100 * r.IOMaxSec / r.ExecSec
 }
 
-// MakeReport assembles the report for a finished run.
-func (s *System) MakeReport(execSec float64) Report {
+// makeReport assembles the report for a finished run.
+func (s *System) makeReport(execSec float64) Report {
 	agg := trace.NewRecorder()
 	var ioMax float64
 	perRank := make([]float64, 0, len(s.Recorders))
@@ -372,11 +400,11 @@ func (s *System) MakeReport(execSec float64) Report {
 	for i := 0; i < s.FS.NumIONodes(); i++ {
 		busy = append(busy, s.FS.IONode(i).Stats().BusySec)
 	}
-	// Fold the orchestration-level view into the registry before taking
-	// the snapshot: execution time and the I/O-partition balance the
-	// layers below cannot see (they know busy time, not the run's span).
-	reg := s.Eng.Metrics()
-	reg.Float("core.exec_sec", stats.AggSum).Set(execSec)
+	// Fold the orchestration-level view into the snapshot: execution time
+	// and the I/O-partition balance the layers below cannot see (they know
+	// busy time, not the run's span).
+	snap := s.Eng.Metrics().Snapshot(s.Eng.Now())
+	snap.WallSec = s.Eng.WallSec()
 	var busySum, utilMax float64
 	for _, b := range busy {
 		busySum += b
@@ -384,10 +412,9 @@ func (s *System) MakeReport(execSec float64) Report {
 			utilMax = b / execSec
 		}
 	}
-	reg.Float("ionode.busy_sec", stats.AggSum).Set(busySum)
-	reg.Float("ionode.util_max", stats.AggMax).Set(utilMax)
-	snap := reg.Snapshot(s.Eng.Now())
-	snap.WallSec = s.Eng.WallSec()
+	snap.SetFloat("core.exec_sec", execSec, stats.AggSum)
+	snap.SetFloat("ionode.busy_sec", busySum, stats.AggSum)
+	snap.SetFloat("ionode.util_max", utilMax, stats.AggMax)
 	rep := Report{
 		Machine:       s.Cfg.Name,
 		Procs:         s.Procs,

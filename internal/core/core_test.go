@@ -8,17 +8,58 @@ import (
 	"pario/internal/trace"
 )
 
-func sp2System(t *testing.T, procs int) *System {
+func sp2(t *testing.T) *machine.Config {
 	t.Helper()
 	cfg, err := machine.SP2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSystem(cfg, procs)
+	return cfg
+}
+
+func sp2System(t *testing.T, procs int) *System {
+	t.Helper()
+	s, err := NewSystem(sp2(t), procs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// runSP2 runs setup's body on procs ranks of an SP-2 through Run.
+func runSP2(t *testing.T, procs int, setup func(s *System) (Body, error)) Report {
+	t.Helper()
+	rep, err := Run(nil, Spec{Machine: sp2(t), Procs: procs}, setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// only is the setup of a run that creates no files.
+func only(body func(s *System, p *sim.Proc, rank int)) func(s *System) (Body, error) {
+	return func(s *System) (Body, error) {
+		return func(p *sim.Proc, rank int) { body(s, p, rank) }, nil
+	}
+}
+
+// writer is the setup of a run whose ranks write through the Unix client
+// to one file "x" of size bytes: rank r writes the blocks blocks(r) of
+// block bytes each.
+func writer(size, block int64, blocks func(rank int) []int64) func(s *System) (Body, error) {
+	return func(s *System) (Body, error) {
+		f, err := s.FS.Create("x", s.DefaultLayout(), size)
+		if err != nil {
+			return nil, err
+		}
+		return func(p *sim.Proc, rank int) {
+			h := s.Client(rank, s.Cfg.Unix).Open(p, f)
+			for _, b := range blocks(rank) {
+				h.WriteAt(p, b*block, block)
+			}
+			h.Close(p)
+		}, nil
+	}
 }
 
 func TestNewSystemWiresEverything(t *testing.T) {
@@ -35,71 +76,48 @@ func TestNewSystemWiresEverything(t *testing.T) {
 }
 
 func TestProcsBounds(t *testing.T) {
-	cfg, _ := machine.SP2()
+	cfg := sp2(t)
 	if _, err := NewSystem(cfg, 0); err == nil {
 		t.Fatal("0 procs accepted")
 	}
 	if _, err := NewSystem(cfg, cfg.NumCompute+1); err == nil {
 		t.Fatal("too many procs accepted")
 	}
+	if _, err := Run(nil, Spec{Procs: 1}, only(func(*System, *sim.Proc, int) {})); err == nil {
+		t.Fatal("spec without a machine accepted")
+	}
 }
 
 func TestRunRanksWallIsSlowestRank(t *testing.T) {
-	s := sp2System(t, 4)
-	wall, err := s.RunRanks(func(p *sim.Proc, rank int) {
+	rep := runSP2(t, 4, only(func(_ *System, p *sim.Proc, rank int) {
 		p.Delay(float64(rank + 1))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wall != 4 {
-		t.Fatalf("wall = %g, want 4", wall)
+	}))
+	if rep.ExecSec != 4 {
+		t.Fatalf("wall = %g, want 4", rep.ExecSec)
 	}
 }
 
 func TestComputeUsesCPURate(t *testing.T) {
-	s := sp2System(t, 1)
-	wall, err := s.RunRanks(func(p *sim.Proc, rank int) {
+	rep := runSP2(t, 1, only(func(s *System, p *sim.Proc, rank int) {
 		s.Compute(p, 100e6) // 100 MFlop at 100 MFlops = 1 s
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wall < 0.99 || wall > 1.01 {
-		t.Fatalf("wall = %g, want ~1", wall)
+	}))
+	if rep.ExecSec < 0.99 || rep.ExecSec > 1.01 {
+		t.Fatalf("wall = %g, want ~1", rep.ExecSec)
 	}
 }
 
 func TestComputeZeroIsFree(t *testing.T) {
-	s := sp2System(t, 1)
-	wall, err := s.RunRanks(func(p *sim.Proc, rank int) {
+	rep := runSP2(t, 1, only(func(s *System, p *sim.Proc, rank int) {
 		s.Compute(p, 0)
 		s.Compute(p, -5)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wall != 0 {
-		t.Fatalf("wall = %g, want 0", wall)
+	}))
+	if rep.ExecSec != 0 {
+		t.Fatalf("wall = %g, want 0", rep.ExecSec)
 	}
 }
 
 func TestReportAggregation(t *testing.T) {
-	s := sp2System(t, 3)
-	f, err := s.FS.Create("x", s.DefaultLayout(), 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wall, err := s.RunRanks(func(p *sim.Proc, rank int) {
-		c := s.Client(rank, s.Cfg.Unix)
-		h := c.Open(p, f)
-		h.WriteAt(p, int64(rank)*65536, 65536)
-		h.Close(p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := s.MakeReport(wall)
+	rep := runSP2(t, 3, writer(1<<20, 65536, func(rank int) []int64 { return []int64{int64(rank)} }))
 	if rep.Procs != 3 || rep.IONodes != 4 {
 		t.Fatalf("report identity = %+v", rep)
 	}
@@ -121,6 +139,9 @@ func TestReportAggregation(t *testing.T) {
 	if pct := rep.IOPctOfExec(); pct <= 0 || pct > 100.0001 {
 		t.Fatalf("I/O%% of exec = %g", pct)
 	}
+	if rep.Captured != nil {
+		t.Fatal("a run without Spec.Capture captured operations")
+	}
 }
 
 func TestBandwidthZeroWhenNoIO(t *testing.T) {
@@ -140,20 +161,9 @@ func TestDefaultLayoutSpansAllIONodes(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() float64 {
-		s := sp2System(t, 8)
-		f, _ := s.FS.Create("x", s.DefaultLayout(), 8<<20)
-		wall, err := s.RunRanks(func(p *sim.Proc, rank int) {
-			c := s.Client(rank, s.Cfg.Unix)
-			h := c.Open(p, f)
-			for i := 0; i < 4; i++ {
-				h.WriteAt(p, int64(rank*4+i)*65536, 65536)
-			}
-			h.Close(p)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return wall
+		return runSP2(t, 8, writer(8<<20, 65536, func(rank int) []int64 {
+			return []int64{int64(rank * 4), int64(rank*4 + 1), int64(rank*4 + 2), int64(rank*4 + 3)}
+		})).ExecSec
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("runs differ: %g vs %g", a, b)
@@ -161,24 +171,14 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestPerRankIOAndImbalance(t *testing.T) {
-	s := sp2System(t, 4)
-	f, err := s.FS.Create("x", s.DefaultLayout(), 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wall, err := s.RunRanks(func(p *sim.Proc, rank int) {
-		c := s.Client(rank, s.Cfg.Unix)
-		h := c.Open(p, f)
-		// Rank 3 does 4x the I/O of rank 0.
+	// Rank 3 does 4x the I/O of rank 0.
+	rep := runSP2(t, 4, writer(1<<20, 65536, func(rank int) []int64 {
+		var b []int64
 		for i := 0; i <= rank; i++ {
-			h.WriteAt(p, int64(rank*4+i)*65536, 65536)
+			b = append(b, int64(rank*4+i))
 		}
-		h.Close(p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := s.MakeReport(wall)
+		return b
+	}))
 	if len(rep.PerRankIOSec) != 4 {
 		t.Fatalf("per-rank entries = %d", len(rep.PerRankIOSec))
 	}
@@ -198,17 +198,7 @@ func TestIOImbalanceZeroWithoutIO(t *testing.T) {
 }
 
 func TestIONodeBusyReported(t *testing.T) {
-	s := sp2System(t, 2)
-	f, _ := s.FS.Create("x", s.DefaultLayout(), 1<<20)
-	wall, err := s.RunRanks(func(p *sim.Proc, rank int) {
-		h := s.Client(rank, s.Cfg.Unix).Open(p, f)
-		h.WriteAt(p, int64(rank)<<19, 1<<19)
-		h.Close(p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := s.MakeReport(wall)
+	rep := runSP2(t, 2, writer(1<<20, 1<<19, func(rank int) []int64 { return []int64{int64(rank)} }))
 	if len(rep.IONodeBusySec) != 4 {
 		t.Fatalf("busy entries = %d", len(rep.IONodeBusySec))
 	}

@@ -10,34 +10,27 @@ import (
 )
 
 // TestRunRanksCtxNilBehavesLikeRunRanks pins the compatibility contract:
-// a nil context changes nothing.
+// a nil context leaves the run unbounded and changes nothing.
 func TestRunRanksCtxNilBehavesLikeRunRanks(t *testing.T) {
-	s := sp2System(t, 4)
-	wall, err := s.RunRanksCtx(nil, func(p *sim.Proc, rank int) {
+	rep := runSP2(t, 4, only(func(_ *System, p *sim.Proc, rank int) {
 		p.Delay(float64(rank + 1))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wall != 4 {
-		t.Fatalf("wall = %g, want 4", wall)
+	}))
+	if rep.ExecSec != 4 {
+		t.Fatalf("wall = %g, want 4", rep.ExecSec)
 	}
 }
 
-// TestRunRanksCtxAlreadyCanceled verifies a dead context never starts the
-// simulation.
+// TestRunRanksCtxAlreadyCanceled verifies a dead context never builds the
+// system, let alone starts the simulation.
 func TestRunRanksCtxAlreadyCanceled(t *testing.T) {
-	s := sp2System(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := s.RunRanksCtx(ctx, func(p *sim.Proc, rank int) {
-		t.Error("rank body ran under a canceled context")
+	_, err := Run(ctx, Spec{Machine: sp2(t), Procs: 2}, func(*System) (Body, error) {
+		t.Error("setup ran under a canceled context")
+		return nil, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if s.Eng.Events() != 0 {
-		t.Fatalf("%d events executed under a canceled context", s.Eng.Events())
 	}
 }
 
@@ -45,14 +38,13 @@ func TestRunRanksCtxAlreadyCanceled(t *testing.T) {
 // the call returns the context's error promptly instead of simulating to
 // completion (the ranks would otherwise run two million delay events).
 func TestRunRanksCtxCancelMidRun(t *testing.T) {
-	s := sp2System(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, err := s.RunRanksCtx(ctx, func(p *sim.Proc, rank int) {
+	_, err := Run(ctx, Spec{Machine: sp2(t), Procs: 2}, only(func(_ *System, p *sim.Proc, rank int) {
 		for i := 0; i < 1_000_000; i++ {
 			p.Delay(1e-6)
 			// Keep each event non-trivial so the run is long enough to
@@ -61,7 +53,7 @@ func TestRunRanksCtxCancelMidRun(t *testing.T) {
 				_ = j
 			}
 		}
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -73,14 +65,13 @@ func TestRunRanksCtxCancelMidRun(t *testing.T) {
 // TestRunRanksCtxDeadline verifies deadline expiry surfaces as
 // context.DeadlineExceeded.
 func TestRunRanksCtxDeadline(t *testing.T) {
-	s := sp2System(t, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, err := s.RunRanksCtx(ctx, func(p *sim.Proc, rank int) {
+	_, err := Run(ctx, Spec{Machine: sp2(t), Procs: 2}, only(func(_ *System, p *sim.Proc, rank int) {
 		for i := 0; i < 10_000_000; i++ {
 			p.Delay(1e-6)
 		}
-	})
+	}))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

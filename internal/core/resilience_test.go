@@ -145,57 +145,57 @@ func runResilienceRow(t *testing.T, r resilienceRow) (string, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(m, resProcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.InstallFaults(pl); err != nil {
-		t.Fatal(err)
-	}
-	layout := sys.DefaultLayout()
-	if r.singleNode {
-		layout.StripeFactor = 1
-	}
-	perRank := resChunks * resChunk
-	f, err := sys.FS.Create("resilience.data", layout, resProcs*perRank)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var funnel *pio.Funnel
-	_, runErr := sys.RunRanks(func(p *sim.Proc, rank int) {
-		base := int64(rank) * perRank
-		switch r.workload {
-		case wlRead:
-			h := sys.Client(rank, m.Native).Open(p, f)
-			for i := int64(0); i < resChunks; i++ {
-				h.ReadAt(p, base+i*resChunk, resChunk)
-			}
-		case wlWrite, wlWriteThrough:
-			// One stripe unit per call: every transfer is a single chunk,
-			// whose device access is the transfer's last event.
-			h := sys.Client(rank, m.Native).Open(p, f)
-			for off := base; off < base+perRank; off += layout.StripeUnit {
-				h.WriteAt(p, off, layout.StripeUnit)
-			}
-		case wlPrefetch:
-			h := sys.Client(rank, m.Native).Open(p, f)
-			pf := pio.NewPrefetcher(h, base, base+perRank, resChunk, 2)
-			for pf.Read(p) > 0 {
-				p.Delay(2e-3) // compute on the chunk while the next arrives
-			}
-		case wlFunnel:
-			if rank == 0 {
-				fn, err := pio.NewFunnel(sys.Comm, sys.Client(0, m.Native).Open(p, f), 64<<10)
-				if err != nil {
-					panic(err)
-				}
-				fn.SetRecorders(sys.Recorders)
-				funnel = fn
-			}
-			sys.Comm.Barrier(p, rank) // every rank sees the funnel rank 0 built
-			funnel.Write(p, rank, []ooc.Run{{Off: base, Len: perRank}})
+	var sys *System
+	_, runErr := Run(nil, Spec{Machine: m, Procs: resProcs, Faults: pl}, func(s *System) (Body, error) {
+		sys = s
+		layout := s.DefaultLayout()
+		if r.singleNode {
+			layout.StripeFactor = 1
 		}
+		perRank := resChunks * resChunk
+		f, err := s.FS.Create("resilience.data", layout, resProcs*perRank)
+		if err != nil {
+			return nil, err
+		}
+		var funnel *pio.Funnel
+		return func(p *sim.Proc, rank int) {
+			base := int64(rank) * perRank
+			switch r.workload {
+			case wlRead:
+				h := s.Client(rank, m.Native).Open(p, f)
+				for i := int64(0); i < resChunks; i++ {
+					h.ReadAt(p, base+i*resChunk, resChunk)
+				}
+			case wlWrite, wlWriteThrough:
+				// One stripe unit per call: every transfer is a single
+				// chunk, whose device access is the transfer's last event.
+				h := s.Client(rank, m.Native).Open(p, f)
+				for off := base; off < base+perRank; off += layout.StripeUnit {
+					h.WriteAt(p, off, layout.StripeUnit)
+				}
+			case wlPrefetch:
+				h := s.Client(rank, m.Native).Open(p, f)
+				pf := pio.NewPrefetcher(h, base, base+perRank, resChunk, 2)
+				for pf.Read(p) > 0 {
+					p.Delay(2e-3) // compute on the chunk while the next arrives
+				}
+			case wlFunnel:
+				if rank == 0 {
+					fn, err := pio.NewFunnel(s.Comm, s.Client(0, m.Native).Open(p, f), 64<<10)
+					if err != nil {
+						panic(err)
+					}
+					fn.SetRecorders(s.Recorders)
+					funnel = fn
+				}
+				s.Comm.Barrier(p, rank) // every rank sees the funnel rank 0 built
+				funnel.Write(p, rank, []ooc.Run{{Off: base, Len: perRank}})
+			}
+		}, nil
 	})
+	if sys == nil {
+		t.Fatal(runErr)
+	}
 	if runErr == nil {
 		checkIdle(t, r, sys)
 	}

@@ -101,25 +101,26 @@ func runDegraded(m *machine.Config, procs, chunksPerRank int, chunk int64, plan 
 	if err != nil {
 		return degradedResult{}, err
 	}
-	sys, err := core.NewSystem(m, procs)
-	if err != nil {
-		return degradedResult{}, err
-	}
-	if err := sys.InstallFaults(pl); err != nil {
-		return degradedResult{}, err
-	}
 	perRank := int64(chunksPerRank) * chunk
-	f, err := sys.FS.Create("degraded.data", sys.DefaultLayout(), int64(procs)*perRank)
-	if err != nil {
+	var sys *core.System
+	rep, err := core.Run(nil, core.Spec{Machine: m, Procs: procs, Faults: pl}, func(s *core.System) (core.Body, error) {
+		f, err := s.FS.Create("degraded.data", s.DefaultLayout(), int64(procs)*perRank)
+		if err != nil {
+			return nil, err
+		}
+		sys = s
+		return func(p *sim.Proc, rank int) {
+			h := s.Client(rank, m.Native).Open(p, f)
+			base := int64(rank) * perRank
+			for i := 0; i < chunksPerRank; i++ {
+				h.ReadAt(p, base+int64(i)*chunk, chunk)
+			}
+		}, nil
+	})
+	if sys == nil {
+		// The ranks never started: a setup error, not a fault.
 		return degradedResult{}, err
 	}
-	wall, err := sys.RunRanks(func(p *sim.Proc, rank int) {
-		h := sys.Client(rank, m.Native).Open(p, f)
-		base := int64(rank) * perRank
-		for i := 0; i < chunksPerRank; i++ {
-			h.ReadAt(p, base+int64(i)*chunk, chunk)
-		}
-	})
 	out := degradedResult{}
 	if !pl.Empty() {
 		// These counters exist exactly when a plan installed them; reading
@@ -132,8 +133,7 @@ func runDegraded(m *machine.Config, procs, chunksPerRank int, chunk int64, plan 
 		out.err = err
 		return out, nil
 	}
-	rep := sys.MakeReport(wall)
-	out.wall = wall
+	out.wall = rep.ExecSec
 	out.bw = rep.BandwidthMBs()
 	out.events = rep.Events
 	out.snap = rep.Stats

@@ -98,41 +98,34 @@ func init() {
 // operations on one shared file under a PFS mode; the report's ExecSec is
 // the workload wall clock.
 func runModeWorkload(m *machine.Config, procs, ops int, opBytes int64, mode pio.Mode) (core.Report, error) {
-	sys, err := core.NewSystem(m, procs)
-	if err != nil {
-		return core.Report{}, err
-	}
-	f, err := sys.FS.Create("modes.shared", sys.DefaultLayout(),
-		int64(procs*ops)*opBytes)
-	if err != nil {
-		return core.Report{}, err
-	}
-	handles := make([]*pio.Handle, procs)
-	var sf *pio.SharedFile
-	wall, err := sys.RunRanks(func(p *sim.Proc, rank int) {
-		cl := sys.Client(rank, m.Native)
-		handles[rank] = cl.Open(p, f)
-		sys.Comm.Barrier(p, rank)
-		if rank == 0 {
-			s, serr := pio.NewSharedFile(sys.Comm, handles, mode, opBytes)
-			if serr != nil {
-				panic(serr)
-			}
-			sf = s
+	return core.Run(nil, core.Spec{Machine: m, Procs: procs}, func(sys *core.System) (core.Body, error) {
+		f, err := sys.FS.Create("modes.shared", sys.DefaultLayout(), int64(procs*ops)*opBytes)
+		if err != nil {
+			return nil, err
 		}
-		sys.Comm.Barrier(p, rank)
-		for i := 0; i < ops; i++ {
-			if mode == pio.ModeGlobal {
-				sf.Read(p, rank, opBytes)
-			} else {
-				sf.Write(p, rank, opBytes)
+		handles := make([]*pio.Handle, procs)
+		var sf *pio.SharedFile
+		return func(p *sim.Proc, rank int) {
+			cl := sys.Client(rank, m.Native)
+			handles[rank] = cl.Open(p, f)
+			sys.Comm.Barrier(p, rank)
+			if rank == 0 {
+				s, serr := pio.NewSharedFile(sys.Comm, handles, mode, opBytes)
+				if serr != nil {
+					panic(serr)
+				}
+				sf = s
 			}
-		}
+			sys.Comm.Barrier(p, rank)
+			for i := 0; i < ops; i++ {
+				if mode == pio.ModeGlobal {
+					sf.Read(p, rank, opBytes)
+				} else {
+					sf.Write(p, rank, opBytes)
+				}
+			}
+		}, nil
 	})
-	if err != nil {
-		return core.Report{}, err
-	}
-	return sys.MakeReport(wall), nil
 }
 
 // sieveResult is one sweep point of the sieve ablation.
@@ -158,28 +151,25 @@ func runSieveWorkload(m *machine.Config, pieces int, pieceLen, gap int64, sieve 
 	}
 	extent := int64(pieces)*(pieceLen+gap) + pieceLen
 
-	sys, err := core.NewSystem(m, 1)
-	if err != nil {
-		return sieveResult{}, err
-	}
-	f, err := sys.FS.Create("sieve.data", sys.DefaultLayout(), extent)
-	if err != nil {
-		return sieveResult{}, err
-	}
 	var stats pio.SieveStats
-	wall, err := sys.RunRanks(func(p *sim.Proc, rank int) {
-		h := sys.Client(rank, m.Passion).Open(p, f)
-		if sieve {
-			stats = h.ReadSieved(p, runs, 4<<20)
-			return
+	rep, err := core.Run(nil, core.Spec{Machine: m, Procs: 1}, func(sys *core.System) (core.Body, error) {
+		f, err := sys.FS.Create("sieve.data", sys.DefaultLayout(), extent)
+		if err != nil {
+			return nil, err
 		}
-		for _, r := range runs {
-			h.ReadAt(p, r.Off, r.Len)
-		}
+		return func(p *sim.Proc, rank int) {
+			h := sys.Client(rank, m.Passion).Open(p, f)
+			if sieve {
+				stats = h.ReadSieved(p, runs, 4<<20)
+				return
+			}
+			for _, r := range runs {
+				h.ReadAt(p, r.Off, r.Len)
+			}
+		}, nil
 	})
 	if err != nil {
 		return sieveResult{}, err
 	}
-	rep := sys.MakeReport(wall)
-	return sieveResult{wall: wall, stats: stats, events: rep.Events, snap: rep.Stats}, nil
+	return sieveResult{wall: rep.ExecSec, stats: stats, events: rep.Events, snap: rep.Stats}, nil
 }

@@ -3,12 +3,10 @@ package exp
 import (
 	"fmt"
 	"io"
-	"strconv"
 
 	"pario/internal/core"
 	"pario/internal/machine"
 	"pario/internal/pio"
-	"pario/internal/sim"
 	"pario/internal/workload"
 )
 
@@ -51,7 +49,7 @@ func init() {
 				}
 			}
 			reps, err := sweep(jobs, func(j job) (core.Report, error) {
-				return replayPattern(m, j.iface, procs, j.reqs)
+				return workload.Replay(m, j.iface, procs, j.reqs)
 			})
 			if err != nil {
 				return err
@@ -69,27 +67,4 @@ func init() {
 			return nil
 		},
 	})
-}
-
-// replayPattern runs the request stream on procs ranks, each against a
-// private file.
-func replayPattern(m *machine.Config, iface pio.ClientParams, procs int, reqs []workload.Request) (core.Report, error) {
-	sys, err := core.NewSystem(m, procs)
-	if err != nil {
-		return core.Report{}, err
-	}
-	extent := workload.MaxExtent(reqs)
-	wall, err := sys.RunRanks(func(p *sim.Proc, rank int) {
-		f, ferr := sys.FS.Create("pat."+strconv.Itoa(rank), sys.DefaultLayout(), extent)
-		if ferr != nil {
-			panic(ferr)
-		}
-		h := sys.Client(rank, iface).Open(p, f)
-		workload.Replay(p, h, reqs, 0, m.CPUFlops)
-		h.Close(p)
-	})
-	if err != nil {
-		return core.Report{}, err
-	}
-	return sys.MakeReport(wall), nil
 }

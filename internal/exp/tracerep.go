@@ -57,7 +57,8 @@ func init() {
 				}
 			}
 			reps, err := sweep(jobs, func(j job) (core.Report, error) {
-				return tracerun.Run(tracerun.Config{Machine: m, Trace: j.t, Interface: j.iface, Opt: j.opt})
+				return core.Run(nil, core.Spec{Machine: m, Procs: len(j.t.Ranks)},
+					tracerun.Config{Trace: j.t, Interface: j.iface, Opt: j.opt}.Setup)
 			})
 			if err != nil {
 				return err
@@ -90,9 +91,8 @@ func tracerepTraces(s Scale) ([]*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	core.SetDefaultCapture(true)
-	rep, err := fft.Run(fft.Config{Machine: m, Procs: ranks, N: n, BufferBytes: buf})
-	core.SetDefaultCapture(false)
+	rep, err := core.Run(nil, core.Spec{Machine: m, Procs: ranks, Capture: true},
+		fft.Config{N: n, BufferBytes: buf}.Setup)
 	if err != nil {
 		return nil, err
 	}

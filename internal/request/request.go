@@ -11,7 +11,6 @@
 package request
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -131,14 +130,15 @@ var scf11Versions = map[string]scf.Version{
 }
 
 // binding is what a canonical request names, resolved once by resolve: the
-// machine it runs on, its parsed fault plan, the app's run and the app
+// machine it runs on, its parsed fault plan, the app's setup and the app
 // parameters both the simulation and the roofline estimator read.
 type binding struct {
 	m    *machine.Config
 	plan *fault.Plan
-	// run simulates the request; nil for app "trace", whose workload is
-	// named only by hash (see RunTrace).
-	run func(ctx context.Context, b binding) (core.Report, error)
+	// setup creates the app's files on sys and returns its rank body (see
+	// core.Run); nil for app "trace", whose workload is named only by
+	// hash (see RunTrace).
+	setup func(b *binding, sys *core.System) (core.Body, error)
 	// est holds the resolved app parameters; unused for app "trace".
 	est roofline.Input
 	// stripeKB is scf11's stripe unit, which the simulation reads and
@@ -183,7 +183,7 @@ func isSquare(n int) bool {
 
 // resolve is the one per-app rule of what a request names. It returns the
 // canonical form Canonicalize answers and binds b to the machine, fault
-// plan, run and estimator input that form names; Run, RunTrace and Estimate all
+// plan, setup and estimator input that form names; Run, RunTrace and Estimate all
 // resolve through it, so they can never disagree about a request.
 func resolve(req Request, b *binding) (c Request, err error) {
 	c = Request{App: strings.ToLower(strings.TrimSpace(req.App))}
@@ -261,11 +261,10 @@ func resolve(req Request, b *binding) (c Request, err error) {
 		case v == "direct":
 			b.unpriced = "the direct scf11 version"
 		}
-		b.run = func(ctx context.Context, b binding) (core.Report, error) {
-			return scf.Run11(scf.Config11{
-				Ctx: ctx, Faults: b.plan, Machine: b.m, Input: b.est.Input, Procs: b.est.Procs, Version: b.est.Version,
-				MemoryKB: b.est.MemoryKB, StripeUnitKB: b.stripeKB,
-			})
+		b.setup = func(b *binding, sys *core.System) (core.Body, error) {
+			return scf.Config11{
+				Input: b.est.Input, Version: b.est.Version, MemoryKB: b.est.MemoryKB, StripeUnitKB: b.stripeKB,
+			}.Setup(sys)
 		}
 	case "scf30":
 		c.IONodes = nio(16)
@@ -293,11 +292,8 @@ func resolve(req Request, b *binding) (c Request, err error) {
 			return Request{}, err
 		}
 		b.est.Input.N = n
-		b.run = func(ctx context.Context, b binding) (core.Report, error) {
-			return scf.Run30(scf.Config30{
-				Ctx: ctx, Faults: b.plan, Machine: b.m, Input: b.est.Input, Procs: b.est.Procs,
-				CachedPct: b.est.CachedPct, Balance: true,
-			})
+		b.setup = func(b *binding, sys *core.System) (core.Body, error) {
+			return scf.Config30{Input: b.est.Input, CachedPct: b.est.CachedPct, Balance: true}.Setup(sys)
 		}
 	case "fft":
 		c.IONodes = nio(2)
@@ -316,11 +312,11 @@ func resolve(req Request, b *binding) (c Request, err error) {
 		if b.est.BufferBytes < b.est.N*fft.ElemBytes {
 			return Request{}, fmt.Errorf("serve: fft buffer_kb %d cannot hold one column of n=%d", buf, n)
 		}
-		b.run = func(ctx context.Context, b binding) (core.Report, error) {
-			return fft.Run(fft.Config{
-				Ctx: ctx, Faults: b.plan, Machine: b.m, Procs: b.est.Procs, OptimizedLayout: b.est.Opt,
-				N: b.est.N, BufferBytes: b.est.BufferBytes,
-			})
+		if n < c.Procs {
+			return Request{}, fmt.Errorf("serve: fft n=%d is smaller than %d procs", n, c.Procs)
+		}
+		b.setup = func(b *binding, sys *core.System) (core.Body, error) {
+			return fft.Config{N: b.est.N, BufferBytes: b.est.BufferBytes, OptimizedLayout: b.est.Opt}.Setup(sys)
 		}
 	case "btio":
 		// The SP2 partition is fixed; IONodes stays 0 in canonical form.
@@ -348,8 +344,8 @@ func resolve(req Request, b *binding) (c Request, err error) {
 		if b.est.Class.Dumps, c.Dumps, err = size("dumps", req.Dumps, b.est.Class.Dumps); err != nil {
 			return Request{}, err
 		}
-		b.run = func(ctx context.Context, b binding) (core.Report, error) {
-			return btio.Run(btio.Config{Ctx: ctx, Faults: b.plan, Machine: b.m, Procs: b.est.Procs, Class: b.est.Class, Collective: b.est.Opt})
+		b.setup = func(b *binding, sys *core.System) (core.Body, error) {
+			return btio.Config{Class: b.est.Class, Collective: b.est.Opt}.Setup(sys)
 		}
 	case "ast":
 		c.IONodes = nio(16)
@@ -361,17 +357,17 @@ func resolve(req Request, b *binding) (c Request, err error) {
 			return Request{}, err
 		}
 		b.est.N = int64(n)
+		if n < c.Procs {
+			return Request{}, fmt.Errorf("serve: ast n=%d is smaller than %d procs", n, c.Procs)
+		}
 		if b.est.Arrays, c.Arrays, err = size("arrays", req.Arrays, ast.DefaultArrays); err != nil {
 			return Request{}, err
 		}
 		if b.est.Dumps, c.Dumps, err = size("dumps", req.Dumps, ast.DefaultDumps); err != nil {
 			return Request{}, err
 		}
-		b.run = func(ctx context.Context, b binding) (core.Report, error) {
-			return ast.Run(ast.Config{
-				Ctx: ctx, Faults: b.plan, Machine: b.m, Procs: b.est.Procs, Optimized: b.est.Opt,
-				N: b.est.N, Arrays: b.est.Arrays, Dumps: b.est.Dumps,
-			})
+		b.setup = func(b *binding, sys *core.System) (core.Body, error) {
+			return ast.Config{N: b.est.N, Arrays: b.est.Arrays, Dumps: b.est.Dumps, Optimized: b.est.Opt}.Setup(sys)
 		}
 	case "trace":
 		// The trace itself fixes the rank count; Procs is cleared so
@@ -399,6 +395,11 @@ func resolve(req Request, b *binding) (c Request, err error) {
 		b.unpriced = "trace replays"
 	default:
 		return Request{}, fmt.Errorf("serve: unknown app %q (scf11|scf30|fft|btio|ast|trace)", req.App)
+	}
+	if c.Procs > b.m.NumCompute {
+		// A trace's rank count is its own (Procs is cleared above), so
+		// this refuses only what no run of the app could place.
+		return Request{}, fmt.Errorf("serve: %d procs exceed the %d compute nodes of %s", c.Procs, b.m.NumCompute, b.m.Name)
 	}
 	if req.Faults != "" {
 		if b.plan, err = fault.Parse(req.Faults); err != nil {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pario/internal/machine"
 )
 
 // FuzzCanonicalize drives resolve with arbitrary requests: every app, the
@@ -44,7 +46,7 @@ func FuzzCanonicalize(f *testing.F) {
 			t.Fatalf("not idempotent:\n  once  %+v\n  twice %+v", c, again)
 		}
 		if *raw.m != *canon.m || raw.plan.String() != canon.plan.String() || raw.est != canon.est ||
-			raw.stripeKB != canon.stripeKB || raw.unpriced != canon.unpriced || (raw.run == nil) != (canon.run == nil) {
+			raw.stripeKB != canon.stripeKB || raw.unpriced != canon.unpriced || (raw.setup == nil) != (canon.setup == nil) {
 			t.Fatalf("raw and canonical bindings differ:\n  raw   %s %q %+v su=%d %q\n  canon %s %q %+v su=%d %q",
 				raw.m.Name, raw.plan.String(), raw.est, raw.stripeKB, raw.unpriced,
 				canon.m.Name, canon.plan.String(), canon.est, canon.stripeKB, canon.unpriced)
@@ -73,16 +75,29 @@ func TestSquareCheckIsConstantTime(t *testing.T) {
 		{2, false},
 		{49, true},
 	}
+	sp2, err := machine.SP2()
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for _, tc := range cases {
 			_, err := Canonicalize(Request{App: "btio", Procs: tc.procs})
-			if tc.square && err != nil {
-				t.Errorf("btio at %d procs: %v", tc.procs, err)
-			}
-			if !tc.square && (err == nil || !strings.Contains(err.Error(), "square process count")) {
-				t.Errorf("btio at %d procs: error %v, want the square process count error", tc.procs, err)
+			switch {
+			case tc.square && tc.procs <= sp2.NumCompute:
+				if err != nil {
+					t.Errorf("btio at %d procs: %v", tc.procs, err)
+				}
+			case tc.square:
+				// Past the square check, the SP-2's size refuses it.
+				if err == nil || !strings.Contains(err.Error(), "compute nodes") {
+					t.Errorf("btio at %d procs: error %v, want the compute-node bound", tc.procs, err)
+				}
+			default:
+				if err == nil || !strings.Contains(err.Error(), "square process count") {
+					t.Errorf("btio at %d procs: error %v, want the square process count error", tc.procs, err)
+				}
 			}
 		}
 	}()

@@ -16,19 +16,32 @@ import (
 // cmd/iosim, cmd/iotrace and the paper artifacts, so all produce the same
 // report for the same request.
 func Run(ctx context.Context, req Request) (core.Report, error) {
+	return run(ctx, req, false)
+}
+
+// RunCaptured is Run with per-operation capture on: the report also
+// carries every rank's data operations in Captured, ready for
+// trace.FromCaptured. Capture changes what is recorded, never the
+// simulation, so the rest of the report equals Run's.
+func RunCaptured(ctx context.Context, req Request) (core.Report, error) {
+	return run(ctx, req, true)
+}
+
+func run(ctx context.Context, req Request, capture bool) (core.Report, error) {
 	var b binding
 	c, err := resolve(req, &b)
 	if err != nil {
 		return core.Report{}, err
 	}
-	if b.run == nil {
+	if b.setup == nil {
 		// The request names the trace only by hash; resolving the bytes
 		// needs a store (the daemon's upload registry, or a file loaded by
 		// iosim -trace) — callers with the trace in hand use RunTrace.
 		return core.Report{}, core.Classify("trace_unknown",
 			fmt.Errorf("serve: trace %s is not available here", c.Trace))
 	}
-	return b.run(ctx, b)
+	spec := core.Spec{Machine: b.m, Procs: b.est.Procs, Faults: b.plan, Capture: capture}
+	return core.Run(ctx, spec, func(sys *core.System) (core.Body, error) { return b.setup(&b, sys) })
 }
 
 // RunTrace runs an app-"trace" request against a resolved trace: the
@@ -42,10 +55,8 @@ func RunTrace(ctx context.Context, req Request, tr *trace.Trace) (core.Report, e
 	if err != nil {
 		return core.Report{}, err
 	}
-	return tracerun.Run(tracerun.Config{
-		Ctx: ctx, Faults: b.plan, Machine: b.m, Trace: tr,
-		Interface: c.Version, Opt: c.Opt,
-	})
+	spec := core.Spec{Machine: b.m, Procs: len(tr.Ranks), Faults: b.plan}
+	return core.Run(ctx, spec, tracerun.Config{Trace: tr, Interface: c.Version, Opt: c.Opt}.Setup)
 }
 
 // Estimate prices a request analytically against the machine it resolves

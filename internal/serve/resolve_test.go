@@ -63,8 +63,6 @@ func resolveCases(traceHash string) []resolveCase {
 		{name: "fft-explicit-ignored-fields",
 			req:   request.Request{App: "FFT", Procs: 2, IONodes: 4, Opt: true, Input: "LARGE", Version: "passion", Class: "B", CachedPct: 50},
 			canon: request.Request{App: "fft", Procs: 2, IONodes: 4, Opt: true}, exec: true},
-		{name: "fft-procs-beyond-machine", req: request.Request{App: "fft", Procs: 2000},
-			canon: request.Request{App: "fft", Procs: 2000, IONodes: 2}, exec: true},
 		{name: "btio-defaults", req: request.Request{App: "btio"},
 			canon: request.Request{App: "btio", Procs: 4, Class: "A"}},
 		{name: "btio-ignores-ionodes", req: request.Request{App: "btio", Procs: 4, IONodes: 16, Class: " a ", Opt: true, Input: "SMALL"},
@@ -193,6 +191,16 @@ func resolveCases(traceHash string) []resolveCase {
 			err: "serve: scf30 version direct caches no integrals, not cached_pct 50"},
 		{name: "reject-btio-maxint-procs", req: request.Request{App: "btio", Procs: math.MaxInt},
 			err: fmt.Sprintf("serve: btio needs a square process count, got %d", math.MaxInt)},
+		// A run the machine cannot place, or an app cannot decompose, is
+		// refused up front rather than failing inside the simulation.
+		{name: "reject-fft-procs-beyond-machine", req: request.Request{App: "fft", Procs: 2000},
+			err: "serve: 2000 procs exceed the 56 compute nodes of paragon-small-2io"},
+		{name: "reject-btio-procs-beyond-machine", req: request.Request{App: "btio", Procs: 81},
+			err: "serve: 81 procs exceed the 75 compute nodes of sp2"},
+		{name: "reject-fft-n-below-procs", req: request.Request{App: "fft", Procs: 8, N: 4},
+			err: "serve: fft n=4 is smaller than 8 procs"},
+		{name: "reject-ast-n-below-procs", req: request.Request{App: "ast", Procs: 8, N: 3},
+			err: "serve: ast n=3 is smaller than 8 procs"},
 	}
 }
 

@@ -432,6 +432,36 @@ func TestErrorsCarryClass(t *testing.T) {
 	check("run draining", http.MethodGet, "/run?app=fft", "", 503, "draining")
 }
 
+// TestRunRefusesUnrunnableShapes: a request the machine cannot place (more
+// procs than compute nodes) or the app cannot decompose (an fft or ast n
+// below procs) is a 400 bad_request on /run in either mode, never a 500
+// from inside the simulation or an estimate of a run that cannot happen,
+// and /sweep skips and counts such a point like any other invalid one.
+func TestRunRefusesUnrunnableShapes(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.sched.Close()
+	for _, q := range []string{"app=fft&procs=2000", "app=btio&procs=81", "app=fft&procs=8&n=4", "app=ast&procs=8&n=3"} {
+		for _, mode := range []string{"exact", "estimate"} {
+			req, err := http.NewRequest(http.MethodGet, ts.URL+"/run?"+q+"&mode="+mode, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, b := do(t, req)
+			var eb errorBody
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(b, &eb) != nil || eb.Class != "bad_request" ||
+				!strings.Contains(eb.Error, "procs") {
+				t.Errorf("%s mode=%s: %d %q, want 400 with class bad_request naming procs", q, mode, resp.StatusCode, b)
+			}
+		}
+	}
+	_, lines, sum := getSweep(t, ts, "app=fft&procs=4,2000&mode=estimate")
+	if len(lines) != 1 || sum.Skipped != 1 {
+		t.Fatalf("sweep lines/skipped = %d/%d, want 1/1", len(lines), sum.Skipped)
+	}
+}
+
 // TestServerGracefulShutdownDrains starts a slow request over a real
 // listener, shuts the server down mid-flight, and verifies the in-flight
 // response arrives complete before Shutdown returns.

@@ -3,6 +3,8 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 )
 
@@ -100,6 +102,19 @@ func (r *Registry) Snapshot(endT float64) *Snapshot {
 		snap.Series = append(snap.Series, sv)
 	}
 	return snap
+}
+
+// SetFloat sets the float gauge name to v, inserting it in name order when
+// the snapshot lacks it. It folds values known only once a run is over —
+// its span, its I/O-partition balance — into that run's snapshot without
+// touching the registry the run fed.
+func (s *Snapshot) SetFloat(name string, v float64, agg Agg) {
+	i := sort.Search(len(s.Floats), func(i int) bool { return s.Floats[i].Name >= name })
+	if i < len(s.Floats) && s.Floats[i].Name == name {
+		s.Floats[i].Value, s.Floats[i].Agg = v, agg
+		return
+	}
+	s.Floats = slices.Insert(s.Floats, i, FloatValue{Name: name, Value: v, Agg: agg})
 }
 
 // mergeSorted merges two name-sorted slices, combining entries with equal

@@ -253,6 +253,35 @@ func TestSnapshotMerge(t *testing.T) {
 	}
 }
 
+// TestSnapshotSetFloat: a float folded into a finished snapshot lands in
+// name order, exactly where a registry gauge of that name would have, and
+// setting an existing name overwrites it.
+func TestSnapshotSetFloat(t *testing.T) {
+	r := NewRegistry()
+	r.Float("b", AggSum).Set(2)
+	r.Float("d", AggSum).Set(4)
+	snap := r.Snapshot(0)
+	snap.SetFloat("c", 3, AggMax)
+	snap.SetFloat("a", 1, AggSum)
+	snap.SetFloat("e", 5, AggSum)
+	snap.SetFloat("d", 40, AggMax)
+
+	want := NewRegistry()
+	want.Float("a", AggSum).Set(1)
+	want.Float("b", AggSum).Set(2)
+	want.Float("c", AggMax).Set(3)
+	want.Float("d", AggMax).Set(40)
+	want.Float("e", AggSum).Set(5)
+	if got, exp := snap.Table(), want.Snapshot(0).Table(); got != exp {
+		t.Fatalf("table after SetFloat:\n%s\nwant:\n%s", got, exp)
+	}
+	for i, f := range snap.Floats {
+		if w := want.Snapshot(0).Floats[i]; f != w {
+			t.Fatalf("float %d = %+v, want %+v", i, f, w)
+		}
+	}
+}
+
 func TestFmtCount(t *testing.T) {
 	cases := map[int64]string{
 		0: "0", 7: "7", 999: "999", 1000: "1,000",

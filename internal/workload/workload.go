@@ -2,13 +2,17 @@
 // generator behind the benchmark harness and a tool for exploring the
 // machine models outside the five applications. A Spec describes a pattern
 // (sequential, strided, random, hotspot) and a volume; Requests expands it
-// deterministically into a request list; Replay drives the list through
-// any pio interface, interleaving per-request compute.
+// deterministically into a request list; Replay runs the list on a
+// simulated machine through any pio interface.
 package workload
 
 import (
 	"fmt"
+	"strconv"
 
+	"pario/internal/core"
+	"pario/internal/machine"
+	"pario/internal/pfs"
 	"pario/internal/pio"
 	"pario/internal/sim"
 )
@@ -187,17 +191,30 @@ func MaxExtent(reqs []Request) int64 {
 	return hi
 }
 
-// Replay drives the request list through a handle, spending
-// computePerReqFlops of CPU (at cpuFlops per second) before each request.
-func Replay(p *sim.Proc, h *pio.Handle, reqs []Request, computePerReqFlops, cpuFlops float64) {
-	for _, r := range reqs {
-		if computePerReqFlops > 0 && cpuFlops > 0 {
-			p.Delay(computePerReqFlops / cpuFlops)
+// Replay runs the request list on procs ranks of machine m through the
+// client interface iface and returns the run's report. Every rank replays
+// the whole list against a private file sized to the list's extent.
+func Replay(m *machine.Config, iface pio.ClientParams, procs int, reqs []Request) (core.Report, error) {
+	extent := MaxExtent(reqs)
+	return core.Run(nil, core.Spec{Machine: m, Procs: procs}, func(sys *core.System) (core.Body, error) {
+		files := make([]*pfs.File, procs)
+		for r := range files {
+			f, err := sys.FS.Create("replay."+strconv.Itoa(r), sys.DefaultLayout(), extent)
+			if err != nil {
+				return nil, err
+			}
+			files[r] = f
 		}
-		if r.Write {
-			h.WriteAt(p, r.Off, r.Len)
-		} else {
-			h.ReadAt(p, r.Off, r.Len)
-		}
-	}
+		return func(p *sim.Proc, rank int) {
+			h := sys.Client(rank, iface).Open(p, files[rank])
+			for _, r := range reqs {
+				if r.Write {
+					h.WriteAt(p, r.Off, r.Len)
+				} else {
+					h.ReadAt(p, r.Off, r.Len)
+				}
+			}
+			h.Close(p)
+		}, nil
+	})
 }

@@ -4,9 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"pario/internal/core"
 	"pario/internal/machine"
-	"pario/internal/sim"
 	"pario/internal/trace"
 )
 
@@ -172,30 +170,18 @@ func TestReplayDrivesInterface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.NewSystem(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := Spec{Pattern: Strided, TotalBytes: 1 << 20, RequestBytes: 64 << 10, Stride: 64 << 10, WriteFrac: 0.5, Seed: 1}
 	reqs, err := s.Requests()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := sys.FS.Create("w", sys.DefaultLayout(), MaxExtent(reqs))
+	rep, err := Replay(cfg, cfg.Passion, 1, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wall, err := sys.RunRanks(func(p *sim.Proc, rank int) {
-		h := sys.Client(rank, cfg.Passion).Open(p, f)
-		Replay(p, h, reqs, 1e6, cfg.CPUFlops)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wall <= 0 {
+	if rep.ExecSec <= 0 {
 		t.Fatal("replay took no time")
 	}
-	rep := sys.MakeReport(wall)
 	got := rep.Trace.Get(trace.Read).Count + rep.Trace.Get(trace.Write).Count
 	if got != int64(len(reqs)) {
 		t.Fatalf("replayed %d ops, want %d", got, len(reqs))
