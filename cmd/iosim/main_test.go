@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"pario/internal/core"
 	"pario/internal/request"
 	"pario/internal/serve"
+	"pario/internal/trace"
 )
 
 // TestRunApps smoke-tests the driver's dispatch for every application at
@@ -67,6 +71,21 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		if got := core.ErrorClass(err); got != "bad_request" {
 			t.Errorf("plan %q: error %v (class %s), want a bad_request", plan, err, got)
 		}
+	}
+}
+
+// TestRunTraceRefusesRanksBeyondMachine replays a trace with one more rank
+// than the replay machine has compute nodes: the refusal is the service's
+// bad_request, named by rank and compute-node count, not an internal error.
+func TestRunTraceRefusesRanksBeyondMachine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "storm.ptrt")
+	if err := os.WriteFile(path, trace.AppendStorm(513, 1, 0).EncodeText(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := runTrace(path, "", 0, false, "")
+	if core.ErrorClass(err) != "bad_request" ||
+		!strings.Contains(err.Error(), "513 ranks exceeds the 512 compute nodes") {
+		t.Fatalf("error %v (class %s), want a bad_request naming 513 ranks and 512 compute nodes", err, core.ErrorClass(err))
 	}
 }
 

@@ -2,22 +2,25 @@ package main
 
 import (
 	"bytes"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
-
-	"pario/internal/apps/ast"
 )
 
+// TestRunSmoke runs the example at its default arguments and compares its
+// stdout with testdata/stdout.golden. Regenerate the golden with
+//
+//	go run ./examples/astcheckpoint > examples/astcheckpoint/testdata/stdout.golden
 func TestRunSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, ast.Config{N: 64, Arrays: 1, Dumps: 1}, []int{2}); err != nil {
+	if err := run(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "funnel 16io") || !strings.Contains(out, "2phase 64io") {
-		t.Fatalf("missing comparison columns:\n%s", out)
+	want, err := os.ReadFile(filepath.Join("testdata", "stdout.golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if strings.Count(out, "\n") < 5 {
-		t.Fatalf("suspiciously short output:\n%s", out)
+	if got := buf.String(); got != string(want) {
+		t.Fatalf("stdout differs from testdata/stdout.golden; got:\n%s", got)
 	}
 }

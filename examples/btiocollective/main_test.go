@@ -2,20 +2,25 @@ package main
 
 import (
 	"bytes"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
-
-	"pario/internal/apps/btio"
 )
 
+// TestRunSmoke runs the example at its default arguments and compares its
+// stdout with testdata/stdout.golden. Regenerate the golden with
+//
+//	go run ./examples/btiocollective > examples/btiocollective/testdata/stdout.golden
 func TestRunSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	cls := btio.Class{Name: "smoke", N: 16, Dumps: 2}
-	if err := run(&buf, cls, []int{4}); err != nil {
+	if err := run(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "speedup") || !strings.Contains(out, "unopt writes") {
-		t.Fatalf("missing comparison columns:\n%s", out)
+	want, err := os.ReadFile(filepath.Join("testdata", "stdout.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Fatalf("stdout differs from testdata/stdout.golden; got:\n%s", got)
 	}
 }

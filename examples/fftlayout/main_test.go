@@ -2,19 +2,25 @@ package main
 
 import (
 	"bytes"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
+// TestRunSmoke runs the example at its default arguments and compares its
+// stdout with testdata/stdout.golden. Regenerate the golden with
+//
+//	go run ./examples/fftlayout > examples/fftlayout/testdata/stdout.golden
 func TestRunSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, 256, 1<<18, []int{1, 2}); err != nil {
+	if err := run(&buf, false); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, col := range []string{"unopt 2io", "unopt 4io", "opt 2io"} {
-		if !strings.Contains(out, col) {
-			t.Fatalf("missing column %q:\n%s", col, out)
-		}
+	want, err := os.ReadFile(filepath.Join("testdata", "stdout.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Fatalf("stdout differs from testdata/stdout.golden; got:\n%s", got)
 	}
 }

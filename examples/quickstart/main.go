@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"pario/internal/core"
 	"pario/internal/machine"
@@ -17,22 +19,30 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run runs the workload through the Fortran and PASSION interfaces and
+// prints each run's summary.
+func run(w io.Writer) error {
 	// A large Intel Paragon with a 12-node I/O partition.
 	cfg, err := machine.ParagonLarge(12)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-
 	for _, iface := range []pio.ClientParams{cfg.Fortran, cfg.Passion} {
 		rep, err := runWorkload(cfg, iface)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("--- interface: %s ---\n", iface.Name)
-		fmt.Printf("exec %.2f s, I/O %.2f s per process (%.1f%% of exec)\n\n",
+		fmt.Fprintf(w, "--- interface: %s ---\n", iface.Name)
+		fmt.Fprintf(w, "exec %.2f s, I/O %.2f s per process (%.1f%% of exec)\n\n",
 			rep.ExecSec, rep.IOMaxSec, rep.IOPctOfExec())
-		fmt.Println(rep.Trace.Table(rep.ExecSec * float64(rep.Procs)))
+		fmt.Fprintln(w, rep.Trace.Table(rep.ExecSec*float64(rep.Procs)))
 	}
+	return nil
 }
 
 // runWorkload runs 8 ranks, each writing a private 16 MB file in 64 KB

@@ -2,21 +2,25 @@ package main
 
 import (
 	"bytes"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
-
-	"pario/internal/apps/scf"
 )
 
+// TestRunSmoke runs the example at its default arguments and compares its
+// stdout with testdata/stdout.golden. Regenerate the golden with
+//
+//	go run ./examples/scfprefetch > examples/scfprefetch/testdata/stdout.golden
 func TestRunSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, scf.Input{Name: "smoke", N: 32}, []int{1, 2}); err != nil {
+	if err := run(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"original", "passion", "prefetch", "depth 1", "depth 2"} {
-		if !strings.Contains(strings.ToLower(out), want) {
-			t.Fatalf("missing %q:\n%s", want, out)
-		}
+	want, err := os.ReadFile(filepath.Join("testdata", "stdout.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(want) {
+		t.Fatalf("stdout differs from testdata/stdout.golden; got:\n%s", got)
 	}
 }

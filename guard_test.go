@@ -1,4 +1,4 @@
-package core
+package pario_test
 
 import (
 	"go/ast"
@@ -13,28 +13,30 @@ import (
 	"testing"
 )
 
-// TestLifecycleStaysSingle keeps Run the one lifecycle of a simulation: no
-// non-test Go file of the main module outside internal/core calls
-// core.NewSystem, and none outside internal/sim and internal/core spawns a
-// process, so every run is built, faulted, run and reported in one place.
+// TestModuleGuards walks every non-test Go file of the main module once and
+// keeps its structure single:
+//
+//   - one lifecycle: no file outside internal/core calls core.NewSystem, and
+//     none outside internal/sim and internal/core spawns a process, so every
+//     run is built, faulted, run and reported by core.Run;
+//   - one binding: no file outside internal/request, internal/roofline and
+//     the apps themselves imports an app package, so every app run, from
+//     the daemon, a CLI, an artifact or an example, is a request.Request
+//     bound by internal/request.
+//
 // Nested modules (the benchmark's perfbench) are not part of the main
-// module and are skipped.
-func TestLifecycleStaysSingle(t *testing.T) {
-	root := filepath.Join("..", "..")
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+// module and are skipped, as are testdata directories.
+func TestModuleGuards(t *testing.T) {
+	if _, err := os.Stat("go.mod"); err != nil {
 		t.Fatalf("module root not found: %v", err)
 	}
 	fset := token.NewFileSet()
 	checked := 0
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		rel, err := filepath.Rel(root, p)
-		if err != nil {
-			return err
-		}
-		rel = filepath.ToSlash(rel)
+		rel := filepath.ToSlash(p)
 		if d.IsDir() {
 			name := d.Name()
 			if rel != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
@@ -56,11 +58,16 @@ func TestLifecycleStaysSingle(t *testing.T) {
 		dir := path.Dir(rel)
 		coreName := ""
 		for _, imp := range f.Imports {
-			if ip, _ := strconv.Unquote(imp.Path.Value); ip == "pario/internal/core" {
+			ip, _ := strconv.Unquote(imp.Path.Value)
+			if ip == "pario/internal/core" {
 				coreName = "core"
 				if imp.Name != nil {
 					coreName = imp.Name.Name
 				}
+			}
+			if strings.HasPrefix(ip, "pario/internal/apps/") && dir != "internal/request" &&
+				dir != "internal/roofline" && !strings.HasPrefix(dir, "internal/apps/") {
+				t.Errorf("%s: imports %s; app runs bind through internal/request", fset.Position(imp.Pos()), ip)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -12,18 +12,19 @@ import (
 )
 
 // belowApps lists the artifacts that are not app runs, each with the
-// file that builds them: they drive core and pio directly (modes, sieve,
-// patterns, degraded) or capture and replay in-memory traces (tracerep).
-// They alone may build a machine; tracerep alone may import an app.
+// file that builds them: they drive core, pio and workload directly (modes,
+// sieve, patterns, degraded) or capture and replay in-memory traces
+// (tracerep). They alone may build a machine.
 var belowApps = map[string]string{
 	"modes": "extras.go", "sieve": "extras.go", "patterns": "patterns.go",
 	"degraded": "degraded.go", "tracerep": "tracerep.go",
 }
 
 // TestAppRunsBindThroughRequests keeps internal/request the one binding of
-// app runs: no non-test file of this package imports an app package except
-// tracerep.go, and only the files of belowApps import the machine
-// constructors, so an app Config literal cannot creep back in.
+// app runs: only the files of belowApps import the machine constructors,
+// so a hand-built machine cannot creep back in beside the plans. (No file
+// of this package imports an app package: the module-wide guard in the
+// root guard_test.go keeps that.)
 func TestAppRunsBindThroughRequests(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -44,9 +45,6 @@ func TestAppRunsBindThroughRequests(t *testing.T) {
 		}
 		for _, imp := range f.Imports {
 			path, _ := strconv.Unquote(imp.Path.Value)
-			if strings.HasPrefix(path, "pario/internal/apps/") && name != "tracerep.go" {
-				t.Errorf("%s imports %s: app runs bind through internal/request", name, path)
-			}
 			if path == "pario/internal/machine" && !below[name] {
 				t.Errorf("%s imports %s: only the artifacts below the app layer build machines", name, path)
 			}

@@ -10,6 +10,7 @@ import (
 	"pario/internal/pio"
 	"pario/internal/sim"
 	sstats "pario/internal/stats"
+	"pario/internal/workload"
 )
 
 // The experiments below go beyond the paper's published artifacts: they
@@ -34,7 +35,7 @@ func init() {
 			}
 			modes := []pio.Mode{pio.ModeUnix, pio.ModeLog, pio.ModeSync, pio.ModeRecord, pio.ModeGlobal}
 			reps, err := sweep(modes, func(mode pio.Mode) (core.Report, error) {
-				return runModeWorkload(m, procs, ops, opBytes, mode)
+				return workload.Shared(m, mode, procs, ops, opBytes)
 			})
 			if err != nil {
 				return err
@@ -91,40 +92,6 @@ func init() {
 			}
 			return nil
 		},
-	})
-}
-
-// runModeWorkload runs P ranks each performing the given number of
-// operations on one shared file under a PFS mode; the report's ExecSec is
-// the workload wall clock.
-func runModeWorkload(m *machine.Config, procs, ops int, opBytes int64, mode pio.Mode) (core.Report, error) {
-	return core.Run(nil, core.Spec{Machine: m, Procs: procs}, func(sys *core.System) (core.Body, error) {
-		f, err := sys.FS.Create("modes.shared", sys.DefaultLayout(), int64(procs*ops)*opBytes)
-		if err != nil {
-			return nil, err
-		}
-		handles := make([]*pio.Handle, procs)
-		var sf *pio.SharedFile
-		return func(p *sim.Proc, rank int) {
-			cl := sys.Client(rank, m.Native)
-			handles[rank] = cl.Open(p, f)
-			sys.Comm.Barrier(p, rank)
-			if rank == 0 {
-				s, serr := pio.NewSharedFile(sys.Comm, handles, mode, opBytes)
-				if serr != nil {
-					panic(serr)
-				}
-				sf = s
-			}
-			sys.Comm.Barrier(p, rank)
-			for i := 0; i < ops; i++ {
-				if mode == pio.ModeGlobal {
-					sf.Read(p, rank, opBytes)
-				} else {
-					sf.Write(p, rank, opBytes)
-				}
-			}
-		}, nil
 	})
 }
 

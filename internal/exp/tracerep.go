@@ -1,13 +1,12 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 
-	"pario/internal/apps/fft"
-	"pario/internal/apps/tracerun"
 	"pario/internal/core"
-	"pario/internal/machine"
+	"pario/internal/request"
 	"pario/internal/trace"
 	"pario/internal/workload"
 )
@@ -31,15 +30,11 @@ func init() {
 			if err != nil {
 				return err
 			}
-			m, err := machine.ParagonLarge(12)
-			if err != nil {
-				return err
-			}
 			ifaces := []string{"fortran", "passion", "native"}
+			// Each job is the /run request that replays one decoded trace.
 			type job struct {
-				t     *trace.Trace
-				iface string
-				opt   bool
+				req request.Request
+				t   *trace.Trace
 			}
 			var jobs []job
 			for _, t := range traces {
@@ -49,16 +44,18 @@ func init() {
 				if err != nil {
 					return fmt.Errorf("round-trip %s: %w", t.Label, err)
 				}
-				if rt.Hash() != t.Hash() {
+				h := rt.Hash()
+				if h != t.Hash() {
 					return fmt.Errorf("round-trip %s: hash changed", t.Label)
 				}
 				for _, iface := range ifaces {
-					jobs = append(jobs, job{rt, iface, false}, job{rt, iface, true})
+					for _, opt := range []bool{false, true} {
+						jobs = append(jobs, job{request.Request{App: "trace", Trace: h, Version: iface, Opt: opt}, rt})
+					}
 				}
 			}
 			reps, err := sweep(jobs, func(j job) (core.Report, error) {
-				return core.Run(nil, core.Spec{Machine: m, Procs: len(j.t.Ranks)},
-					tracerun.Config{Trace: j.t, Interface: j.iface, Opt: j.opt}.Setup)
+				return request.RunTrace(context.Background(), j.req, j.t)
 			})
 			if err != nil {
 				return err
@@ -81,18 +78,14 @@ func init() {
 // tracerepTraces builds the artifact's trace set: one captured from a real
 // FFT run, one emitted from a workload spec, and the three adversaries.
 func tracerepTraces(s Scale) ([]*trace.Trace, error) {
-	n, buf := int64(2048), int64(4<<20)
+	n, bufKB := 2048, 4096
 	ranks, events := 8, 256
 	if s == Quick {
-		n, buf = 256, 512<<10
+		n, bufKB = 256, 512
 		ranks, events = 4, 48
 	}
-	m, err := machine.ParagonSmall(2)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := core.Run(nil, core.Spec{Machine: m, Procs: ranks, Capture: true},
-		fft.Config{N: n, BufferBytes: buf}.Setup)
+	rep, err := request.RunCaptured(context.Background(),
+		request.Request{App: "fft", Procs: ranks, N: n, BufferKB: bufKB})
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,9 @@
 // it validates a Request, resolves every default into a canonical form whose
 // hash is the run's content address, and binds that form to the machine,
 // fault plan, app run and roofline input it names. pariod's /run and /sweep,
-// cmd/iosim, cmd/iotrace and every app-run artifact of internal/exp resolve
-// through here, so a paper figure's point and the /run request that
-// reproduces it are the same request under the same key.
+// cmd/iosim, cmd/iotrace, every app run of internal/exp and the app
+// examples resolve through here, so a paper figure's point and the /run
+// request that reproduces it are the same request under the same key.
 //
 // Error texts keep the "serve:" prefix pariod's 400 bodies have always
 // carried.

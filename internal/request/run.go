@@ -13,8 +13,8 @@ import (
 // Run simulates the run req names and returns its report. ctx bounds the
 // run: cancellation tears the simulation down promptly and surfaces the
 // context's error. Run is the single execution path shared by the daemon,
-// cmd/iosim, cmd/iotrace and the paper artifacts, so all produce the same
-// report for the same request.
+// cmd/iosim, cmd/iotrace, the paper artifacts and the app examples under
+// examples/, so all produce the same report for the same request.
 func Run(ctx context.Context, req Request) (core.Report, error) {
 	return run(ctx, req, false)
 }
@@ -47,15 +47,24 @@ func run(ctx context.Context, req Request, capture bool) (core.Report, error) {
 // RunTrace runs an app-"trace" request against a resolved trace: the
 // replay machine is the large Paragon with the request's I/O partition, the
 // interface is req.Version, and req.Opt selects the prefetch-overlap
-// replay. The caller is responsible for tr matching req.Trace — the daemon
-// resolves it from its upload store by hash.
+// replay. A trace with more ranks than the machine has compute nodes is
+// refused with an error classified bad_request. The caller is responsible
+// for tr matching req.Trace — the daemon resolves it from its upload store
+// by hash.
 func RunTrace(ctx context.Context, req Request, tr *trace.Trace) (core.Report, error) {
 	var b binding
 	c, err := resolve(req, &b)
 	if err != nil {
 		return core.Report{}, err
 	}
-	spec := core.Spec{Machine: b.m, Procs: len(tr.Ranks), Faults: b.plan}
+	ranks := len(tr.Ranks)
+	if ranks > b.m.NumCompute {
+		// Only the trace knows its rank count, so resolve cannot refuse
+		// this shape as it refuses procs; refuse it before anything runs.
+		return core.Report{}, core.Classify("bad_request", fmt.Errorf(
+			"serve: trace of %d ranks exceeds the %d compute nodes of %s", ranks, b.m.NumCompute, b.m.Name))
+	}
+	spec := core.Spec{Machine: b.m, Procs: ranks, Faults: b.plan}
 	return core.Run(ctx, spec, tracerun.Config{Trace: tr, Interface: c.Version, Opt: c.Opt}.Setup)
 }
 

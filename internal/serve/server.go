@@ -500,10 +500,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		class := core.ErrorClass(err)
 		s.countErrClass(class)
 		status := http.StatusInternalServerError
-		if class == "trace_unknown" {
+		switch class {
+		case "trace_unknown":
 			// The named trace is simply not in this node's store — a
 			// client-addressable miss, not a simulation failure.
 			status = http.StatusNotFound
+		case "bad_request":
+			// The request resolved, but its workload cannot run on its
+			// machine (a trace with more ranks than compute nodes).
+			status = http.StatusBadRequest
 		}
 		writeErrJSON(w, status, class, err)
 	}

@@ -155,6 +155,37 @@ func TestTraceUnknownHashIs404(t *testing.T) {
 	}
 }
 
+// TestTraceBeyondMachineIs400 uploads a trace with one more rank than the
+// replay machine has compute nodes: the upload is a valid trace, but its
+// replay is a shape the client chose, so it answers 400 with a class, never
+// a 500.
+func TestTraceBeyondMachineIs400(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 4})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.sched.Close()
+
+	tr := trace.AppendStorm(513, 1, 0)
+	resp, err := http.Post(ts.URL+"/trace", "text/plain", bytes.NewReader(tr.EncodeText()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload: status %d", resp.StatusCode)
+	}
+	resp, body := postRun(t, ts, fmt.Sprintf(`{"app":"trace","trace":%q}`, tr.Hash()))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || eb.Class != "bad_request" ||
+		!strings.Contains(eb.Error, "513 ranks") || !strings.Contains(eb.Error, "512 compute nodes") {
+		t.Fatalf("error body %s, want class bad_request naming 513 ranks and 512 compute nodes", body)
+	}
+}
+
 func TestTraceInlineDataRegistersAndRuns(t *testing.T) {
 	s := New(Options{Workers: 2, QueueDepth: 8})
 	ts := httptest.NewServer(s.Handler())

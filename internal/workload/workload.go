@@ -3,7 +3,8 @@
 // machine models outside the five applications. A Spec describes a pattern
 // (sequential, strided, random, hotspot) and a volume; Requests expands it
 // deterministically into a request list; Replay runs the list on a
-// simulated machine through any pio interface.
+// simulated machine through any pio interface. Shared runs the one
+// shared-file workload under a PFS access mode.
 package workload
 
 import (
@@ -217,4 +218,44 @@ func Replay(m *machine.Config, iface pio.ClientParams, procs int, reqs []Request
 			h.Close(p)
 		}, nil
 	})
+}
+
+// Shared runs the shared-file mode workload of the paper's §5: procs ranks
+// open one PFS file through the native interface, rank 0 puts it in mode,
+// and each rank then performs ops operations of opBytes — reads under
+// M_GLOBAL, appends under every other mode. The report's ExecSec is the
+// workload's wall clock. A mode pio.NewSharedFile refuses (an unknown mode,
+// or M_RECORD with no positive opBytes) is its error.
+func Shared(m *machine.Config, mode pio.Mode, procs, ops int, opBytes int64) (core.Report, error) {
+	var sfErr error
+	rep, err := core.Run(nil, core.Spec{Machine: m, Procs: procs}, func(sys *core.System) (core.Body, error) {
+		f, err := sys.FS.Create("modes.shared", sys.DefaultLayout(), int64(procs*ops)*opBytes)
+		if err != nil {
+			return nil, err
+		}
+		handles := make([]*pio.Handle, procs)
+		var sf *pio.SharedFile
+		return func(p *sim.Proc, rank int) {
+			handles[rank] = sys.Client(rank, m.Native).Open(p, f)
+			sys.Comm.Barrier(p, rank)
+			if rank == 0 {
+				sf, sfErr = pio.NewSharedFile(sys.Comm, handles, mode, opBytes)
+			}
+			sys.Comm.Barrier(p, rank)
+			if sfErr != nil {
+				return
+			}
+			for i := 0; i < ops; i++ {
+				if mode == pio.ModeGlobal {
+					sf.Read(p, rank, opBytes)
+				} else {
+					sf.Write(p, rank, opBytes)
+				}
+			}
+		}, nil
+	})
+	if err == nil && sfErr != nil {
+		err = sfErr
+	}
+	return rep, err
 }

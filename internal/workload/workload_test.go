@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"pario/internal/machine"
+	"pario/internal/pio"
 	"pario/internal/trace"
 )
 
@@ -188,6 +189,31 @@ func TestReplayDrivesInterface(t *testing.T) {
 	}
 	if rep.BytesRead+rep.BytesWritten != s.TotalBytes {
 		t.Fatalf("replayed %d bytes, want %d", rep.BytesRead+rep.BytesWritten, s.TotalBytes)
+	}
+}
+
+// TestSharedModes runs the shared-file workload: an appending mode writes
+// every rank's operations, and a mode pio.NewSharedFile refuses comes back
+// as the run's error instead of a panic.
+func TestSharedModes(t *testing.T) {
+	cfg, err := machine.ParagonLarge(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Shared(cfg, pio.ModeLog, 4, 2, 64<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BytesWritten != 4*2*64<<10 {
+		t.Fatalf("M_LOG wrote %d bytes, want %d", rep.BytesWritten, 4*2*64<<10)
+	}
+	for _, c := range []struct {
+		mode    pio.Mode
+		opBytes int64
+	}{{pio.Mode(99), 64 << 10}, {pio.ModeRecord, 0}} {
+		if _, err := Shared(cfg, c.mode, 4, 2, c.opBytes); err == nil {
+			t.Errorf("mode %v with %d-byte operations accepted", c.mode, c.opBytes)
+		}
 	}
 }
 
